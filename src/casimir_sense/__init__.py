@@ -8,10 +8,9 @@ Gaussian squeezing of the membrane under continuous homodyne monitoring.
 __version__ = "0.1.0"
 
 from .constants import CONSTANTS, PhysicalConstants
-from .dynamics import (ConditionalState, DampingModel, NoiseSpec,
-                       PhysicalityError, StepConfig, StepOperator, Trajectory,
-                       analytic_shorttime, build_step, lab_frame,
-                       measurement_update, simulate, simulate_conditional)
+from .dynamics import (ConditionalState, DampingModel, PhysicalityError,
+                       StepConfig, Trajectory, analytic_shorttime, build_step,
+                       lab_frame, simulate, simulate_conditional)
 from .graphene import (Conductivity, FrequencyAxis, FresnelPair, fresnel,
                        sigma_imag_axis, sigma_real_axis)
 from .greens import GreensTrace, trace_green_imag, trace_green_real, \

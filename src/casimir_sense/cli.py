@@ -269,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="momentum")
     p.add_argument("--t-end", dest="t_end", type=float, default=3e-6,
                    help="simulated time, s")
-    p.add_argument("--tau", type=float, default=None, help="step size, s")
+    p.add_argument("--tau", type=float, default=None,
+                   help="record-grid unit, s: records fall on multiples of "
+                        "it (default: from the fastest rate)")
     p.add_argument("--record-every", dest="record_every", type=int,
                    default=None)
     p.set_defaults(func=cmd_squeeze)

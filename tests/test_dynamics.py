@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import casimir_sense as cs
-from casimir_sense.dynamics import (DampingModel, NoiseSpec, StepConfig,
-                                    simulate_conditional)
+from casimir_sense.dynamics import (DampingModel, StepConfig, default_tau,
+                                    simulate_conditional, step_config_for)
+
+from stepper_oracle import (NoiseSpec, build_step, measurement_update,
+                            simulate_stepper)
 
 
 def config(omega_m=1.0, gamma=0.0, kind="momentum", kappa2=1.0, nu=1.0):
@@ -25,61 +28,6 @@ def test_step_config_rates():
     assert cfg.kappa_det**2 == pytest.approx(1.0, rel=1e-12)
 
 
-def test_decoupled_step_is_identity_on_mechanics():
-    cfg = config(gamma=0.0, kappa2=0.0)
-    S = cs.build_step(0.3, 1e-4, cfg).S
-    assert np.allclose(S[:2, :2], np.eye(2), atol=0)
-    assert np.allclose(S[:2, 2:], 0.0, atol=0)
-
-
-def test_full_detection_reflects_light_with_pi_phase():
-    cfg = config(kappa2=1.0, nu=1.0)
-    S = cs.build_step(0.0, 1e-4, cfg).S
-    assert S[2, 2] == pytest.approx(-1.0)
-    assert S[3, 3] == pytest.approx(-1.0)
-    assert S[2, 4] == 0.0   # no undetected channel to mix with
-
-
-def test_signal_maps_position_only_at_t_zero():
-    cfg = config(kappa2=1.0, nu=1.0)
-    tau = 1e-4
-    S = cs.build_step(0.0, tau, cfg).S
-    assert S[2, 0] == pytest.approx(cfg.kappa_det * math.sqrt(tau), rel=1e-12)
-    assert S[2, 1] == 0.0
-    # back-action enters the momentum row from p_L
-    assert S[1, 3] == pytest.approx(cfg.kappa_det * math.sqrt(tau), rel=1e-12)
-    assert S[0, 3] == 0.0
-
-
-def test_damping_models_encoded_in_step_matrix():
-    tau = 1e-5
-    gamma = 10.0
-    s_mom = cs.build_step(0.0, tau, config(gamma=gamma, kind="momentum",
-                                           kappa2=0.0)).S
-    assert s_mom[0, 0] == pytest.approx(1.0)
-    assert s_mom[1, 1] == pytest.approx(1.0 - tau * gamma)
-    s_sym = cs.build_step(0.0, tau, config(gamma=gamma, kind="symmetric",
-                                           kappa2=0.0)).S
-    assert s_sym[0, 0] == pytest.approx(1.0 - tau * gamma / 2.0)
-    assert s_sym[1, 1] == pytest.approx(1.0 - tau * gamma / 2.0)
-
-
-def test_step_rejects_large_tau():
-    cfg = config(omega_m=1e6, kappa2=0.0)
-    with pytest.raises(ValueError, match="tau"):
-        cs.build_step(0.0, 1e-7, cfg)
-
-
-def test_noise_spec_blocks():
-    n_th = 3.0
-    sym = NoiseSpec.for_damping(DampingModel("symmetric", 1.0), n_th).cov_in
-    assert np.allclose(sym[:4, :4], np.eye(4))
-    assert np.allclose(sym[4:, 4:], (2 * n_th + 1) * np.eye(2))
-    mom = NoiseSpec.for_damping(DampingModel("momentum", 1.0), n_th).cov_in
-    assert mom[4, 4] == pytest.approx(1.0 / (2 * n_th + 1))
-    assert mom[5, 5] == pytest.approx(2 * n_th + 1)
-
-
 def test_damping_model_validation():
     with pytest.raises(ValueError):
         DampingModel("critical", 1.0)
@@ -88,54 +36,7 @@ def test_damping_model_validation():
 
 
 # ---------------------------------------------------------------------------
-# measurement update
-
-def test_update_without_correlations_is_identity():
-    state = cs.ConditionalState(cov_m=7.0 * np.eye(2), t=0.0)
-    joint = np.block([[7.0 * np.eye(2), np.zeros((2, 2))],
-                      [np.zeros((2, 2)), np.eye(2)]])
-    out = cs.measurement_update(state, joint)
-    assert np.allclose(out.cov_m, state.cov_m, rtol=0, atol=1e-12)
-
-
-def test_vacuum_stays_vacuum_before_coupling():
-    state = cs.ConditionalState(cov_m=np.eye(2), t=0.0)
-    joint = np.eye(4)
-    out = cs.measurement_update(state, joint)
-    assert np.allclose(out.cov_m, np.eye(2), atol=1e-12)
-    out.validate()
-
-
-def test_one_step_riccati_expansion():
-    # thermal state, one coupling step at t = 0, then x_L homodyne:
-    # V_x -> V/(1 + kappa^2 tau V), V_p -> V + kappa^2 tau
-    v0 = 9.0
-    kappa2 = 1.0
-    tau = 1e-3
-    cfg = config(omega_m=1e-6, kappa2=kappa2, nu=1.0)
-    traj = simulate_conditional(cfg, n_th=(v0 - 1) / 2, t_end=tau, tau=tau,
-                                record_every=1)
-    vx_exact = v0 / (1.0 + kappa2 * tau * v0)
-    assert traj.vx[0] == pytest.approx(vx_exact, rel=1e-9)
-    assert traj.vp[0] == pytest.approx(v0 + kappa2 * tau, rel=1e-9)
-    # second-order expansion of the update
-    assert traj.vx[0] == pytest.approx(v0 - kappa2 * tau * v0**2,
-                                       abs=2 * (kappa2 * tau * v0)**2 * v0)
-
-
-def test_homodyne_limit_stable_in_r():
-    cfg = config(kappa2=1.0, nu=1.0)
-    outs = []
-    for r in (1e10, 1e12, 1e14):
-        traj = simulate_conditional(cfg, n_th=10.0, t_end=0.05, tau=1e-3,
-                                    r=r, record_every=10)
-        outs.append(traj.vx[-1])
-    assert outs[0] == pytest.approx(outs[1], rel=1e-6)
-    assert outs[2] == pytest.approx(outs[1], rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# trajectories
+# trajectories of the exact engine
 
 def test_ideal_limit_matches_analytic_shorttime():
     # gamma = 0, nu = 1, rotation negligible: V_x = 1/(1/V0 + kappa^2 t)
@@ -148,17 +49,6 @@ def test_ideal_limit_matches_analytic_shorttime():
                                                traj.t[-1])
         assert traj.vx[-1] == pytest.approx(vx_ref, rel=1e-2)
         assert traj.vp[-1] == pytest.approx(vp_ref, rel=1e-2)
-
-
-def test_closed_system_is_exactly_stationary():
-    # kappa = 0 and gamma = 0: nothing moves in the rotating frame
-    v0 = 2 * 7.0 + 1
-    cfg = config(omega_m=1.0, gamma=0.0, kappa2=0.0)
-    traj = simulate_conditional(cfg, n_th=7.0, t_end=30.0, tau=5e-3,
-                                record_every=200)
-    assert np.all(traj.vx == v0)
-    assert np.all(traj.vp == v0)
-    assert np.all(traj.vxp == 0.0)
 
 
 def test_no_measurement_keeps_thermal_state_symmetric():
@@ -225,6 +115,81 @@ def test_physicality_held_along_squeezing_run():
         state.validate()
 
 
+def test_closed_system_stays_stationary():
+    # kappa = 0 and gamma = 0: the lab-frame covariance only rotates, which
+    # the co-rotating frame undoes, for isotropic and squeezed states alike
+    cfg = config(omega_m=1.0, gamma=0.0, kappa2=0.0)
+    for cov in (15.0 * np.eye(2), np.array([[3.0, 0.4], [0.4, 0.5]])):
+        traj = simulate_conditional(cfg, n_th=7.0, t_end=30.0, tau=5e-3,
+                                    initial_cov=cov)
+        assert np.allclose(traj.vx, cov[0, 0], rtol=1e-12, atol=0)
+        assert np.allclose(traj.vp, cov[1, 1], rtol=1e-12, atol=0)
+        assert np.allclose(traj.vxp, cov[0, 1], rtol=0, atol=1e-12 * 15.0)
+
+
+def test_engine_matches_exponential_from_t_zero():
+    # one exp(H t) from t = 0 per record: the Mobius restarts and the
+    # numpy scaling and squaring change nothing
+    from scipy.linalg import expm
+
+    from casimir_sense.dynamics import _hamiltonian
+
+    for kind in ("momentum", "symmetric"):
+        cfg = config(omega_m=1.0, gamma=0.05, kind=kind, kappa2=2.0, nu=0.7)
+        traj = simulate_conditional(cfg, n_th=3.0, t_end=4.0, tau=1e-3,
+                                    record_every=97)
+        ham = _hamiltonian(cfg, 3.0, measure=True)
+        v0 = 7.0 * np.eye(2)
+        for t, vx, vp, vxp in zip(traj.t, traj.vx, traj.vp, traj.vxp):
+            phi = expm(ham * t)
+            lab = (phi[:2, :2] @ v0 + phi[:2, 2:]) \
+                @ np.linalg.inv(phi[2:, :2] @ v0 + phi[2:, 2:])
+            c, s = math.cos(t), math.sin(t)
+            rot = np.array([[c, -s], [s, c]])
+            ref = rot @ lab @ rot.T
+            assert np.allclose([[vx, vxp], [vxp, vp]], ref, rtol=1e-12,
+                               atol=1e-12)
+
+
+def test_propagator_matches_scipy_expm(ref_scenario, ref_coupling):
+    from scipy.linalg import expm
+
+    from casimir_sense.dynamics import _hamiltonian
+
+    cfg, n_th = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    ham = _hamiltonian(cfg, n_th, measure=True)
+    for dt in (0.0, 1e-10, 1e-9, 1e-7):    # 0 to 6 squarings
+        ref = expm(ham * dt)
+        assert np.abs(cs.build_step(ham, dt) - ref).max() \
+            <= 1e-14 * np.abs(ref).max()
+
+
+def test_record_stamps_sum_one_tau_at_a_time(monkeypatch):
+    # the stamps equal a fixed-step integrator's t += tau across the blocks
+    # they are summed in, so CSV time columns do not depend on the engine
+    monkeypatch.setattr(cs.dynamics, "_STAMP_BLOCK", 7)
+    cfg = config(omega_m=1.0, gamma=0.01, kappa2=1.0, nu=0.5)
+    tau = 1.3e-3
+    for record_every in (1, 3, 7, 10, 50):
+        traj = simulate_conditional(cfg, n_th=2.0, t_end=40 * tau, tau=tau,
+                                    record_every=record_every)
+        t, stamps = 0.0, []
+        for step in range(1, 41):
+            t += tau
+            if step % record_every == 0 or step == 40:
+                stamps.append(t)
+        assert np.array_equal(traj.t, stamps)
+
+
+def test_record_grid_validation():
+    cfg = config()
+    with pytest.raises(ValueError, match="tau"):
+        simulate_conditional(cfg, n_th=1.0, t_end=1.0, tau=0.0)
+    with pytest.raises(ValueError, match="record_every"):
+        simulate_conditional(cfg, n_th=1.0, t_end=1.0, tau=1e-2,
+                             record_every=0)
+
+
 # ---------------------------------------------------------------------------
 # closed forms and frames
 
@@ -281,22 +246,152 @@ def test_lab_frame_round_trip():
         cs.lab_frame(lab, omega_m)
 
 
+# ---------------------------------------------------------------------------
+# stepper oracle (stepper_oracle.py): its internals, and its agreement
+# with the exact engine
+
+def test_decoupled_step_is_identity_on_mechanics():
+    cfg = config(gamma=0.0, kappa2=0.0)
+    S = build_step(0.3, 1e-4, cfg).S
+    assert np.allclose(S[:2, :2], np.eye(2), atol=0)
+    assert np.allclose(S[:2, 2:], 0.0, atol=0)
+
+
+def test_full_detection_reflects_light_with_pi_phase():
+    cfg = config(kappa2=1.0, nu=1.0)
+    S = build_step(0.0, 1e-4, cfg).S
+    assert S[2, 2] == pytest.approx(-1.0)
+    assert S[3, 3] == pytest.approx(-1.0)
+    assert S[2, 4] == 0.0   # no undetected channel to mix with
+
+
+def test_signal_maps_position_only_at_t_zero():
+    cfg = config(kappa2=1.0, nu=1.0)
+    tau = 1e-4
+    S = build_step(0.0, tau, cfg).S
+    assert S[2, 0] == pytest.approx(cfg.kappa_det * math.sqrt(tau), rel=1e-12)
+    assert S[2, 1] == 0.0
+    # back-action enters the momentum row from p_L
+    assert S[1, 3] == pytest.approx(cfg.kappa_det * math.sqrt(tau), rel=1e-12)
+    assert S[0, 3] == 0.0
+
+
+def test_damping_models_encoded_in_step_matrix():
+    tau = 1e-5
+    gamma = 10.0
+    s_mom = build_step(0.0, tau, config(gamma=gamma, kind="momentum",
+                                        kappa2=0.0)).S
+    assert s_mom[0, 0] == pytest.approx(1.0)
+    assert s_mom[1, 1] == pytest.approx(1.0 - tau * gamma)
+    s_sym = build_step(0.0, tau, config(gamma=gamma, kind="symmetric",
+                                        kappa2=0.0)).S
+    assert s_sym[0, 0] == pytest.approx(1.0 - tau * gamma / 2.0)
+    assert s_sym[1, 1] == pytest.approx(1.0 - tau * gamma / 2.0)
+
+
+def test_step_rejects_large_tau():
+    cfg = config(omega_m=1e6, kappa2=0.0)
+    with pytest.raises(ValueError, match="tau"):
+        build_step(0.0, 1e-7, cfg)
+
+
+def test_noise_spec_blocks():
+    n_th = 3.0
+    sym = NoiseSpec.for_damping(DampingModel("symmetric", 1.0), n_th).cov_in
+    assert np.allclose(sym[:4, :4], np.eye(4))
+    assert np.allclose(sym[4:, 4:], (2 * n_th + 1) * np.eye(2))
+    mom = NoiseSpec.for_damping(DampingModel("momentum", 1.0), n_th).cov_in
+    assert mom[4, 4] == pytest.approx(1.0 / (2 * n_th + 1))
+    assert mom[5, 5] == pytest.approx(2 * n_th + 1)
+
+
+def test_update_without_correlations_is_identity():
+    state = cs.ConditionalState(cov_m=7.0 * np.eye(2), t=0.0)
+    joint = np.block([[7.0 * np.eye(2), np.zeros((2, 2))],
+                      [np.zeros((2, 2)), np.eye(2)]])
+    out = measurement_update(state, joint)
+    assert np.allclose(out.cov_m, state.cov_m, rtol=0, atol=1e-12)
+
+
+def test_vacuum_stays_vacuum_before_coupling():
+    state = cs.ConditionalState(cov_m=np.eye(2), t=0.0)
+    joint = np.eye(4)
+    out = measurement_update(state, joint)
+    assert np.allclose(out.cov_m, np.eye(2), atol=1e-12)
+    out.validate()
+
+
+def test_one_step_riccati_expansion():
+    # thermal state, one coupling step at t = 0, then x_L homodyne:
+    # V_x -> V/(1 + kappa^2 tau V), V_p -> V + kappa^2 tau
+    v0 = 9.0
+    kappa2 = 1.0
+    tau = 1e-3
+    cfg = config(omega_m=1e-6, kappa2=kappa2, nu=1.0)
+    traj = simulate_stepper(cfg, n_th=(v0 - 1) / 2, t_end=tau, tau=tau,
+                            record_every=1)
+    vx_exact = v0 / (1.0 + kappa2 * tau * v0)
+    assert traj.vx[0] == pytest.approx(vx_exact, rel=1e-9)
+    assert traj.vp[0] == pytest.approx(v0 + kappa2 * tau, rel=1e-9)
+    # second-order expansion of the update
+    assert traj.vx[0] == pytest.approx(v0 - kappa2 * tau * v0**2,
+                                       abs=2 * (kappa2 * tau * v0)**2 * v0)
+
+
+def test_homodyne_limit_stable_in_r():
+    cfg = config(kappa2=1.0, nu=1.0)
+    outs = []
+    for r in (1e10, 1e12, 1e14):
+        traj = simulate_stepper(cfg, n_th=10.0, t_end=0.05, tau=1e-3,
+                                r=r, record_every=10)
+        outs.append(traj.vx[-1])
+    assert outs[0] == pytest.approx(outs[1], rel=1e-6)
+    assert outs[2] == pytest.approx(outs[1], rel=1e-6)
+
+
+def test_closed_system_is_exactly_stationary():
+    # kappa = 0 and gamma = 0: nothing moves in the rotating frame
+    v0 = 2 * 7.0 + 1
+    cfg = config(omega_m=1.0, gamma=0.0, kappa2=0.0)
+    traj = simulate_stepper(cfg, n_th=7.0, t_end=30.0, tau=5e-3,
+                            record_every=200)
+    assert np.all(traj.vx == v0)
+    assert np.all(traj.vp == v0)
+    assert np.all(traj.vxp == 0.0)
+
+
 def test_tau_convergence():
     cfg = config(omega_m=1.0, gamma=0.02, kind="momentum", kappa2=2.0, nu=0.5)
     kw = dict(n_th=20.0, t_end=6.0)
-    v1 = simulate_conditional(cfg, tau=2e-3, record_every=3000, **kw).vx[-1]
-    v2 = simulate_conditional(cfg, tau=1e-3, record_every=6000, **kw).vx[-1]
+    v1 = simulate_stepper(cfg, tau=2e-3, record_every=3000, **kw).vx[-1]
+    v2 = simulate_stepper(cfg, tau=1e-3, record_every=6000, **kw).vx[-1]
     assert abs(v2 / v1 - 1) < 1e-3
 
 
 def test_tau_convergence_at_operating_point(ref_scenario, ref_coupling):
     # halving the step changes the recorded variance by < 0.1% for the
     # Q = 5e4, T = 1 K squeezing scenario
-    from casimir_sense.dynamics import default_tau, step_config_for
-
     cfg, n_th = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
     tau = default_tau(cfg, n_th)
     big = 10**9   # record final step only
-    v1 = simulate_conditional(cfg, n_th, 1e-6, tau, record_every=big).vx[-1]
-    v2 = simulate_conditional(cfg, n_th, 1e-6, tau / 2, record_every=big).vx[-1]
+    v1 = simulate_stepper(cfg, n_th, 1e-6, tau, record_every=big).vx[-1]
+    v2 = simulate_stepper(cfg, n_th, 1e-6, tau / 2, record_every=big).vx[-1]
     assert abs(v2 / v1 - 1) < 1e-3
+
+
+def test_oracle_converges_to_exact_engine_at_operating_point(ref_scenario,
+                                                            ref_coupling):
+    # the stepper is first order in tau: its worst deviation along 0.5 us of
+    # the Q = 5e4, T = 1 K squeezing run falls ~4x when tau falls 4x, on
+    # record times identical to the exact engine's
+    cfg, n_th = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    tau = default_tau(cfg, n_th)
+    devs = []
+    for fac in (1, 4):
+        kw = dict(t_end=0.5e-6, tau=tau / fac, record_every=50 * fac)
+        exact = simulate_conditional(cfg, n_th, **kw)
+        oracle = simulate_stepper(cfg, n_th, **kw)
+        assert np.array_equal(oracle.t, exact.t)
+        devs.append(np.abs(oracle.vx / exact.vx - 1.0).max())
+    assert devs[0] < 2e-2
+    assert devs[1] < 0.3 * devs[0]

@@ -1,13 +1,15 @@
 """Truncated-Hilbert-space check of the Gaussian conditional dynamics.
 
 The membrane alone is simulated in a Fock space (dimension 30) under the
-same discrete model: per step, a Gaussian Kraus measurement of x with
-pointer resolution set by kappa_det sqrt(tau), a dephasing channel for the
-undetected scattering, then free rotation.  Homodyne outcomes are sampled
-exactly (position eigenvalue from the state's own distribution plus vacuum
-pointer noise), so this is a genuine stochastic-trajectory reference with no
-Gaussian assumptions.  For linear dynamics the conditional covariance is
-record independent, which is what makes the comparison deterministic.
+discrete model of the stepper oracle (stepper_oracle.py): per step, a
+Gaussian Kraus measurement of x with pointer resolution set by
+kappa_det sqrt(tau), a dephasing channel for the undetected scattering, then
+free rotation.  Homodyne outcomes are sampled exactly (position eigenvalue
+from the state's own distribution plus vacuum pointer noise), so this is a
+genuine stochastic-trajectory reference with no Gaussian assumptions.  For
+linear dynamics the conditional covariance is record independent, which is
+what makes the comparison deterministic.  The exact engine differs from the
+discrete model by its O(tau) discretization error, 4e-4 here.
 """
 
 import math
