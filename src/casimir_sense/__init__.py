@@ -15,10 +15,10 @@ from .graphene import (Conductivity, FrequencyAxis, FresnelPair, fresnel,
                        sigma_imag_axis, sigma_real_axis)
 from .greens import GreensTrace, trace_green_imag, trace_green_real, \
     trace_green_real_parts
-from .interaction import (CouplingGradient, InteractionResult, NumericsError,
-                          decay_rates, excited_shift, ground_shift,
-                          scattering_rate_map, transition_gradient,
-                          transition_shift)
+from .interaction import (CouplingGradient, InteractionResult, decay_rates,
+                          excited_shift, ground_shift,
+                          interaction_and_gradient, scattering_rate_map,
+                          transition_gradient, transition_shift)
 from .measurement import (CouplingResult, EmitterSteadyState,
                           detection_efficiency, evaluate_coupling, kappa,
                           renormalized_coupling, steady_state)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .dynamics import PhysicalityError, simulate
 from .graphene import sigma_real_axis
-from .interaction import NumericsError, decay_rates, transition_gradient
+from .interaction import interaction_and_gradient
 from .measurement import evaluate_coupling
 from .params import (ConfigError, ENV_CONFIG, GrapheneParams, ScenarioParams,
                      load_scenario, reference_scenario, scenario_to_config)
@@ -103,8 +103,7 @@ def _fmt(x: float) -> str:
 
 def _interaction_point(task):
     s, d = task
-    ir = decay_rates(d, s.emitter, s.graphene, s.constants)
-    cg = transition_gradient(d, s.emitter, s.graphene, s.constants)
+    ir, cg = interaction_and_gradient(d, s.emitter, s.graphene, s.constants)
     return (d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
             ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value))
 
@@ -287,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (QuadratureError, NumericsError) as exc:
+    except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except PhysicalityError as exc:

@@ -32,6 +32,10 @@ q0 = |w|/c, so Tr G = q0 * T(z*q0) with dimensionless kernels:
 The evanescent r_p denominator hosts the surface-plasmon pole near
 q_p = 2i/s; the finite intraband loss keeps it off the real axis and the
 panel edges are clustered around Re q_p so the Lorentzian is resolved.
+
+The height enters each kernel only through its exponential, so dT/dzb is the
+same integral with one more factor under it (-2 chi, 2i cos(theta), -2q); on
+request the kernels return it from the same nodes.
 """
 
 from __future__ import annotations
@@ -60,46 +64,55 @@ class GreensTrace:
     frequency_axis: FrequencyAxis
 
 
-def _trace_imag_scaled(zb: float, s: float, rtol: float = _RTOL) -> float:
-    """Dimensionless imaginary-axis kernel T(zb, s); Tr G = (u/c) * T."""
+def _trace_imag_scaled(zb: float, s: float, gradient: bool = False):
+    """Dimensionless imaginary-axis kernel T(zb, s); Tr G = (u/c) * T.
+
+    With gradient, returns the array [T, dT/dzb].
+    """
     if s == 0.0:
-        return 0.0
+        return np.zeros(2) if gradient else 0.0
 
     def integrand(x):
         chi = np.sqrt(1.0 + x * x)
         rp = chi * s / (chi * s + 2.0)
         rs = -s / (2.0 * chi + s)
-        return (x / chi) * np.exp(-2.0 * (chi - 1.0) * zb) \
+        f = (x / chi) * np.exp(-2.0 * (chi - 1.0) * zb) \
             * (rs - (x * x + chi * chi) * rp)
+        return np.array((f, -2.0 * chi * f)) if gradient else f
 
     xmax = _EXP_CUT / zb + 10.0
     edges = clip_edges([0.5 / zb, 2.0 / zb, 8.0 / zb, 1.0], 0.0, xmax)
-    val, _ = integrate_refined(integrand, edges, rtol=rtol)
-    return float(np.exp(-2.0 * zb) * val) / (4.0 * np.pi)
+    val, _ = integrate_refined(integrand, edges, rtol=_RTOL)
+    return np.exp(-2.0 * zb) * val / (4.0 * np.pi)
 
 
-def _trace_real_scaled(zb: float, s: complex, rtol: float = _RTOL):
-    """Dimensionless real-axis kernels; returns (T_prop, T_evan) complex."""
+def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):
+    """Dimensionless real-axis kernels; returns (T_prop, T_evan) complex.
+
+    With gradient, each part is the array [T, dT/dzb].
+    """
     if s == 0.0:
-        return 0.0j, 0.0j
+        return (np.zeros(2, complex),) * 2 if gradient else (0.0j, 0.0j)
 
     def prop_integrand(th):
         ct = np.cos(th)
         st = np.sin(th)
         rp = ct * s / (ct * s + 2.0)
         rs = -s / (2.0 * ct + s)
-        return 1j * st * np.exp(2j * ct * zb) * (rs + (st * st - ct * ct) * rp)
+        f = 1j * st * np.exp(2j * ct * zb) * (rs + (st * st - ct * ct) * rp)
+        return np.array((f, 2j * ct * f)) if gradient else f
 
     # r_s varies on the scale cos(theta) ~ |s| near grazing incidence
     graze = [np.arccos(min(1.0, abs(s) * f)) for f in (0.25, 1.0, 4.0)]
     prop, _ = integrate_refined(
         prop_integrand, clip_edges([np.pi / 3.0, *graze], 0.0, np.pi / 2.0),
-        rtol=rtol)
+        rtol=_RTOL)
 
     def evan_integrand(q):
         rp = 1j * q * s / (1j * q * s + 2.0)
         rs = -s / (2j * q + s)
-        return np.exp(-2.0 * q * zb) * (rs + (1.0 + 2.0 * q * q) * rp)
+        f = np.exp(-2.0 * q * zb) * (rs + (1.0 + 2.0 * q * q) * rp)
+        return np.array((f, -2.0 * q * f)) if gradient else f
 
     qmax = _EXP_CUT / zb + 10.0
     pole = 2j / s                      # r_p pole in the q variable
@@ -111,7 +124,7 @@ def _trace_real_scaled(zb: float, s: complex, rtol: float = _RTOL):
     layer_edges = [abs(s) * f for f in (0.25, 1.0, 4.0)]
     edges = clip_edges([0.5 / zb, 2.0 / zb, 8.0 / zb, 1.0,
                         *layer_edges, *pole_edges], 0.0, qmax)
-    evan, _ = integrate_refined(evan_integrand, edges, rtol=rtol)
+    evan, _ = integrate_refined(evan_integrand, edges, rtol=_RTOL)
     return prop / (4.0 * np.pi), evan / (4.0 * np.pi)
 
 
@@ -130,11 +143,13 @@ def trace_green_imag(z: float, u: float, g: GrapheneParams,
 
 
 def trace_green_real_parts(z: float, omega: float, g: GrapheneParams,
-                           constants: PhysicalConstants = CONSTANTS):
+                           constants: PhysicalConstants = CONSTANTS,
+                           gradient: bool = False):
     """(propagating, evanescent) parts of Tr G(z, z, omega), each complex 1/m.
 
     The split at k_par = omega/c is what separates radiative from
-    non-radiative decay.
+    non-radiative decay.  With gradient, each part is the complex array
+    [value, d value/dz] (1/m, 1/m^2).
     """
     if z <= 0:
         raise ValueError("z must be positive")
@@ -142,8 +157,10 @@ def trace_green_real_parts(z: float, omega: float, g: GrapheneParams,
         raise ValueError("omega must be positive")
     s = complex(_sigma_ec(FrequencyAxis.REAL, omega, g, constants))
     q0 = omega / constants.c
-    prop, evan = _trace_real_scaled(z * q0, s)
-    return q0 * prop, q0 * evan
+    prop, evan = _trace_real_scaled(z * q0, s, gradient=gradient)
+    # Tr G = q0 T(z q0): d/dz brings one more factor q0
+    unit = (q0, q0 * q0) if gradient else q0
+    return unit * prop, unit * evan
 
 
 def trace_green_real(z: float, omega: float, g: GrapheneParams,

@@ -16,8 +16,10 @@ mirror limit and is the only choice consistent with the decay-rate formula
 above, which is anchored by Gamma(free space) = Gamma0).
 
 The semi-infinite u integral is evaluated with the substitution u = w0 tan(t)
-and adaptive refinement; the transition gradient is a Richardson-extrapolated
-central difference in d.
+and adaptive refinement.  The transition gradient g = d(delta_omega)/dd is
+analytic: d enters only through the exponentials of the Green's-function
+kernels, so each integrand carries its d-derivative as a second component
+and one pass gives the shifts, the rates and g (interaction_and_gradient).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _U_RTOL = 1e-8
 
 
 class NumericsError(RuntimeError):
-    """A shift/gradient evaluation failed to reach its error target."""
+    """No longer raised; kept because perfbench/workloads.py imports it."""
 
 
 @dataclass(frozen=True)
@@ -56,33 +58,38 @@ class InteractionResult:
 
 @dataclass(frozen=True)
 class CouplingGradient:
-    """d(delta_omega)/dd with a Richardson error estimate."""
+    """d(delta_omega)/dd with the quadrature's error estimate."""
 
     d: float
     g_value: float          # rad/s per m (signed)
-    stencil_step: float     # m
     error_estimate: float   # rad/s per m
 
 
 def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
-                 constants: PhysicalConstants = CONSTANTS) -> float:
-    """Ground-state Casimir-Polder shift dw_g(d) in rad/s (negative)."""
+                 constants: PhysicalConstants = CONSTANTS,
+                 gradient: bool = False):
+    """Ground-state Casimir-Polder shift dw_g(d) in rad/s (negative).
+
+    With gradient: (value, error estimate), each the array [dw_g, d dw_g/dd].
+    """
     if d <= 0:
         raise ValueError("d must be positive")
     if g.sigma_zero:
-        return 0.0
+        return (np.zeros(2), np.zeros(2)) if gradient else 0.0
     w0 = e.omega0
     c = constants.c
 
     def integrand(theta):
-        out = np.empty_like(theta)
+        out = np.empty((2, theta.size) if gradient else theta.size)
         for i, th in enumerate(theta):
             u = w0 * math.tan(th)
             s = float(np.real(_sigma_ec(FrequencyAxis.IMAG, u, g, constants)))
             zb = d * u / c
-            t_val = _trace_imag_scaled(zb, s)
-            out[i] = (math.tan(th) / math.cos(th) ** 2) \
+            t_val = _trace_imag_scaled(zb, s, gradient=gradient)
+            out[..., i] = (math.tan(th) / math.cos(th) ** 2) \
                 * math.sin(th) ** 2 * t_val
+        if gradient:
+            out[1] *= w0 * np.tan(theta) / c          # d zb / dd = u / c
         return out
 
     # knees of the integrand: intraband loss, interband edge, weight, kernel
@@ -90,31 +97,15 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     u_max = 40.0 * c / d
     theta_edges = clip_edges([math.atan(u / w0) for u in u_edges if u > 0],
                              0.0, math.atan(u_max / w0))
-    val, _ = integrate_refined(integrand, theta_edges, rtol=_U_RTOL)
+    val, err = integrate_refined(integrand, theta_edges, rtol=_U_RTOL)
+    if gradient:
+        return e.gamma0 * val, e.gamma0 * err
     return e.gamma0 * float(val)
 
 
-def excited_shift(d: float, e: EmitterParams, g: GrapheneParams,
-                  constants: PhysicalConstants = CONSTANTS) -> float:
-    """Excited-state shift dw_e(d) = -dw_g - (Gamma0 pi c/w0) Re Tr G(w0)."""
-    dg = ground_shift(d, e, g, constants)
-    prop, evan = trace_green_real_parts(d, e.omega0, g, constants)
-    resonant = e.gamma0 * math.pi * constants.c / e.omega0 * (prop + evan).real
-    return -dg - resonant
-
-
-def decay_rates(d: float, e: EmitterParams, g: GrapheneParams,
-                constants: PhysicalConstants = CONSTANTS) -> InteractionResult:
-    """Full interaction result at distance d (shifts and decay channels).
-
-    Gamma_rad keeps the free-space Gamma0 plus the propagating-sector
-    interference; Gamma_nonrad is the evanescent sector (plasmons and
-    absorption).  Gamma is their sum by construction.
-    """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    dg = ground_shift(d, e, g, constants)
-    prop, evan = trace_green_real_parts(d, e.omega0, g, constants)
+def _result(d: float, e: EmitterParams, constants: PhysicalConstants,
+            dg: float, prop: complex, evan: complex) -> InteractionResult:
+    """Shifts and rates from dw_g and the two real-axis trace parts."""
     scale = 2.0 * e.gamma0 * math.pi * constants.c / e.omega0
     gamma_rad = e.gamma0 + scale * prop.imag
     gamma_nonrad = scale * evan.imag
@@ -126,43 +117,51 @@ def decay_rates(d: float, e: EmitterParams, g: GrapheneParams,
     )
 
 
+def decay_rates(d: float, e: EmitterParams, g: GrapheneParams,
+                constants: PhysicalConstants = CONSTANTS) -> InteractionResult:
+    """Full interaction result at distance d (shifts and decay channels).
+
+    Gamma_rad keeps the free-space Gamma0 plus the propagating-sector
+    interference; Gamma_nonrad is the evanescent sector (plasmons and
+    absorption).  Gamma is their sum by construction.
+    """
+    return _result(d, e, constants, ground_shift(d, e, g, constants),
+                   *trace_green_real_parts(d, e.omega0, g, constants))
+
+
+def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams,
+                             constants: PhysicalConstants = CONSTANTS):
+    """(InteractionResult, CouplingGradient) at distance d from one pass.
+
+    The error estimate is the ground-shift quadrature's for the derivative;
+    the real-axis parts converge 100 times tighter.
+    """
+    (dg, dg_slope), (_, err) = ground_shift(d, e, g, constants, gradient=True)
+    prop, evan = trace_green_real_parts(d, e.omega0, g, constants,
+                                        gradient=True)
+    resonant = e.gamma0 * math.pi * constants.c / e.omega0
+    slope = -2.0 * dg_slope - resonant * (prop[1] + evan[1]).real
+    return (_result(d, e, constants, dg, prop[0], evan[0]),
+            CouplingGradient(d=d, g_value=slope, error_estimate=2.0 * err))
+
+
+def excited_shift(d: float, e: EmitterParams, g: GrapheneParams,
+                  constants: PhysicalConstants = CONSTANTS) -> float:
+    """Excited-state shift dw_e(d) = -dw_g - (Gamma0 pi c/w0) Re Tr G(w0)."""
+    return decay_rates(d, e, g, constants).delta_e
+
+
 def transition_shift(d: float, e: EmitterParams, g: GrapheneParams,
                      constants: PhysicalConstants = CONSTANTS) -> float:
     """Transition shift delta_omega(d) = dw_e - dw_g in rad/s."""
-    dg = ground_shift(d, e, g, constants)
-    prop, evan = trace_green_real_parts(d, e.omega0, g, constants)
-    resonant = e.gamma0 * math.pi * constants.c / e.omega0 * (prop + evan).real
-    return -2.0 * dg - resonant
+    return decay_rates(d, e, g, constants).delta_omega
 
 
 def transition_gradient(d: float, e: EmitterParams, g: GrapheneParams,
-                        constants: PhysicalConstants = CONSTANTS,
-                        rel_step: float = 0.01) -> CouplingGradient:
-    """d(delta_omega)/dd by Richardson-extrapolated central differences.
-
-    The step starts at d * rel_step and is halved until the extrapolation
-    correction drops below 1% of the gradient; failing that, NumericsError.
-    """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    if g.sigma_zero:
-        return CouplingGradient(d=d, g_value=0.0, stencil_step=d * rel_step,
-                                error_estimate=0.0)
-    h = d * rel_step
-    for _ in range(3):
-        if d - h <= 0:
-            raise NumericsError("stencil step underflows the distance")
-        f = {dd: transition_shift(dd, e, g, constants)
-             for dd in (d + h, d - h, d + h / 2, d - h / 2)}
-        coarse = (f[d + h] - f[d - h]) / (2.0 * h)
-        fine = (f[d + h / 2] - f[d - h / 2]) / h
-        value = (4.0 * fine - coarse) / 3.0
-        estimate = abs(value - fine)
-        if estimate <= 0.01 * abs(value):
-            return CouplingGradient(d=d, g_value=value, stencil_step=h,
-                                    error_estimate=estimate)
-        h *= 0.5
-    raise NumericsError("gradient extrapolation did not converge")
+                        constants: PhysicalConstants = CONSTANTS
+                        ) -> CouplingGradient:
+    """g = d(delta_omega)/dd, from the one-pass interaction_and_gradient."""
+    return interaction_and_gradient(d, e, g, constants)[1]
 
 
 def scattering_rate_map(d: float, omega_l: float, s: ScenarioParams) -> float:

@@ -19,8 +19,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+# decay_rates and transition_gradient stay bound for perfbench/tracing.py
 from .interaction import (CouplingGradient, InteractionResult, decay_rates,
-                          transition_gradient)
+                          interaction_and_gradient, transition_gradient)
 from .params import ScenarioParams
 
 
@@ -125,6 +126,6 @@ def kappa(s: ScenarioParams, ir: InteractionResult,
 def evaluate_coupling(s: ScenarioParams):
     """Full pipeline at s.distance: (InteractionResult, CouplingGradient,
     CouplingResult)."""
-    ir = decay_rates(s.distance, s.emitter, s.graphene, s.constants)
-    cg = transition_gradient(s.distance, s.emitter, s.graphene, s.constants)
+    ir, cg = interaction_and_gradient(s.distance, s.emitter, s.graphene,
+                                      s.constants)
     return ir, cg, kappa(s, ir, cg)

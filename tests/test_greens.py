@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import casimir_sense as cs
+from casimir_sense.greens import _trace_imag_scaled
 
 from conftest import brute_trace_imag, brute_trace_real
 
@@ -83,3 +84,30 @@ def test_trace_rejects_bad_arguments():
         cs.trace_green_imag(1e-8, 0.0, g)
     with pytest.raises(ValueError):
         cs.trace_green_real(-1e-9, W0, g)
+
+
+@pytest.mark.parametrize("zb", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("s", [0.01, 1.0])
+def test_imag_kernel_gradient_matches_central_difference(zb, s):
+    value, slope = _trace_imag_scaled(zb, s, gradient=True)
+    h = 1e-4 * zb
+    diff = (_trace_imag_scaled(zb + h, s) - _trace_imag_scaled(zb - h, s)) \
+        / (2.0 * h)
+    assert value == pytest.approx(_trace_imag_scaled(zb, s), rel=1e-12)
+    assert slope == pytest.approx(diff, rel=1e-6)
+
+
+@pytest.mark.parametrize("z", [8e-9, 40e-9, 2e-6])
+@pytest.mark.parametrize("mu_frac", [0.0, 0.8])
+def test_real_axis_gradient_matches_central_difference(mu_frac, z):
+    # each sector on its own: near the sheet the propagating slope is 1e-8
+    # of the evanescent one, so only the far point resolves it in the sum
+    g = graphene(mu_frac)
+    h = 1e-4 * z
+    parts = cs.trace_green_real_parts(z, W0, g, gradient=True)
+    at = cs.trace_green_real_parts(z, W0, g)
+    up = cs.trace_green_real_parts(z + h, W0, g)
+    down = cs.trace_green_real_parts(z - h, W0, g)
+    for (value, slope), ref, hi, lo in zip(parts, at, up, down):
+        assert value == pytest.approx(ref, rel=1e-12)
+        assert slope == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)

@@ -5,6 +5,8 @@ import pytest
 
 import casimir_sense as cs
 
+from gradient_oracle import richardson_gradient
+
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6
 GAMMA0 = 2 * math.pi * 240e6
 EMITTER = cs.EmitterParams(omega0=W0, gamma0=GAMMA0)
@@ -71,7 +73,6 @@ def test_quenching_dominates_in_absorptive_regime():
 def test_gradient_error_estimate_is_small():
     cg = cs.transition_gradient(18e-9, EMITTER, graphene(0.8))
     assert cg.error_estimate < 0.01 * abs(cg.g_value)
-    assert cg.stencil_step < 18e-9
 
 
 def test_gradient_sign_and_consistency():
@@ -82,6 +83,39 @@ def test_gradient_sign_and_consistency():
     d1 = cs.decay_rates(17.9e-9, EMITTER, g).delta_omega
     d2 = cs.decay_rates(18.1e-9, EMITTER, g).delta_omega
     assert cg.g_value == pytest.approx((d2 - d1) / 0.2e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("d", [8e-9, 18e-9, 40e-9])
+@pytest.mark.parametrize("mu_frac", [0.0, 0.3, 0.6, 0.8])
+def test_gradient_matches_richardson_oracle(mu_frac, d):
+    g = graphene(mu_frac)
+    cg = cs.transition_gradient(d, EMITTER, g)
+    value, _, _ = richardson_gradient(d, EMITTER, g)
+    assert cg.g_value == pytest.approx(value, rel=1e-2)
+
+
+@pytest.mark.parametrize("mu_frac, d", [(0.8, 18e-9), (0.3, 10e-9),
+                                        (0.6, 40e-9)])
+def test_gradient_matches_central_difference_of_transition_shift(mu_frac, d):
+    # step 1e-3 d: truncation ~1e-6 relative, quadrature noise ~1e-5
+    g = graphene(mu_frac)
+    h = 1e-3 * d
+    slope = (cs.transition_shift(d + h, EMITTER, g)
+             - cs.transition_shift(d - h, EMITTER, g)) / (2.0 * h)
+    assert cs.transition_gradient(d, EMITTER, g).g_value \
+        == pytest.approx(slope, rel=5e-5)
+
+
+@pytest.mark.parametrize("mu_frac, d", [(0.8, 18e-9), (0.6, 8e-9)])
+def test_one_pass_shifts_match_decay_rates(mu_frac, d):
+    g = graphene(mu_frac)
+    ir, cg = cs.interaction_and_gradient(d, EMITTER, g)
+    ref = cs.decay_rates(d, EMITTER, g)
+    for field in ("delta_g", "delta_e", "delta_omega", "gamma", "gamma_rad",
+                  "gamma_nonrad"):
+        assert getattr(ir, field) == pytest.approx(getattr(ref, field),
+                                                   rel=1e-9)
+    assert cg == cs.transition_gradient(d, EMITTER, g)
 
 
 def test_gradient_rejects_bad_distance():

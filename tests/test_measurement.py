@@ -15,8 +15,7 @@ def fake_interaction(gamma=2e9, rad_fraction=0.54):
 
 
 def fake_gradient(g=1.0e20):
-    return CouplingGradient(d=18e-9, g_value=-g, stencil_step=1e-10,
-                            error_estimate=1e16)
+    return CouplingGradient(d=18e-9, g_value=-g, error_estimate=1e16)
 
 
 def test_steady_state_ground_state_limit():
