@@ -28,4 +28,19 @@ from .params import (ConfigError, DriveParams, EmitterParams, GrapheneParams,
                      scenario_to_config, si_units)
 from .quadrature import QuadratureError
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CONSTANTS", "PhysicalConstants", "ConditionalState", "DampingModel",
+    "PhysicalityError", "StepConfig", "Trajectory", "analytic_shorttime",
+    "build_step", "lab_frame", "simulate", "simulate_conditional",
+    "Conductivity", "FrequencyAxis", "FresnelPair", "fresnel",
+    "sigma_imag_axis", "sigma_real_axis", "GreensTrace", "trace_green_imag",
+    "trace_green_real", "trace_green_real_parts", "CouplingGradient",
+    "InteractionResult", "decay_rates", "excited_shift", "ground_shift",
+    "interaction_and_gradient", "scattering_rate_map", "transition_gradient",
+    "transition_shift", "CouplingResult", "EmitterSteadyState",
+    "detection_efficiency", "evaluate_coupling", "kappa",
+    "renormalized_coupling", "steady_state", "ConfigError", "DriveParams",
+    "EmitterParams", "GrapheneParams", "MechanicalParams", "NaturalScenario",
+    "ScenarioParams", "load_scenario", "natural_units", "reference_scenario",
+    "scenario_to_config", "si_units", "QuadratureError",
+]

@@ -16,7 +16,6 @@ failure, 4 physicality violation.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from dataclasses import replace
@@ -99,36 +98,6 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# workers (module level so process pools can pickle them)
-
-def _interaction_point(task):
-    s, d = task
-    ir, cg = interaction_and_gradient(d, s.emitter, s.graphene, s.constants)
-    return (d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
-            ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value))
-
-
-def _sensitivity_point(task):
-    s, d, mu = task
-    point = replace(
-        s, distance=d,
-        graphene=GrapheneParams.from_fractions(
-            mu, s.emitter.omega0, s.emitter.omega0 / s.graphene.gamma_g,
-            sigma_zero=s.graphene.sigma_zero))
-    ir, cg, cr = evaluate_coupling(point)
-    x_zpm = s.mechanics.x_zpm
-    quantum = cr.kappa_inv_si < x_zpm / np.sqrt(s.mechanics.omega_m)
-    return (d, mu, cr.kappa_inv_si, cr.merit, quantum)
-
-
-def _map_points(worker, tasks, jobs: int):
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))   # map keeps submission order
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_conductivity(args, argv) -> int:
@@ -154,7 +123,12 @@ def cmd_conductivity(args, argv) -> int:
 def cmd_interaction(args, argv) -> int:
     s = _resolve_scenario(args)
     ds = _axis(args, "d", log_flag=True)
-    rows = _map_points(_interaction_point, [(s, d) for d in ds], args.jobs)
+    rows = []
+    for d in ds:
+        ir, cg = interaction_and_gradient(d, s.emitter, s.graphene,
+                                          s.constants)
+        rows.append((d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
+                     ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value)))
     fh = _open_out(args)
     try:
         _write_header(fh, s, argv,
@@ -173,8 +147,17 @@ def cmd_sensitivity(args, argv) -> int:
     s = _resolve_scenario(args)
     ds = _axis(args, "d", log_flag=True)
     mus = _axis(args, "mu")
-    tasks = [(s, d, mu) for d in ds for mu in mus]   # row-major: d outer
-    rows = _map_points(_sensitivity_point, tasks, args.jobs)
+    quantum_limit = s.mechanics.x_zpm / np.sqrt(s.mechanics.omega_m)
+    rows = []
+    for d in ds:                                  # row-major: d outer
+        for mu in mus:
+            graphene = GrapheneParams.from_fractions(
+                mu, s.emitter.omega0, s.emitter.omega0 / s.graphene.gamma_g,
+                sigma_zero=s.graphene.sigma_zero)
+            cr = evaluate_coupling(replace(s, distance=d,
+                                           graphene=graphene))[2]
+            rows.append((d, mu, cr.kappa_inv_si, cr.merit,
+                         cr.kappa_inv_si < quantum_limit))
     fh = _open_out(args)
     try:
         _write_header(fh, s, argv,
@@ -217,8 +200,6 @@ def cmd_squeeze(args, argv) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="scenario config file (INI)")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for grid sweeps")
     p.add_argument("--distance", type=float, help="override distance, m")
     p.add_argument("--mu", type=float,
                    help="override Fermi energy, units of hbar*omega0")

@@ -36,6 +36,10 @@ panel edges are clustered around Re q_p so the Lorentzian is resolved.
 The height enters each kernel only through its exponential, so dT/dzb is the
 same integral with one more factor under it (-2 chi, 2i cos(theta), -2q); on
 request the kernels return it from the same nodes.
+
+The imaginary-axis kernel also takes arrays of (zb, s) rows and refines them
+together (quadrature.integrate_rows), each row on its own panel edges; the
+ground shift passes all frequency nodes of an outer level as one call.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 from .constants import CONSTANTS, PhysicalConstants
 from .graphene import FrequencyAxis, _sigma_ec
 from .params import GrapheneParams
-from .quadrature import clip_edges, integrate_refined
+from .quadrature import clip_edges, integrate_refined, integrate_rows
 
 _RTOL = 1e-10
 #: e^{-2 q zb} tail cutoff: exp(-2*(EXP_CUT)) ~ 1e-44 relative to the peak.
@@ -64,15 +68,14 @@ class GreensTrace:
     frequency_axis: FrequencyAxis
 
 
-def _trace_imag_scaled(zb: float, s: float, gradient: bool = False):
+def _trace_imag_scaled(zb, s, gradient: bool = False):
     """Dimensionless imaginary-axis kernel T(zb, s); Tr G = (u/c) * T.
 
-    With gradient, returns the array [T, dT/dzb].
+    zb and s may be equal-length arrays, one row each: all rows are
+    integrated together and the result has one entry per row.  With
+    gradient, returns [T, dT/dzb] stacked along the first axis.
     """
-    if s == 0.0:
-        return np.zeros(2) if gradient else 0.0
-
-    def integrand(x):
+    def integrand(x, zb, s):
         chi = np.sqrt(1.0 + x * x)
         rp = chi * s / (chi * s + 2.0)
         rs = -s / (2.0 * chi + s)
@@ -80,10 +83,16 @@ def _trace_imag_scaled(zb: float, s: float, gradient: bool = False):
             * (rs - (x * x + chi * chi) * rp)
         return np.array((f, -2.0 * chi * f)) if gradient else f
 
-    xmax = _EXP_CUT / zb + 10.0
-    edges = clip_edges([0.5 / zb, 2.0 / zb, 8.0 / zb, 1.0], 0.0, xmax)
-    val, _ = integrate_refined(integrand, edges, rtol=_RTOL)
-    return np.exp(-2.0 * zb) * val / (4.0 * np.pi)
+    zbs = np.atleast_1d(np.asarray(zb, dtype=float))
+    edges = np.sort(np.stack((np.zeros_like(zbs), 0.5 / zbs, 2.0 / zbs,
+                              8.0 / zbs, np.ones_like(zbs),
+                              _EXP_CUT / zbs + 10.0), axis=-1))
+    val, _ = integrate_rows(integrand, edges, zbs, np.atleast_1d(s),
+                            rtol=_RTOL)
+    out = np.exp(-2.0 * zbs) * val / (4.0 * np.pi)
+    if np.ndim(zb):
+        return out
+    return out[:, 0] if gradient else out[0]
 
 
 def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):

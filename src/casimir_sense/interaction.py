@@ -16,10 +16,12 @@ mirror limit and is the only choice consistent with the decay-rate formula
 above, which is anchored by Gamma(free space) = Gamma0).
 
 The semi-infinite u integral is evaluated with the substitution u = w0 tan(t)
-and adaptive refinement.  The transition gradient g = d(delta_omega)/dd is
-analytic: d enters only through the exponentials of the Green's-function
-kernels, so each integrand carries its d-derivative as a second component
-and one pass gives the shifts, the rates and g (interaction_and_gradient).
+and adaptive refinement; each outer level evaluates sigma(iu) and the inner
+kernel for all of its nodes at once, as the rows of one inner refinement.
+The transition gradient g = d(delta_omega)/dd is analytic: d enters only
+through the exponentials of the Green's-function kernels, so each integrand
+carries its d-derivative as a second component and one pass gives the
+shifts, the rates and g (interaction_and_gradient).
 """
 
 from __future__ import annotations
@@ -80,16 +82,13 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     c = constants.c
 
     def integrand(theta):
-        out = np.empty((2, theta.size) if gradient else theta.size)
-        for i, th in enumerate(theta):
-            u = w0 * math.tan(th)
-            s = float(np.real(_sigma_ec(FrequencyAxis.IMAG, u, g, constants)))
-            zb = d * u / c
-            t_val = _trace_imag_scaled(zb, s, gradient=gradient)
-            out[..., i] = (math.tan(th) / math.cos(th) ** 2) \
-                * math.sin(th) ** 2 * t_val
+        t = np.tan(theta)
+        u = w0 * t
+        s = _sigma_ec(FrequencyAxis.IMAG, u, g, constants).real
+        out = (t / np.cos(theta) ** 2) * np.sin(theta) ** 2 \
+            * _trace_imag_scaled(d * u / c, s, gradient=gradient)
         if gradient:
-            out[1] *= w0 * np.tan(theta) / c          # d zb / dd = u / c
+            out[1] *= u / c                           # d zb / dd = u / c
         return out
 
     # knees of the integrand: intraband loss, interband edge, weight, kernel

@@ -117,16 +117,6 @@ def test_interaction_output_is_deterministic(tmp_path):
         == second.replace(str(tmp_path / "b"), "X")
 
 
-def test_interaction_parallel_matches_serial(tmp_path):
-    args = ["interaction", "--d-min", "10e-9", "--d-max", "30e-9",
-            "--d-count", "3"]
-    _, serial = run_cli(args, tmp_path, "serial.csv")
-    _, parallel = run_cli([*args, "--jobs", "2"], tmp_path, "parallel.csv")
-    # headers echo the command line; compare the data rows
-    strip = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
-    assert strip(serial) == strip(parallel)
-
-
 def test_sensitivity_grid_row_major_and_flags(tmp_path):
     code, text = run_cli(["sensitivity", "--d-min", "15e-9", "--d-max",
                           "25e-9", "--d-count", "2", "--mu-min", "0.6",

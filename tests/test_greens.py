@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import casimir_sense as cs
+from casimir_sense.graphene import FrequencyAxis, _sigma_ec
 from casimir_sense.greens import _trace_imag_scaled
 
 from conftest import brute_trace_imag, brute_trace_real
@@ -111,3 +112,24 @@ def test_real_axis_gradient_matches_central_difference(mu_frac, z):
     for (value, slope), ref, hi, lo in zip(parts, at, up, down):
         assert value == pytest.approx(ref, rel=1e-12)
         assert slope == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize("q_factor", [1e3, 1e5])
+def test_imag_kernel_rows_match_one_row_calls(q_factor):
+    # the (zb, s) pairs ground_shift hands over: s = sigma(iu) along its
+    # frequency nodes for mu in [0, 1], zb across [1e-4, 40]
+    rng = np.random.default_rng(7)
+    u = W0 * np.tan(rng.uniform(0.0, 1.5, 48))
+    mu = rng.uniform(0.0, 1.0, 48)
+    s = np.array([_sigma_ec(FrequencyAxis.IMAG, ui,
+                            cs.GrapheneParams.from_fractions(m, W0, q_factor)
+                            ).real for ui, m in zip(u, mu)])
+    zb = np.geomspace(1e-4, 40.0, 48)
+    rows = _trace_imag_scaled(zb, s, gradient=True)
+    values = _trace_imag_scaled(zb, s)
+    assert rows.shape == (2, 48) and values.shape == (48,)
+    for i in range(48):
+        one = _trace_imag_scaled(zb[i], s[i], gradient=True)
+        np.testing.assert_allclose(rows[:, i], one, rtol=1e-14, atol=0.0)
+        assert values[i] == pytest.approx(_trace_imag_scaled(zb[i], s[i]),
+                                          rel=1e-14, abs=0.0)
