@@ -29,9 +29,15 @@ q0 = |w|/c, so Tr G = q0 * T(z*q0) with dimensionless kernels:
         T_evan = (1/4pi) Int_0^inf dq e^{-2 q zb} [ r_s + (1 + 2 q^2) r_p ],
         r_p = i q s/(i q s + 2),  r_s = -s/(2 i q + s).
 
-The evanescent r_p denominator hosts the surface-plasmon pole near
-q_p = 2i/s; the finite intraband loss keeps it off the real axis and the
-panel edges are clustered around Re q_p so the Lorentzian is resolved.
+The Fresnel denominators have one pole each in the integration variable:
+cos(theta) = -s/2 (r_s) and -2/s (r_p) for the propagating part, q = is/2
+(r_s) and the surface plasmon q_p = 2i/s (r_p) for the evanescent part.  The
+loss keeps them off the path, but at a distance w that can be 1e-7 of their
+position c = max(Re p, 0) (clean graphene, or |s| ~ 1e-5 where the Drude and
+interband parts of Im s cancel).  The panel edges are graded geometrically
+toward each pole, c +- w 4^k for k >= 0 while w 4^k <= max(c, 1): a panel
+near a pole is at most a few times wider than its distance from it, so a few
+bisections resolve it at any loss.
 
 The height enters each kernel only through its exponential, so dT/dzb is the
 same integral with one more factor under it (-2 chi, 2i cos(theta), -2q); on
@@ -95,6 +101,19 @@ def _trace_imag_scaled(zb, s, gradient: bool = False):
     return out[:, 0] if gradient else out[0]
 
 
+def _graded_edges(poles):
+    """Edges c +- w 4^k (k >= 0, w 4^k <= max(c, 1)) toward each pole p near
+    the path [0, inf): c = max(Re p, 0) is its nearest point, w = |p - c|."""
+    edges = []
+    for p in poles:
+        c = max(p.real, 0.0)
+        w, top = abs(p - c), max(c, 1.0)
+        if 0.0 < w <= top:
+            steps = w * 4.0 ** np.arange(int(np.log(top / w) / np.log(4.0)) + 1)
+            edges += [*(c - steps), *(c + steps)]
+    return edges
+
+
 def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):
     """Dimensionless real-axis kernels; returns (T_prop, T_evan) complex.
 
@@ -111,11 +130,13 @@ def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):
         f = 1j * st * np.exp(2j * ct * zb) * (rs + (st * st - ct * ct) * rp)
         return np.array((f, 2j * ct * f)) if gradient else f
 
-    # r_s varies on the scale cos(theta) ~ |s| near grazing incidence
-    graze = [np.arccos(min(1.0, abs(s) * f)) for f in (0.25, 1.0, 4.0)]
-    prop, _ = integrate_refined(
-        prop_integrand, clip_edges([np.pi / 3.0, *graze], 0.0, np.pi / 2.0),
-        rtol=_RTOL)
+    # at the interband edge s = x - i inf: no poles, and the integrand is
+    # not finite, which integrate_refined reports as a QuadratureError
+    finite = np.isfinite(s)
+    graze = np.arccos(clip_edges(
+        _graded_edges((-0.5 * s, -2.0 / s) if finite else ()), 0.0, 1.0))
+    prop, _ = integrate_refined(prop_integrand, [np.pi / 3.0, *graze],
+                                rtol=_RTOL)
 
     def evan_integrand(q):
         rp = 1j * q * s / (1j * q * s + 2.0)
@@ -123,16 +144,9 @@ def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):
         f = np.exp(-2.0 * q * zb) * (rs + (1.0 + 2.0 * q * q) * rp)
         return np.array((f, -2.0 * q * f)) if gradient else f
 
-    qmax = _EXP_CUT / zb + 10.0
-    pole = 2j / s                      # r_p pole in the q variable
-    q_r, q_w = pole.real, abs(pole.imag)
-    q_w = max(q_w, 1e-6 * max(q_r, 1.0))
-    pole_edges = [q_r + f * q_w for f in (-30.0, -6.0, -1.0, 1.0, 6.0, 30.0)] \
-        if q_r > 0 else []
-    # r_s relaxes from -1 on the scale q ~ |s|
-    layer_edges = [abs(s) * f for f in (0.25, 1.0, 4.0)]
-    edges = clip_edges([0.5 / zb, 2.0 / zb, 8.0 / zb, 1.0,
-                        *layer_edges, *pole_edges], 0.0, qmax)
+    poles = _graded_edges((0.5j * s, 2j / s) if finite else ())
+    edges = clip_edges([0.5 / zb, 2.0 / zb, 8.0 / zb, 1.0, *poles],
+                       0.0, _EXP_CUT / zb + 10.0)
     evan, _ = integrate_refined(evan_integrand, edges, rtol=_RTOL)
     return prop / (4.0 * np.pi), evan / (4.0 * np.pi)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import casimir_sense as cs
+from casimir_sense import greens
 from casimir_sense.graphene import FrequencyAxis, _sigma_ec
 from casimir_sense.greens import _trace_imag_scaled
 
-from conftest import brute_trace_imag, brute_trace_real
+from conftest import brute_trace_imag, brute_trace_real, quad_trace_real
 
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6
 
@@ -48,6 +49,42 @@ def test_real_axis_trace_against_brute_force_oracle():
     assert prop.imag == pytest.approx(o_prop.imag, rel=1e-6)
     assert evan.real == pytest.approx(o_evan.real, rel=1e-6)
     assert evan.imag == pytest.approx(o_evan.imag, rel=1e-6)
+
+
+@pytest.mark.parametrize("mu_frac, q_factor", [
+    (0.55, 1e3), (0.6, 1e3), (0.6, 1e7), (0.8, 1e7), (1.0, 1e7)])
+def test_real_axis_trace_against_quad_oracle_near_poles(mu_frac, q_factor):
+    # a Fresnel pole close to the path: |s| ~ 2e-5 where the Drude and
+    # interband parts of Im s cancel (mu ~ 0.6), a plasmon of relative width
+    # 1e-7 (clean graphene), an r_s pole 4e-3 of its distance off the path
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    parts = cs.trace_green_real_parts(18e-9, W0, g)
+    for part, ref in zip(parts, quad_trace_real(18e-9, W0, g)):
+        assert part.real == pytest.approx(ref.real, rel=1e-9)
+        assert part.imag == pytest.approx(ref.imag, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu_frac", [0.0, 0.3, 0.5 + 1e-7, 0.55, 0.6, 0.8,
+                                     1.0])
+def test_real_axis_node_count_is_bounded(monkeypatch, mu_frac):
+    # the panel edges are graded toward the Fresnel poles, so neither a pole
+    # next to the path nor a narrow plasmon needs deep bisection
+    nodes = [0]
+    refine = greens.integrate_refined
+
+    def counting(f, edges, **kwargs):
+        def counted(x):
+            nodes[0] += np.size(x)
+            return f(x)
+        return refine(counted, edges, **kwargs)
+
+    monkeypatch.setattr(greens, "integrate_refined", counting)
+    for q_factor in (1e3, 1e7):
+        g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+        for z in (8e-9, 18e-9, 40e-9):
+            nodes[0] = 0
+            cs.trace_green_real_parts(z, W0, g, gradient=True)
+            assert 0 < nodes[0] <= 20_000, (q_factor, z, nodes[0])
 
 
 def test_oracle_equivalence_at_random_points():

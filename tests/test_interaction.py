@@ -65,6 +65,30 @@ def test_decay_sum_rule_on_grid():
                                                    rel=1e-12)
 
 
+def test_interband_edge_raises_a_typed_error():
+    # at mu = hbar w0 / 2 the T = 0 interband log makes Im sigma infinite
+    g = graphene(0.5)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(cs.QuadratureError):
+            cs.decay_rates(18e-9, EMITTER, g)
+        with pytest.raises(cs.QuadratureError):
+            cs.interaction_and_gradient(18e-9, EMITTER, g)
+
+
+@pytest.mark.parametrize("mu_frac", [0.8, 1.0])
+def test_clean_graphene_rates_converge_in_the_loss(mu_frac):
+    # the plasmon Lorentzian narrows to a relative width of w0/gamma_g
+    nonrad = []
+    for q_factor in (1e5, 1e6, 1e7):
+        g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+        ir = cs.decay_rates(18e-9, EMITTER, g)
+        assert ir.gamma == pytest.approx(ir.gamma_rad + ir.gamma_nonrad,
+                                         rel=1e-12)
+        nonrad.append(ir.gamma_nonrad)
+    steps = np.abs(np.diff(nonrad))
+    assert steps[1] <= steps[0] / 5.0
+
+
 def test_quenching_dominates_in_absorptive_regime():
     ir = cs.decay_rates(10e-9, EMITTER, graphene(0.3))
     assert ir.gamma_nonrad > ir.gamma_rad
