@@ -1,4 +1,4 @@
-"""Scenario parameters: SI values at the boundary, natural units inside.
+"""Scenario parameters, in SI units throughout.
 
 A scenario bundles the emitter, the graphene sheet, the mechanical mode, the
 drive/detection settings and the emitter-sheet distance.  Everything is
@@ -22,9 +22,8 @@ sections with the unit encoded in the key name::
     [drive]
     epsilon = 0.3               # saturation parameter Omega^2/(Delta^2+Gamma^2/4)
     eta_det = 0.75              # free-space collection efficiency
-    # rabi_rad_s / detuning_rad_s may be given in addition; they are stored
-    # and checked for consistency with epsilon where the surface-modified
-    # Gamma(d) is available (see measurement.steady_state).
+    # rabi_rad_s / detuning_rad_s may be given in addition, as a pair; they
+    # are stored and written back, but no computation reads them.
 
     [geometry]
     distance_m = 18e-9
@@ -141,8 +140,8 @@ class MechanicalParams:
 class DriveParams:
     """Weak coherent drive and detection efficiency.
 
-    epsilon is the primary input; (rabi, detuning) are optional extras used
-    only to report the steady-state rotation and cross-check epsilon.
+    epsilon sets the drive; (rabi, detuning) are optional extras that are
+    stored and written back to configs, but no computation reads them.
     """
 
     epsilon: float
@@ -200,7 +199,7 @@ class NaturalScenario:
 
 
 def natural_units(s: ScenarioParams) -> NaturalScenario:
-    """Convert an SI scenario to the internal natural-unit convention."""
+    """Dimensionless copy of an SI scenario; no computation uses it."""
     w0 = s.emitter.omega0
     return NaturalScenario(
         gamma0=s.emitter.gamma0 / w0,
@@ -306,12 +305,10 @@ def load_scenario(config_text: str,
         rabi=None if math.isnan(rabi) else rabi,
         detuning=None if math.isnan(detuning) else detuning,
     )
-    distance = _get_float(cp, "geometry", "distance_m")
-    if distance <= 0:
-        raise ConfigError("distance must be positive")
     return ScenarioParams(emitter=emitter, graphene=graphene,
                           mechanics=mechanics, drive=drive,
-                          distance=distance, constants=constants)
+                          distance=_get_float(cp, "geometry", "distance_m"),
+                          constants=constants)
 
 
 def reference_scenario(**overrides) -> ScenarioParams:

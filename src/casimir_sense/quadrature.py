@@ -5,10 +5,13 @@ refined by bisecting every panel until two successive refinements agree.
 Integrands must be vectorized over the node array (real or complex values).
 An integrand may also return a stack of components, nodes along the last
 axis.  integrate_rows refines a family of such integrals at once, one per
-row of edges; integrate_refined is its one-row case.  The scheme is
-deliberately simple: the integrands here are smooth between well-understood
-breakpoints (kernel scale 1/2z, light line, plasmon pole), which the caller
-supplies as initial edges.
+row of edges; integrate_refined is its one-row case.  Each level is the sum
+over panels of the half-width times the weighted node sum, evaluated in
+chunks of at most _CHUNK_NODES elements.  The scheme is deliberately
+simple: the integrands here are smooth between well-understood breakpoints
+(kernel scale 1/2z, light line, plasmon pole), which the caller supplies as
+initial edges; the imaginary-axis kernel is integrated over chi =
+sqrt(1 + x^2), so its edges are the chi of those breakpoints.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ def _gauss_nodes(order: int):
 def _level(f, edges, columns, x, w):
     """Gauss-Legendre sums of f over each row's panels, shape (..., rows).
 
-    Whole rows go into one call up to _CHUNK_NODES elements; a longer row
-    goes alone, in groups of panels whose sums are added in order.
+    Each panel's node sum is weighted by its half-width, sum_p h_p sum_n
+    w_n f.  Whole rows go into one call up to _CHUNK_NODES elements; a longer
+    row goes alone, in groups of panels whose sums are added in order.
     """
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
@@ -62,11 +66,15 @@ def _level(f, edges, columns, x, w):
         cols = [c[i:i + row_step] for c in columns]
         total = 0.0
         for j in range(0, panels, panel_step):
-            m = mid[i:i + row_step, j:j + panel_step, None]
-            h = half[i:i + row_step, j:j + panel_step, None]
-            nodes, weights = m + h * x, h * w
-            total = total + (f(nodes.reshape(len(m), -1), *cols)
-                             * weights.reshape(len(m), -1)).sum(axis=-1)
+            h = half[i:i + row_step, j:j + panel_step]
+            nodes = h[..., None] * x
+            nodes += mid[i:i + row_step, j:j + panel_step, None]
+            vals = f(nodes.reshape(len(h), -1), *cols)
+            # einsum, not a matmul: no node-sized weight array, and no BLAS
+            panel_sums = np.einsum("...n,n->...",
+                                   vals.reshape(*vals.shape[:-2], *h.shape,
+                                                x.size), w)
+            total = total + (panel_sums * h).sum(axis=-1)
         sums.append(total)
     return np.concatenate(sums, axis=-1)
 
@@ -90,8 +98,10 @@ def integrate_rows(f, edges, *columns, rtol: float = 1e-9, order: int = 24,
     prev = _level(f, edges, columns, x, w)
     value, error = np.empty_like(prev), np.empty(prev.shape)
     for _ in range(max_doublings):
-        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        edges = np.sort(np.concatenate([edges, mids], axis=1))
+        halved = np.empty((len(edges), 2 * edges.shape[1] - 1))
+        halved[:, ::2] = edges
+        halved[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        edges = halved
         cur = _level(f, edges, columns, x, w)
         err = abs(cur - prev)
         n = active.size

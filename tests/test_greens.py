@@ -87,6 +87,29 @@ def test_real_axis_node_count_is_bounded(monkeypatch, mu_frac):
             assert 0 < nodes[0] <= 20_000, (q_factor, z, nodes[0])
 
 
+@pytest.mark.parametrize("mu_frac", [0.0, 0.3, 0.5, 0.6, 0.8, 1.0])
+def test_imag_kernel_node_count_is_bounded(monkeypatch, mu_frac):
+    # the inner integrals of one interaction_and_gradient call take about
+    # 190,000 nodes over mu in [0, 1]; one more bisection of every row
+    # would double that
+    nodes = [0]
+    rows = greens.integrate_rows
+
+    def counting(f, edges, *columns, **kwargs):
+        def counted(x, *cols):
+            nodes[0] += np.size(x)
+            return f(x, *cols)
+        return rows(counted, edges, *columns, **kwargs)
+
+    monkeypatch.setattr(greens, "integrate_rows", counting)
+    e = cs.EmitterParams(omega0=W0, gamma0=2 * math.pi * 240e6)
+    for q_factor in (1e3, 1e7):
+        nodes[0] = 0
+        cs.interaction_and_gradient(
+            18e-9, e, cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor))
+        assert 0 < nodes[0] <= 200_000, (q_factor, nodes[0])
+
+
 def test_oracle_equivalence_at_random_points():
     rng = np.random.default_rng(20240814)
     for _ in range(5):

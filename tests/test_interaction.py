@@ -65,14 +65,27 @@ def test_decay_sum_rule_on_grid():
                                                    rel=1e-12)
 
 
-def test_interband_edge_raises_a_typed_error():
-    # at mu = hbar w0 / 2 the T = 0 interband log makes Im sigma infinite
-    g = graphene(0.5)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        with pytest.raises(cs.QuadratureError):
-            cs.decay_rates(18e-9, EMITTER, g)
-        with pytest.raises(cs.QuadratureError):
-            cs.interaction_and_gradient(18e-9, EMITTER, g)
+def test_interband_edge_is_finite_and_continuous():
+    # at mu = hbar w0 / 2 the T = 0 interband log makes Im sigma(w0) -inf:
+    # the sheet impedance 1/s is 0 there, a lossless mirror.  Either side
+    # tends to that limit, though only as 1/ln|mu - w0/2|
+    def at(mu_frac):
+        ir, cg = cs.interaction_and_gradient(18e-9, EMITTER, graphene(mu_frac))
+        return np.array([ir.delta_omega, ir.gamma_rad, cg.g_value])
+
+    edge = at(0.5)
+    ir = cs.decay_rates(18e-9, EMITTER, graphene(0.5))
+    assert np.all(np.isfinite(edge)) and ir.gamma_nonrad == 0.0
+    assert ir.gamma == ir.gamma_rad
+    assert [ir.delta_omega, ir.gamma_rad] == pytest.approx(edge[:2],
+                                                           rel=1e-12)
+    below = np.array([at(0.5 - dm) for dm in (1e-3, 1e-6, 1e-9, 1e-12)])
+    above = np.array([at(0.5 + dm) for dm in (1e-3, 1e-6, 1e-9, 1e-12)])
+    assert np.all(np.diff(abs(below - edge), axis=0) < 0)
+    assert np.all(np.diff(abs(above - edge), axis=0) < 0)
+    assert np.all(np.diff(abs(above - below), axis=0) < 0)
+    # the two sides of mu = 0.5 +- 1e-9 agree in the shift and its slope
+    assert above[2, [0, 2]] == pytest.approx(below[2, [0, 2]], rel=0.02)
 
 
 @pytest.mark.parametrize("mu_frac", [0.8, 1.0])
