@@ -7,40 +7,35 @@ Gaussian squeezing of the membrane under continuous homodyne monitoring.
 
 __version__ = "0.1.0"
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .dynamics import (ConditionalState, DampingModel, PhysicalityError,
                        StepConfig, Trajectory, analytic_shorttime, build_step,
                        lab_frame, simulate, simulate_conditional)
-from .graphene import (Conductivity, FrequencyAxis, FresnelPair, fresnel,
-                       sigma_imag_axis, sigma_real_axis)
-from .greens import GreensTrace, trace_green_imag, trace_green_real, \
-    trace_green_real_parts
+from .graphene import (Conductivity, FrequencyAxis, sigma_imag_axis,
+                       sigma_real_axis)
+from .greens import trace_green_real_parts
 from .interaction import (CouplingGradient, InteractionResult, decay_rates,
                           excited_shift, ground_shift,
                           interaction_and_gradient, scattering_rate_map,
                           transition_gradient, transition_shift)
-from .measurement import (CouplingResult, EmitterSteadyState,
-                          detection_efficiency, evaluate_coupling, kappa,
-                          renormalized_coupling, steady_state)
+from .measurement import (CouplingResult, detection_efficiency,
+                          evaluate_coupling, kappa, renormalized_coupling)
 from .params import (ConfigError, DriveParams, EmitterParams, GrapheneParams,
-                     MechanicalParams, NaturalScenario, ScenarioParams,
-                     load_scenario, natural_units, reference_scenario,
-                     scenario_to_config, si_units)
+                     MechanicalParams, ScenarioParams, load_scenario,
+                     reference_scenario, scenario_to_config)
 from .quadrature import QuadratureError
 
 __all__ = [
-    "CONSTANTS", "PhysicalConstants", "ConditionalState", "DampingModel",
-    "PhysicalityError", "StepConfig", "Trajectory", "analytic_shorttime",
-    "build_step", "lab_frame", "simulate", "simulate_conditional",
-    "Conductivity", "FrequencyAxis", "FresnelPair", "fresnel",
-    "sigma_imag_axis", "sigma_real_axis", "GreensTrace", "trace_green_imag",
-    "trace_green_real", "trace_green_real_parts", "CouplingGradient",
-    "InteractionResult", "decay_rates", "excited_shift", "ground_shift",
+    "CONSTANTS", "ConditionalState", "DampingModel", "PhysicalityError",
+    "StepConfig", "Trajectory", "analytic_shorttime", "build_step",
+    "lab_frame", "simulate", "simulate_conditional", "Conductivity",
+    "FrequencyAxis", "sigma_imag_axis", "sigma_real_axis",
+    "trace_green_real_parts", "CouplingGradient", "InteractionResult",
+    "decay_rates", "excited_shift", "ground_shift",
     "interaction_and_gradient", "scattering_rate_map", "transition_gradient",
-    "transition_shift", "CouplingResult", "EmitterSteadyState",
-    "detection_efficiency", "evaluate_coupling", "kappa",
-    "renormalized_coupling", "steady_state", "ConfigError", "DriveParams",
-    "EmitterParams", "GrapheneParams", "MechanicalParams", "NaturalScenario",
-    "ScenarioParams", "load_scenario", "natural_units", "reference_scenario",
-    "scenario_to_config", "si_units", "QuadratureError",
+    "transition_shift", "CouplingResult", "detection_efficiency",
+    "evaluate_coupling", "kappa", "renormalized_coupling", "ConfigError",
+    "DriveParams", "EmitterParams", "GrapheneParams", "MechanicalParams",
+    "ScenarioParams", "load_scenario", "reference_scenario",
+    "scenario_to_config", "QuadratureError",
 ]

@@ -125,8 +125,7 @@ def cmd_interaction(args, argv) -> int:
     ds = _axis(args, "d", log_flag=True)
     rows = []
     for d in ds:
-        ir, cg = interaction_and_gradient(d, s.emitter, s.graphene,
-                                          s.constants)
+        ir, cg = interaction_and_gradient(d, s.emitter, s.graphene)
         rows.append((d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
                      ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value)))
     fh = _open_out(args)

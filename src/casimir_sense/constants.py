@@ -8,7 +8,7 @@ class PhysicalConstants:
     """SI constants plus the derived quantities the model needs.
 
     `alpha` and `sigma0` are derived in ``__post_init__`` and the defining
-    identities are checked there, so an inconsistent override fails fast.
+    identities are checked there.
     """
 
     c: float = 299792458.0              # speed of light, m/s
@@ -32,5 +32,5 @@ class PhysicalConstants:
             raise ValueError("c^2 * eps0 * mu0 != 1")
 
 
-#: Shared default instance; all public APIs take an optional override.
+#: The one constant set every computation reads.
 CONSTANTS = PhysicalConstants()

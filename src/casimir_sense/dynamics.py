@@ -91,14 +91,6 @@ class ConditionalState:
     t: float
     frame: str = "rotating"
 
-    def validate(self, tol: float = 1e-9) -> None:
-        c = self.cov_m
-        if not np.allclose(c, c.T, rtol=0, atol=1e-12 * max(1.0, abs(c).max())):
-            raise PhysicalityError(self.t, float("nan"))
-        det = float(np.linalg.det(c))
-        if det < 1.0 - tol or c[0, 0] * c[1, 1] < 1.0 - tol:
-            raise PhysicalityError(self.t, det)
-
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -172,11 +164,6 @@ class Trajectory:
     def min_vx(self):
         i = int(np.argmin(self.vx))
         return float(self.t[i]), float(self.vx[i])
-
-    def states(self):
-        return [ConditionalState(
-            cov_m=np.array([[vx, vxp], [vxp, vp]]), t=t, frame=self.frame)
-            for t, vx, vp, vxp in zip(self.t, self.vx, self.vp, self.vxp)]
 
 
 def _hamiltonian(cfg: StepConfig, n_th: float, measure: bool) -> np.ndarray:
@@ -285,6 +272,8 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     back-action still present).  Aborts with PhysicalityError at the first
     recorded covariance whose det is below 1 - physical_tol or not a number.
     """
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     n_steps = max(1, int(round(t_end / tau)))

@@ -1,4 +1,4 @@
-"""Graphene conductivity and Fresnel coefficients of a free-standing sheet.
+"""Sheet conductivity of doped graphene on the real and imaginary axes.
 
 The sheet conductivity combines a Drude (intraband) term with the T = 0
 interband response,
@@ -15,16 +15,8 @@ its Kramers-Kronig transform does, giving
               + (e^2/4 hbar) (2/pi) arctan(hbar u / 2 mu),
 
 with the arctan term replaced by its mu -> 0 limit (= 1) for undoped sheets.
-
-Reflection coefficients of the free-standing sheet in vacuum:
-
-    r_p = k_perp sigma / (k_perp sigma + 2 eps0 w)
-    r_s = -mu0 sigma w / (2 k_perp + mu0 sigma w)
-
-with k_perp = sqrt((w/c)^2 - k_par^2) on the branch Im k_perp >= 0; on the
-imaginary axis k_perp = i sqrt((u/c)^2 + k_par^2) and both coefficients are
-real.  All functions accept scalars or numpy arrays for the wavevector /
-frequency argument.
+The Fresnel pair of the free-standing sheet is formed from it in ``greens``.
+All functions accept scalars or numpy arrays for the frequency argument.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .params import GrapheneParams
 
 
@@ -58,16 +50,6 @@ class Conductivity:
         return complex(scaled) if scaled.ndim == 0 else scaled
 
 
-@dataclass(frozen=True)
-class FresnelPair:
-    """p/s reflection coefficients at one (frequency, k_par) point."""
-
-    r_p: complex
-    r_s: complex
-    k_par: float            # 1/m
-    k_perp: complex         # 1/m, Im >= 0 branch
-
-
 # ---------------------------------------------------------------------------
 # dimensionless internals (sigma in units of eps0*c); vectorized over omega/u
 
@@ -80,10 +62,10 @@ def _scale_complex(value, factor: float):
     return out
 
 
-def _sigma_ec_real(omega, mu: float, gamma_g: float, constants=CONSTANTS):
+def _sigma_ec_real(omega, mu: float, gamma_g: float):
     """sigma(omega)/(eps0 c) on the real axis; omega, mu, gamma_g in rad/s."""
     omega = np.asarray(omega, dtype=float)
-    pi_alpha = np.pi * constants.alpha
+    pi_alpha = np.pi * CONSTANTS.alpha
     drude = (4.0 * mu / np.pi) * 1j / (omega + 1j * gamma_g)
     if mu > 0.0:
         # log diverges at the interband edge hbar*omega = 2mu; that is the
@@ -99,79 +81,41 @@ def _sigma_ec_real(omega, mu: float, gamma_g: float, constants=CONSTANTS):
     return pi_alpha * (drude + 1.0)
 
 
-def _sigma_ec_imag(u, mu: float, gamma_g: float, constants=CONSTANTS):
+def _sigma_ec_imag(u, mu: float, gamma_g: float):
     """sigma(iu)/(eps0 c); real and positive for passive graphene."""
     u = np.asarray(u, dtype=float)
-    pi_alpha = np.pi * constants.alpha
+    pi_alpha = np.pi * CONSTANTS.alpha
     drude = (4.0 * mu / np.pi) / (u + gamma_g)
     inter = (2.0 / np.pi) * np.arctan(u / (2.0 * mu)) if mu > 0.0 \
         else np.ones_like(u)
     return pi_alpha * (drude + inter)
 
 
-def _sigma_ec(axis: FrequencyAxis, freq, g: GrapheneParams, constants=CONSTANTS):
+def _sigma_ec(axis: FrequencyAxis, freq, g: GrapheneParams):
     if g.sigma_zero:
         return np.zeros_like(np.asarray(freq, dtype=float), dtype=complex)
     if axis is FrequencyAxis.REAL:
-        return _sigma_ec_real(freq, g.mu, g.gamma_g, constants)
-    return _sigma_ec_imag(freq, g.mu, g.gamma_g, constants).astype(complex)
-
-
-def _fresnel_from_sigma(w_over_c, k_par, s):
-    """r_p, r_s, k_perp from the dimensionless conductivity s = sigma/(eps0 c).
-
-    ``w_over_c`` is omega/c (real axis) or iu/c (imaginary axis, pass a
-    complex value); wavevectors are in 1/m.  The principal complex sqrt
-    lands on the Im k_perp >= 0 branch for both axes.
-    """
-    k_par = np.asarray(k_par, dtype=float)
-    kp2 = np.asarray(w_over_c**2 - k_par**2, dtype=complex)
-    k_perp = np.sqrt(kp2)
-    r_p = k_perp * s / (k_perp * s + 2.0 * w_over_c)
-    r_s = -s * w_over_c / (2.0 * k_perp + s * w_over_c)
-    return r_p, r_s, k_perp
+        return _sigma_ec_real(freq, g.mu, g.gamma_g)
+    return _sigma_ec_imag(freq, g.mu, g.gamma_g).astype(complex)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
-def sigma_real_axis(omega: float, g: GrapheneParams,
-                    constants: PhysicalConstants = CONSTANTS) -> Conductivity:
+def sigma_real_axis(omega: float, g: GrapheneParams) -> Conductivity:
     """Complex sheet conductivity sigma(omega), omega > 0 in rad/s."""
     if np.any(np.asarray(omega) <= 0):
         raise ValueError("omega must be positive")
-    value = _scale_complex(_sigma_ec(FrequencyAxis.REAL, omega, g, constants),
-                           constants.eps0 * constants.c)
+    value = _scale_complex(_sigma_ec(FrequencyAxis.REAL, omega, g),
+                           CONSTANTS.eps0 * CONSTANTS.c)
     return Conductivity(value=complex(value) if np.isscalar(omega) else value,
                         frequency_axis=FrequencyAxis.REAL, frequency=omega)
 
 
-def sigma_imag_axis(u: float, g: GrapheneParams,
-                    constants: PhysicalConstants = CONSTANTS) -> Conductivity:
+def sigma_imag_axis(u: float, g: GrapheneParams) -> Conductivity:
     """Real positive sigma(iu), u > 0 in rad/s."""
     if np.any(np.asarray(u) <= 0):
         raise ValueError("u must be positive")
-    value = _sigma_ec(FrequencyAxis.IMAG, u, g, constants).real * constants.eps0 * constants.c
+    value = _sigma_ec(FrequencyAxis.IMAG, u, g).real * CONSTANTS.eps0 * CONSTANTS.c
     return Conductivity(value=float(value) if np.isscalar(u) else value,
                         frequency_axis=FrequencyAxis.IMAG, frequency=u)
-
-
-def fresnel(freq: float, k_par, g: GrapheneParams,
-            axis: FrequencyAxis = FrequencyAxis.REAL,
-            constants: PhysicalConstants = CONSTANTS) -> FresnelPair:
-    """Fresnel pair of the sheet at a tagged frequency and parallel wavevector.
-
-    On the real axis ``freq`` is omega (rad/s); on the imaginary axis it is
-    u with omega = iu, where r_p and r_s come out real.
-    """
-    if np.any(np.asarray(k_par) < 0):
-        raise ValueError("k_par must be non-negative")
-    if freq <= 0:
-        raise ValueError("frequency must be positive")
-    s = _sigma_ec(axis, freq, g, constants)
-    w_over_c = freq / constants.c if axis is FrequencyAxis.REAL \
-        else 1j * freq / constants.c
-    r_p, r_s, k_perp = _fresnel_from_sigma(w_over_c, k_par, s)
-    if np.isscalar(k_par):
-        r_p, r_s, k_perp = complex(r_p), complex(r_s), complex(k_perp)
-    return FresnelPair(r_p=r_p, r_s=r_s, k_par=k_par, k_perp=k_perp)

@@ -55,11 +55,9 @@ ground shift passes all frequency nodes of an outer level as one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .graphene import FrequencyAxis, _sigma_ec
 from .params import GrapheneParams
 from .quadrature import clip_edges, integrate_refined, integrate_rows
@@ -67,16 +65,6 @@ from .quadrature import clip_edges, integrate_refined, integrate_rows
 _RTOL = 1e-10
 #: e^{-2 q zb} tail cutoff: exp(-2*(EXP_CUT)) ~ 1e-44 relative to the peak.
 _EXP_CUT = 50.0
-
-
-@dataclass(frozen=True)
-class GreensTrace:
-    """Tr G value at one (z, frequency) point; imaginary-axis values are real."""
-
-    value: complex          # 1/m
-    z: float                # m
-    frequency: float        # rad/s (u for the imaginary axis)
-    frequency_axis: FrequencyAxis
 
 
 def _trace_imag_scaled(zb, s, gradient: bool = False):
@@ -168,22 +156,7 @@ def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):
     return prop / (4.0 * np.pi), evan / (4.0 * np.pi)
 
 
-def trace_green_imag(z: float, u: float, g: GrapheneParams,
-                     constants: PhysicalConstants = CONSTANTS) -> GreensTrace:
-    """Reflected Tr G(z, z, iu); real, negative above a passive sheet."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    if u <= 0:
-        raise ValueError("u must be positive")
-    s = float(np.real(_sigma_ec(FrequencyAxis.IMAG, u, g, constants)))
-    q0 = u / constants.c
-    value = q0 * _trace_imag_scaled(z * q0, s)
-    return GreensTrace(value=value, z=z, frequency=u,
-                       frequency_axis=FrequencyAxis.IMAG)
-
-
 def trace_green_real_parts(z: float, omega: float, g: GrapheneParams,
-                           constants: PhysicalConstants = CONSTANTS,
                            gradient: bool = False):
     """(propagating, evanescent) parts of Tr G(z, z, omega), each complex 1/m.
 
@@ -195,17 +168,9 @@ def trace_green_real_parts(z: float, omega: float, g: GrapheneParams,
         raise ValueError("z must be positive")
     if omega <= 0:
         raise ValueError("omega must be positive")
-    s = complex(_sigma_ec(FrequencyAxis.REAL, omega, g, constants))
-    q0 = omega / constants.c
+    s = complex(_sigma_ec(FrequencyAxis.REAL, omega, g))
+    q0 = omega / CONSTANTS.c
     prop, evan = _trace_real_scaled(z * q0, s, gradient=gradient)
     # Tr G = q0 T(z q0): d/dz brings one more factor q0
     unit = (q0, q0 * q0) if gradient else q0
     return unit * prop, unit * evan
-
-
-def trace_green_real(z: float, omega: float, g: GrapheneParams,
-                     constants: PhysicalConstants = CONSTANTS) -> GreensTrace:
-    """Reflected Tr G(z, z, omega) on the real axis (full complex value)."""
-    prop, evan = trace_green_real_parts(z, omega, g, constants)
-    return GreensTrace(value=prop + evan, z=z, frequency=omega,
-                       frequency_axis=FrequencyAxis.REAL)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .graphene import _sigma_ec, FrequencyAxis
 from .greens import _trace_imag_scaled, trace_green_real_parts
 from .params import EmitterParams, GrapheneParams, ScenarioParams
@@ -68,7 +68,6 @@ class CouplingGradient:
 
 
 def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
-                 constants: PhysicalConstants = CONSTANTS,
                  gradient: bool = False):
     """Ground-state Casimir-Polder shift dw_g(d) in rad/s (negative).
 
@@ -79,12 +78,12 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     if g.sigma_zero:
         return (np.zeros(2), np.zeros(2)) if gradient else 0.0
     w0 = e.omega0
-    c = constants.c
+    c = CONSTANTS.c
 
     def integrand(theta):
         t = np.tan(theta)
         u = w0 * t
-        s = _sigma_ec(FrequencyAxis.IMAG, u, g, constants).real
+        s = _sigma_ec(FrequencyAxis.IMAG, u, g).real
         out = (t / np.cos(theta) ** 2) * np.sin(theta) ** 2 \
             * _trace_imag_scaled(d * u / c, s, gradient=gradient)
         if gradient:
@@ -102,10 +101,10 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     return e.gamma0 * float(val)
 
 
-def _result(d: float, e: EmitterParams, constants: PhysicalConstants,
-            dg: float, prop: complex, evan: complex) -> InteractionResult:
+def _result(d: float, e: EmitterParams, dg: float, prop: complex,
+            evan: complex) -> InteractionResult:
     """Shifts and rates from dw_g and the two real-axis trace parts."""
-    scale = 2.0 * e.gamma0 * math.pi * constants.c / e.omega0
+    scale = 2.0 * e.gamma0 * math.pi * CONSTANTS.c / e.omega0
     gamma_rad = e.gamma0 + scale * prop.imag
     gamma_nonrad = scale * evan.imag
     de = -dg - 0.5 * scale * (prop + evan).real
@@ -116,51 +115,46 @@ def _result(d: float, e: EmitterParams, constants: PhysicalConstants,
     )
 
 
-def decay_rates(d: float, e: EmitterParams, g: GrapheneParams,
-                constants: PhysicalConstants = CONSTANTS) -> InteractionResult:
+def decay_rates(d: float, e: EmitterParams,
+                g: GrapheneParams) -> InteractionResult:
     """Full interaction result at distance d (shifts and decay channels).
 
     Gamma_rad keeps the free-space Gamma0 plus the propagating-sector
     interference; Gamma_nonrad is the evanescent sector (plasmons and
     absorption).  Gamma is their sum by construction.
     """
-    return _result(d, e, constants, ground_shift(d, e, g, constants),
-                   *trace_green_real_parts(d, e.omega0, g, constants))
+    return _result(d, e, ground_shift(d, e, g),
+                   *trace_green_real_parts(d, e.omega0, g))
 
 
-def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams,
-                             constants: PhysicalConstants = CONSTANTS):
+def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams):
     """(InteractionResult, CouplingGradient) at distance d from one pass.
 
     The error estimate is the ground-shift quadrature's for the derivative;
     the real-axis parts converge 100 times tighter.
     """
-    (dg, dg_slope), (_, err) = ground_shift(d, e, g, constants, gradient=True)
-    prop, evan = trace_green_real_parts(d, e.omega0, g, constants,
-                                        gradient=True)
-    resonant = e.gamma0 * math.pi * constants.c / e.omega0
+    (dg, dg_slope), (_, err) = ground_shift(d, e, g, gradient=True)
+    prop, evan = trace_green_real_parts(d, e.omega0, g, gradient=True)
+    resonant = e.gamma0 * math.pi * CONSTANTS.c / e.omega0
     slope = -2.0 * dg_slope - resonant * (prop[1] + evan[1]).real
-    return (_result(d, e, constants, dg, prop[0], evan[0]),
+    return (_result(d, e, dg, prop[0], evan[0]),
             CouplingGradient(d=d, g_value=slope, error_estimate=2.0 * err))
 
 
-def excited_shift(d: float, e: EmitterParams, g: GrapheneParams,
-                  constants: PhysicalConstants = CONSTANTS) -> float:
+def excited_shift(d: float, e: EmitterParams, g: GrapheneParams) -> float:
     """Excited-state shift dw_e(d) = -dw_g - (Gamma0 pi c/w0) Re Tr G(w0)."""
-    return decay_rates(d, e, g, constants).delta_e
+    return decay_rates(d, e, g).delta_e
 
 
-def transition_shift(d: float, e: EmitterParams, g: GrapheneParams,
-                     constants: PhysicalConstants = CONSTANTS) -> float:
+def transition_shift(d: float, e: EmitterParams, g: GrapheneParams) -> float:
     """Transition shift delta_omega(d) = dw_e - dw_g in rad/s."""
-    return decay_rates(d, e, g, constants).delta_omega
+    return decay_rates(d, e, g).delta_omega
 
 
-def transition_gradient(d: float, e: EmitterParams, g: GrapheneParams,
-                        constants: PhysicalConstants = CONSTANTS
-                        ) -> CouplingGradient:
+def transition_gradient(d: float, e: EmitterParams,
+                        g: GrapheneParams) -> CouplingGradient:
     """g = d(delta_omega)/dd, from the one-pass interaction_and_gradient."""
-    return interaction_and_gradient(d, e, g, constants)[1]
+    return interaction_and_gradient(d, e, g)[1]
 
 
 def scattering_rate_map(d: float, omega_l: float, s: ScenarioParams) -> float:
@@ -171,7 +165,7 @@ def scattering_rate_map(d: float, omega_l: float, s: ScenarioParams) -> float:
     frequency cancels.  Shifts and rates are evaluated at the emitter
     resonance.
     """
-    ir = decay_rates(d, s.emitter, s.graphene, s.constants)
+    ir = decay_rates(d, s.emitter, s.graphene)
     detune = s.emitter.omega0 + ir.delta_omega - omega_l
     return (ir.gamma_rad * s.emitter.gamma0 / 4.0) \
         / ((ir.gamma / 2.0) ** 2 + detune**2)

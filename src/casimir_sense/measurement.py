@@ -1,9 +1,8 @@
-"""Emitter steady state, renormalized coupling and the information rate kappa.
+"""Renormalized coupling and the information rate kappa.
 
-In the weak-driving limit the emitter steady state is pure to first order in
-the saturation parameter epsilon, with <sigma_z> = -1 + epsilon/2.  The
-linearized emitter mediates a QND coupling between the membrane position and
-the measured light quadrature at rate
+To first order in the saturation parameter epsilon the linearized emitter
+mediates a QND coupling between the membrane position and the measured light
+quadrature at rate
 
     kappa = 2 gbar sqrt(epsilon nu / Gamma),      gbar = sqrt(2) |g| (1 - 3 epsilon/8),
 
@@ -16,23 +15,12 @@ kappa^2 x_zpm^2 / omega_m.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 # decay_rates and transition_gradient stay bound for perfbench/tracing.py
 from .interaction import (CouplingGradient, InteractionResult, decay_rates,
                           interaction_and_gradient, transition_gradient)
 from .params import ScenarioParams
-
-
-@dataclass(frozen=True)
-class EmitterSteadyState:
-    """First-order steady state of the driven emitter."""
-
-    sz_inf: float
-    alpha_bar: float
-    beta_bar: float
-    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -52,41 +40,6 @@ class CouplingResult:
     kappa_inv_si: float
     merit: float
     merit_ideal: float
-
-
-def steady_state(epsilon: float, rabi: float | None = None,
-                 detuning: float | None = None,
-                 gamma: float | None = None) -> EmitterSteadyState:
-    """Steady state of the driven two-level emitter, first order in epsilon.
-
-    Without (rabi, detuning) the rotation angle is unobservable downstream
-    and the convention detuning = 0 is used, so alpha_bar = sqrt(epsilon),
-    beta_bar = 0.  With them (gamma required, the surface-modified total
-    rate), alpha_bar and beta_bar are reported with their physical ratio and
-    normalized so alpha_bar^2 + beta_bar^2 = epsilon; a warning is issued if
-    the implied saturation parameter disagrees with the epsilon given.
-    """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
-    sz = -1.0 + epsilon / 2.0
-    if rabi is None and detuning is None:
-        return EmitterSteadyState(sz_inf=sz, alpha_bar=math.sqrt(epsilon),
-                                  beta_bar=0.0, epsilon=epsilon)
-    if rabi is None or detuning is None or gamma is None:
-        raise ValueError("rabi, detuning and gamma must be given together")
-    denom = detuning**2 + gamma**2 / 4.0
-    alpha = rabi * (gamma / 2.0) / denom
-    beta = rabi * detuning / denom
-    implied = rabi**2 / denom
-    if epsilon > 0 and abs(implied - epsilon) > 1e-6 * epsilon:
-        warnings.warn(
-            f"(rabi, detuning, gamma) imply epsilon = {implied:.6g}, "
-            f"configured epsilon = {epsilon:.6g}; keeping the configured "
-            "value and rescaling the rotation", stacklevel=2)
-    norm = math.hypot(alpha, beta)
-    scale = math.sqrt(epsilon) / norm if norm > 0 else 0.0
-    return EmitterSteadyState(sz_inf=sz, alpha_bar=alpha * scale,
-                              beta_bar=beta * scale, epsilon=epsilon)
 
 
 def renormalized_coupling(cg: CouplingGradient, epsilon: float) -> float:
@@ -126,6 +79,5 @@ def kappa(s: ScenarioParams, ir: InteractionResult,
 def evaluate_coupling(s: ScenarioParams):
     """Full pipeline at s.distance: (InteractionResult, CouplingGradient,
     CouplingResult)."""
-    ir, cg = interaction_and_gradient(s.distance, s.emitter, s.graphene,
-                                      s.constants)
+    ir, cg = interaction_and_gradient(s.distance, s.emitter, s.graphene)
     return ir, cg, kappa(s, ir, cg)

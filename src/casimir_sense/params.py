@@ -22,8 +22,6 @@ sections with the unit encoded in the key name::
     [drive]
     epsilon = 0.3               # saturation parameter Omega^2/(Delta^2+Gamma^2/4)
     eta_det = 0.75              # free-space collection efficiency
-    # rabi_rad_s / detuning_rad_s may be given in addition, as a pair; they
-    # are stored and written back, but no computation reads them.
 
     [geometry]
     distance_m = 18e-9
@@ -38,7 +36,7 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 
 ENV_CONFIG = "CASIMIR_SENSE_CONFIG"
 
@@ -55,25 +53,20 @@ class EmitterParams:
     gamma0: float       # rad/s
 
     def __post_init__(self):
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise ConfigError("emitter.omega0 must be positive")
-        if self.gamma0 <= 0:
+        if not self.gamma0 > 0:
             raise ConfigError("emitter.gamma0 must be positive")
 
     @classmethod
-    def from_wavelength(cls, lambda0: float, gamma0: float,
-                        constants: PhysicalConstants = CONSTANTS) -> "EmitterParams":
-        if lambda0 <= 0:
+    def from_wavelength(cls, lambda0: float, gamma0: float) -> "EmitterParams":
+        if not lambda0 > 0:
             raise ConfigError("emitter.lambda0_m must be positive")
-        return cls(omega0=2.0 * math.pi * constants.c / lambda0, gamma0=gamma0)
+        return cls(omega0=2.0 * math.pi * CONSTANTS.c / lambda0, gamma0=gamma0)
 
     @property
     def lambda0(self) -> float:
         return 2.0 * math.pi * CONSTANTS.c / self.omega0
-
-    @property
-    def k0(self) -> float:
-        return self.omega0 / CONSTANTS.c
 
 
 @dataclass(frozen=True)
@@ -90,16 +83,16 @@ class GrapheneParams:
     sigma_zero: bool = False
 
     def __post_init__(self):
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ConfigError("graphene.mu must be non-negative")
-        if self.gamma_g <= 0:
+        if not self.gamma_g > 0:
             raise ConfigError("graphene.gamma_g must be positive")
 
     @classmethod
     def from_fractions(cls, mu_frac: float, omega0: float,
                        omega0_over_gamma_g: float = 1e3,
                        sigma_zero: bool = False) -> "GrapheneParams":
-        if omega0_over_gamma_g <= 0:
+        if not omega0_over_gamma_g > 0:
             raise ConfigError("graphene.omega0_over_gamma_g must be positive")
         return cls(mu=mu_frac * omega0, gamma_g=omega0 / omega0_over_gamma_g,
                    sigma_zero=sigma_zero)
@@ -115,9 +108,9 @@ class MechanicalParams:
     t_bath: float       # K
 
     def __post_init__(self):
-        if self.omega_m <= 0 or self.mass <= 0 or self.quality <= 0:
+        if not (self.omega_m > 0 and self.mass > 0 and self.quality > 0):
             raise ConfigError("mechanics parameters must be positive")
-        if self.t_bath < 0:
+        if not self.t_bath >= 0:
             raise ConfigError("mechanics.bath_temperature_k must be non-negative")
 
     @property
@@ -138,25 +131,17 @@ class MechanicalParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Weak coherent drive and detection efficiency.
-
-    epsilon sets the drive; (rabi, detuning) are optional extras that are
-    stored and written back to configs, but no computation reads them.
-    """
+    """Weak coherent drive, set by its saturation parameter epsilon, and
+    detection efficiency."""
 
     epsilon: float
     eta_det: float
-    rabi: float | None = None       # rad/s
-    detuning: float | None = None   # rad/s
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("drive.epsilon must lie in (0, 1)")
         if not 0.0 <= self.eta_det <= 1.0:
             raise ConfigError("drive.eta_det must lie in [0, 1]")
-        if (self.rabi is None) != (self.detuning is None):
-            raise ConfigError("drive.rabi_rad_s and drive.detuning_rad_s "
-                              "must be given together")
 
 
 @dataclass(frozen=True)
@@ -168,70 +153,12 @@ class ScenarioParams:
     mechanics: MechanicalParams
     drive: DriveParams
     distance: float     # m
-    constants: PhysicalConstants = CONSTANTS
+    #: not a field; perfbench/micro.py reads s.constants.c
+    constants = CONSTANTS
 
     def __post_init__(self):
-        if self.distance <= 0:
+        if not self.distance > 0:
             raise ConfigError("distance must be positive")
-
-
-@dataclass(frozen=True)
-class NaturalScenario:
-    """Scenario in natural units: frequencies / omega0, lengths * k0.
-
-    Quadratures are dimensionless with vacuum covariance = identity, so
-    mechanical positions are measured in units of x_zpm.  The SI anchors
-    (omega0, mass) make the conversion invertible.
-    """
-
-    gamma0: float       # Gamma0 / omega0
-    mu: float           # mu / (hbar omega0) i.e. mu_rad_s / omega0
-    gamma_g: float      # gamma_g / omega0
-    omega_m: float      # omega_m / omega0
-    quality: float
-    n_th: float
-    distance: float     # d * k0
-    epsilon: float
-    eta_det: float
-    sigma_zero: bool
-    omega0_si: float    # rad/s, SI anchor
-    mass_si: float      # kg, SI anchor
-
-
-def natural_units(s: ScenarioParams) -> NaturalScenario:
-    """Dimensionless copy of an SI scenario; no computation uses it."""
-    w0 = s.emitter.omega0
-    return NaturalScenario(
-        gamma0=s.emitter.gamma0 / w0,
-        mu=s.graphene.mu / w0,
-        gamma_g=s.graphene.gamma_g / w0,
-        omega_m=s.mechanics.omega_m / w0,
-        quality=s.mechanics.quality,
-        n_th=s.mechanics.n_th,
-        distance=s.distance * s.emitter.k0,
-        epsilon=s.drive.epsilon,
-        eta_det=s.drive.eta_det,
-        sigma_zero=s.graphene.sigma_zero,
-        omega0_si=w0,
-        mass_si=s.mechanics.mass,
-    )
-
-
-def si_units(n: NaturalScenario, constants: PhysicalConstants = CONSTANTS) -> ScenarioParams:
-    """Inverse of :func:`natural_units`; round-trips to 1e-12 relative."""
-    w0 = n.omega0_si
-    omega_m = n.omega_m * w0
-    t_bath = n.n_th * constants.hbar * omega_m / constants.kB
-    return ScenarioParams(
-        emitter=EmitterParams(omega0=w0, gamma0=n.gamma0 * w0),
-        graphene=GrapheneParams(mu=n.mu * w0, gamma_g=n.gamma_g * w0,
-                                sigma_zero=n.sigma_zero),
-        mechanics=MechanicalParams(omega_m=omega_m, mass=n.mass_si,
-                                   quality=n.quality, t_bath=t_bath),
-        drive=DriveParams(epsilon=n.epsilon, eta_det=n.eta_det),
-        distance=n.distance / (w0 / constants.c),
-        constants=constants,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +187,7 @@ def _get_float(cp: configparser.ConfigParser, section: str, key: str,
         raise ConfigError(f"non-numeric value for {section}.{key}: {raw!r}") from exc
 
 
-def load_scenario(config_text: str,
-                  constants: PhysicalConstants = CONSTANTS) -> ScenarioParams:
+def load_scenario(config_text: str) -> ScenarioParams:
     """Parse an INI-style scenario config into a validated ScenarioParams.
 
     Raises ConfigError naming the offending key for missing keys, non-numeric
@@ -283,7 +209,6 @@ def load_scenario(config_text: str,
     emitter = EmitterParams.from_wavelength(
         _get_float(cp, "emitter", "lambda0_m"),
         _get_float(cp, "emitter", "gamma0_rad_s"),
-        constants,
     )
     graphene = GrapheneParams.from_fractions(
         _get_float(cp, "graphene", "mu_over_hbar_omega0"),
@@ -297,18 +222,13 @@ def load_scenario(config_text: str,
         quality=_get_float(cp, "mechanics", "quality_factor"),
         t_bath=_get_float(cp, "mechanics", "bath_temperature_k"),
     )
-    rabi = _get_float(cp, "drive", "rabi_rad_s", default=math.nan)
-    detuning = _get_float(cp, "drive", "detuning_rad_s", default=math.nan)
     drive = DriveParams(
         epsilon=_get_float(cp, "drive", "epsilon"),
         eta_det=_get_float(cp, "drive", "eta_det"),
-        rabi=None if math.isnan(rabi) else rabi,
-        detuning=None if math.isnan(detuning) else detuning,
     )
     return ScenarioParams(emitter=emitter, graphene=graphene,
                           mechanics=mechanics, drive=drive,
-                          distance=_get_float(cp, "geometry", "distance_m"),
-                          constants=constants)
+                          distance=_get_float(cp, "geometry", "distance_m"))
 
 
 def reference_scenario(**overrides) -> ScenarioParams:
@@ -352,9 +272,6 @@ def scenario_to_config(s: ScenarioParams) -> str:
         "[drive]",
         f"epsilon = {s.drive.epsilon!r}",
         f"eta_det = {s.drive.eta_det!r}",
+        "", "[geometry]", f"distance_m = {s.distance!r}", "",
     ]
-    if s.drive.rabi is not None:
-        lines += [f"rabi_rad_s = {s.drive.rabi!r}",
-                  f"detuning_rad_s = {s.drive.detuning!r}"]
-    lines += ["", "[geometry]", f"distance_m = {s.distance!r}", ""]
     return "\n".join(lines)

@@ -118,13 +118,6 @@ def integrate_rows(f, edges, *columns, rtol: float = 1e-9, order: int = 24,
     raise QuadratureError("quadrature did not converge", np.max(err))
 
 
-def fixed_panels(f, edges, order: int = 24):
-    """Composite Gauss-Legendre integral of f over consecutive [e_i, e_i+1]."""
-    edges = np.asarray(edges, dtype=float)[None]
-    return _level(lambda x: f(x[0])[..., None, :], edges, [],
-                  *_gauss_nodes(order))[..., 0]
-
-
 def integrate_refined(f, edges, rtol: float = 1e-9, order: int = 24,
                       max_doublings: int = 12):
     """Integrate f over one set of edges: integrate_rows on a single row.

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 import casimir_sense as cs
+from casimir_sense.graphene import FrequencyAxis, _sigma_ec
+from casimir_sense.greens import _trace_imag_scaled
+from casimir_sense.quadrature import _gauss_nodes, _level
+
+C = cs.CONSTANTS
 
 
 @pytest.fixture(scope="session")
@@ -41,17 +46,17 @@ distance_m = 18e-9
 """
 
 
-def brute_trace_imag(z, u, g, n=1_000_001, constants=cs.CONSTANTS):
+def brute_trace_imag(z, u, g, n=1_000_001):
     """Trapezoid oracle for Tr G(z, z, iu) from the generic complex formula.
 
     Written directly from the reflected-trace integral with omega = iu and
     k_perp on the Im >= 0 branch; shares no code with the adaptive path.
     """
-    sig = cs.sigma_imag_axis(u, g, constants).value if not g.sigma_zero else 0.0
-    s = sig / (constants.eps0 * constants.c)
-    w = 1j * u / constants.c                       # omega/c on the imag axis
-    kmax = (50.0 / z) + 10.0 * (u / constants.c)
-    k = np.linspace(1e-6 * u / constants.c, kmax, n)
+    sig = cs.sigma_imag_axis(u, g).value if not g.sigma_zero else 0.0
+    s = sig / (C.eps0 * C.c)
+    w = 1j * u / C.c                       # omega/c on the imag axis
+    kmax = (50.0 / z) + 10.0 * (u / C.c)
+    k = np.linspace(1e-6 * u / C.c, kmax, n)
     kperp = np.sqrt(np.asarray(w**2 - k**2, dtype=complex))
     rp = kperp * s / (kperp * s + 2.0 * w)
     rs = -s * w / (2.0 * kperp + s * w)
@@ -61,7 +66,7 @@ def brute_trace_imag(z, u, g, n=1_000_001, constants=cs.CONSTANTS):
     return complex(val)
 
 
-def brute_trace_real(z, omega, g, n=2_000_001, constants=cs.CONSTANTS):
+def brute_trace_real(z, omega, g, n=2_000_001):
     """Simpson oracle for the real-axis trace, split at the light line.
 
     Propagating sector in the angle variable k = (w/c) sin(theta),
@@ -70,9 +75,9 @@ def brute_trace_real(z, omega, g, n=2_000_001, constants=cs.CONSTANTS):
     """
     from scipy.integrate import simpson
 
-    sig = cs.sigma_real_axis(omega, g, constants).value if not g.sigma_zero else 0.0
-    s = sig / (constants.eps0 * constants.c)
-    kw = omega / constants.c
+    sig = cs.sigma_real_axis(omega, g).value if not g.sigma_zero else 0.0
+    s = sig / (C.eps0 * C.c)
+    kw = omega / C.c
     zb = z * kw
 
     theta = np.linspace(0.0, np.pi / 2.0, n // 4)
@@ -97,7 +102,7 @@ def brute_trace_real(z, omega, g, n=2_000_001, constants=cs.CONSTANTS):
     return kw * complex(prop), kw * complex(evan)
 
 
-def quad_trace_real(z, omega, g, constants=cs.CONSTANTS):
+def quad_trace_real(z, omega, g):
     """scipy.integrate.quad oracle for the real-axis trace parts.
 
     QUADPACK's adaptive Gauss-Kronrod rule, run piecewise between
@@ -108,9 +113,9 @@ def quad_trace_real(z, omega, g, constants=cs.CONSTANTS):
     """
     from scipy.integrate import quad
 
-    sig = cs.sigma_real_axis(omega, g, constants).value
-    s = sig / (constants.eps0 * constants.c)
-    kw = omega / constants.c
+    sig = cs.sigma_real_axis(omega, g).value
+    s = sig / (C.eps0 * C.c)
+    kw = omega / C.c
     zb = z * kw
 
     def f_prop(theta):
@@ -143,7 +148,7 @@ def quad_trace_real(z, omega, g, constants=cs.CONSTANTS):
     return kw * complex(prop) / (4.0 * np.pi), kw * complex(evan) / (4.0 * np.pi)
 
 
-def kk_sigma_imag_oracle(u, g, constants=cs.CONSTANTS):
+def kk_sigma_imag_oracle(u, g):
     """sigma(iu) from the dispersion integral over the real-axis absorption.
 
     sigma(iu) = (2/pi) Int_0^inf dw u Re sigma(w) / (w^2 + u^2), evaluated by
@@ -153,7 +158,7 @@ def kk_sigma_imag_oracle(u, g, constants=cs.CONSTANTS):
     from scipy.integrate import quad
 
     mu, gg = g.mu, g.gamma_g
-    s0 = constants.sigma0
+    s0 = C.sigma0
 
     def re_sigma(w):
         drude = s0 * (4.0 * mu / np.pi) * gg / (w**2 + gg**2)
@@ -166,3 +171,17 @@ def kk_sigma_imag_oracle(u, g, constants=cs.CONSTANTS):
                   points=pts, limit=500, epsabs=0.0, epsrel=1e-10)
     tail = s0 * np.arctan(u / cutoff)     # step part continues to infinity
     return (2.0 / np.pi) * (val + tail)
+
+
+def trace_imag(z, u, g):
+    """Reflected Tr G(z, z, iu) from the pipeline's imaginary-axis kernel."""
+    s = _sigma_ec(FrequencyAxis.IMAG, u, g).real
+    q0 = u / C.c
+    return q0 * _trace_imag_scaled(z * q0, s)
+
+
+def fixed_panels(f, edges):
+    """One quadrature level of f: 24-point Gauss-Legendre on each panel."""
+    edges = np.asarray(edges, dtype=float)[None]
+    return _level(lambda x: f(x[0])[..., None, :], edges, [],
+                  *_gauss_nodes(24))[..., 0]

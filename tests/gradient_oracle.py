@@ -15,13 +15,13 @@ class OracleError(RuntimeError):
     """The extrapolation did not reach its 1% target."""
 
 
-def richardson_gradient(d, e, g, constants=cs.CONSTANTS, rel_step=0.01):
+def richardson_gradient(d, e, g, rel_step=0.01):
     """(g_value, error_estimate, step) of d(delta_omega)/dd at distance d."""
     h = d * rel_step
     for _ in range(3):
         if d - h <= 0:
             raise OracleError("stencil step underflows the distance")
-        f = {dd: cs.transition_shift(dd, e, g, constants)
+        f = {dd: cs.transition_shift(dd, e, g)
              for dd in (d + h, d - h, d + h / 2, d - h / 2)}
         coarse = (f[d + h] - f[d - h]) / (2.0 * h)
         fine = (f[d + h / 2] - f[d - h / 2]) / h

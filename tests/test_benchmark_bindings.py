@@ -45,6 +45,13 @@ def test_tracer_installs_and_restores(tracing):
     assert all(getattr(m, n) is fn for (m, n), fn in zip(bindings, before))
 
 
+def test_micro_cases_run():
+    # run.py --trace 1 times each case; one call checks the names and call
+    # signatures they use, s.constants.c among them
+    for _, _, call in _load("micro")._cases():
+        call()
+
+
 def test_workloads_import():
     # workloads.py imports the library's typed errors by name
     assert _load("workloads").TYPED_ERRORS

@@ -67,6 +67,15 @@ def test_invalid_config_value_is_usage_error(tmp_path, config_text):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, field", [("--distance", "distance"),
+                                         ("--mu", "graphene.mu")])
+def test_nan_override_is_usage_error(tmp_path, capsys, flag, field):
+    code, _ = run_cli(["interaction", "--d-min", "18e-9", "--d-max", "18e-9",
+                       "--d-count", "1", flag, "nan"], tmp_path)
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_env_var_config_is_honored(tmp_path, config_text, monkeypatch):
     cfg = tmp_path / "env.ini"
     cfg.write_text(config_text.replace("mu_over_hbar_omega0 = 0.8",
@@ -182,6 +191,12 @@ def test_squeeze_damping_discrimination(tmp_path, config_text):
         assert rows[-1][5] == kind
         assert rows[-1][4] == "rotating"
     assert outs["momentum"] < outs["symmetric"]
+
+
+def test_squeeze_nonpositive_t_end_is_usage_error(tmp_path, capsys):
+    code, text = run_cli(["squeeze", "--t-end=-1e-6"], tmp_path)
+    assert code == 2 and text == ""
+    assert "t_end must be positive" in capsys.readouterr().err
 
 
 def test_squeeze_reports_subunity_minimum(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casimir_sense as cs
-from casimir_sense.graphene import FrequencyAxis, _fresnel_from_sigma
 
 from conftest import kk_sigma_imag_oracle
 
@@ -99,86 +98,3 @@ def test_kk_dispersion_property(logu, mu_frac):
     closed = cs.sigma_imag_axis(u, g).value
     oracle = kk_sigma_imag_oracle(u, g)
     assert closed == pytest.approx(oracle, rel=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# Fresnel coefficients
-
-def test_transparent_sheet_has_zero_reflection():
-    g = graphene(0.0, sigma_zero=True)
-    fp = cs.fresnel(W0, 0.3 * W0 / cs.CONSTANTS.c, g)
-    assert fp.r_p == 0 and fp.r_s == 0
-
-
-def test_perfect_conductor_limit():
-    # directly exercise the sigma -> inf algebraic limit
-    r_p, r_s, _ = _fresnel_from_sigma(W0 / cs.CONSTANTS.c,
-                                      0.5 * W0 / cs.CONSTANTS.c, s=1e12)
-    assert r_p == pytest.approx(1.0, rel=1e-9)
-    assert r_s == pytest.approx(-1.0, rel=1e-9)
-
-
-def test_fresnel_wavevector_identity():
-    g = graphene(0.8)
-    c = cs.CONSTANTS.c
-    for w, axis in ((W0, FrequencyAxis.REAL), (0.37 * W0, FrequencyAxis.REAL),
-                    (W0, FrequencyAxis.IMAG)):
-        k_par = np.geomspace(1e-3, 1e3, 40) * w / c
-        fp = cs.fresnel(w, k_par, g, axis=axis)
-        w_over_c = w / c if axis is FrequencyAxis.REAL else 1j * w / c
-        resid = fp.k_perp**2 + fp.k_par**2 - w_over_c**2
-        scale = np.maximum(np.abs(fp.k_perp**2),
-                           np.maximum(fp.k_par**2, abs(w_over_c**2)))
-        assert np.all(np.abs(resid) <= 1e-12 * scale)
-        assert np.all(fp.k_perp.imag >= 0)
-
-
-def test_propagating_passivity():
-    # |r| <= 1 in the propagating sector for a passive sheet (evanescent
-    # values may exceed 1 near the plasmon pole, which carries no energy flux)
-    for mu_frac in (0.0, 0.4, 0.8):
-        g = graphene(mu_frac)
-        k_par = np.linspace(0.0, 0.999, 100) * W0 / cs.CONSTANTS.c
-        fp = cs.fresnel(W0, k_par, g)
-        assert np.all(np.abs(fp.r_p) <= 1 + 1e-12)
-        assert np.all(np.abs(fp.r_s) <= 1 + 1e-12)
-
-
-def test_imag_axis_fresnel_real_valued():
-    g = graphene(0.8)
-    k_par = np.geomspace(0.1, 100.0, 30) * W0 / cs.CONSTANTS.c
-    fp = cs.fresnel(W0, k_par, g, axis=FrequencyAxis.IMAG)
-    assert np.all(np.abs(fp.r_p.imag) <= 1e-14)
-    assert np.all(np.abs(fp.r_s.imag) <= 1e-14)
-    assert np.all(fp.r_p.real >= 0)
-    assert np.all(fp.r_s.real <= 0)
-
-
-def test_plasmon_pole_matches_leading_order_dispersion():
-    # Drude-dominated frequency (w << 2 mu/hbar): the r_p denominator minimum
-    # sits at k_sp = 2 pi / lambda_sp with lambda_sp/lambda0 = 2 alpha mu/(hbar w)
-    g = graphene(0.8)
-    w = 0.3 * W0
-    c = cs.CONSTANTS.c
-    k = np.linspace(1.0, 30.0, 200_000) * w / c
-    fp = cs.fresnel(w, k, g)
-    sigma = cs.sigma_real_axis(w, g).value
-    denom = np.abs(fp.k_perp * sigma + 2 * cs.CONSTANTS.eps0 * w)
-    k_min = k[np.argmin(denom)]
-    lam_sp = 2 * math.pi / k_min
-    lam0_w = 2 * math.pi * c / w
-    predicted = 2 * cs.CONSTANTS.alpha * (g.mu / w)
-    assert lam_sp / lam0_w == pytest.approx(predicted, rel=0.20)
-
-
-@settings(max_examples=30, deadline=None)
-@given(mu_frac=st.floats(0.0, 1.2), k_frac=st.floats(0.0, 50.0),
-       w_frac=st.floats(0.1, 3.0))
-def test_fresnel_identity_property(mu_frac, k_frac, w_frac):
-    g = graphene(mu_frac)
-    w = w_frac * W0
-    fp = cs.fresnel(w, k_frac * w / cs.CONSTANTS.c, g)
-    lhs = fp.k_perp**2 + fp.k_par**2
-    rhs = (w / cs.CONSTANTS.c) ** 2
-    scale = max(abs(fp.k_perp**2), fp.k_par**2, rhs)
-    assert abs(lhs - rhs) <= 1e-12 * scale

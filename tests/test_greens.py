@@ -8,7 +8,8 @@ from casimir_sense import greens
 from casimir_sense.graphene import FrequencyAxis, _sigma_ec
 from casimir_sense.greens import _trace_imag_scaled
 
-from conftest import brute_trace_imag, brute_trace_real, quad_trace_real
+from conftest import (brute_trace_imag, brute_trace_real, quad_trace_real,
+                      trace_imag)
 
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6
 
@@ -20,14 +21,13 @@ def graphene(mu_frac, sigma_zero=False):
 
 def test_transparent_sheet_gives_zero_trace():
     g = graphene(0.8, sigma_zero=True)
-    assert cs.trace_green_imag(18e-9, W0, g).value == 0.0
-    assert cs.trace_green_real(18e-9, W0, g).value == 0.0
+    assert trace_imag(18e-9, W0, g) == 0.0
+    assert sum(cs.trace_green_real_parts(18e-9, W0, g)) == 0.0
 
 
 def test_imag_axis_trace_is_negative_and_decays_with_distance():
     g = graphene(0.8)
-    vals = [cs.trace_green_imag(z, W0, g).value
-            for z in np.linspace(8e-9, 80e-9, 8)]
+    vals = [trace_imag(z, W0, g) for z in np.linspace(8e-9, 80e-9, 8)]
     assert all(v < 0 for v in vals)
     mags = np.abs(vals)
     assert np.all(np.diff(mags) < 0)
@@ -35,7 +35,7 @@ def test_imag_axis_trace_is_negative_and_decays_with_distance():
 
 def test_imag_axis_trace_against_brute_force_oracle():
     g = graphene(0.8)
-    adaptive = cs.trace_green_imag(18e-9, W0, g).value
+    adaptive = trace_imag(18e-9, W0, g)
     oracle = brute_trace_imag(18e-9, W0, g)
     assert abs(oracle.imag) <= 1e-9 * abs(oracle.real)
     assert adaptive == pytest.approx(oracle.real, rel=1e-6)
@@ -117,7 +117,7 @@ def test_oracle_equivalence_at_random_points():
         mu_frac = rng.uniform(0.0, 1.1)
         freq = rng.uniform(0.3, 2.0) * W0
         g = graphene(mu_frac)
-        a_imag = cs.trace_green_imag(z, freq, g).value
+        a_imag = trace_imag(z, freq, g)
         o_imag = brute_trace_imag(z, freq, g).real
         assert a_imag == pytest.approx(o_imag, rel=1e-5), (z, mu_frac, freq)
         prop, evan = cs.trace_green_real_parts(z, freq, g)
@@ -132,7 +132,7 @@ def test_absorption_grows_at_short_distance():
     # grows monotonically as the emitter approaches the sheet
     g = graphene(0.0)
     zs = np.linspace(5e-9, 40e-9, 6)
-    ims = [cs.trace_green_real(z, W0, g).value.imag for z in zs]
+    ims = [sum(cs.trace_green_real_parts(z, W0, g)).imag for z in zs]
     assert all(v > 0 for v in ims)
     assert np.all(np.diff(ims) < 0)
 
@@ -140,11 +140,11 @@ def test_absorption_grows_at_short_distance():
 def test_trace_rejects_bad_arguments():
     g = graphene(0.5)
     with pytest.raises(ValueError):
-        cs.trace_green_imag(0.0, W0, g)
+        cs.trace_green_real_parts(0.0, W0, g)
     with pytest.raises(ValueError):
-        cs.trace_green_imag(1e-8, 0.0, g)
+        cs.trace_green_real_parts(1e-8, 0.0, g)
     with pytest.raises(ValueError):
-        cs.trace_green_real(-1e-9, W0, g)
+        cs.trace_green_real_parts(-1e-9, W0, g)
 
 
 @pytest.mark.parametrize("zb", [0.05, 0.5, 5.0])

@@ -18,41 +18,6 @@ def fake_gradient(g=1.0e20):
     return CouplingGradient(d=18e-9, g_value=-g, error_estimate=1e16)
 
 
-def test_steady_state_ground_state_limit():
-    st = cs.steady_state(0.0)
-    assert st.sz_inf == -1.0
-    assert st.alpha_bar == 0.0
-
-
-def test_steady_state_at_epsilon_03():
-    st = cs.steady_state(0.3)
-    assert st.sz_inf == pytest.approx(-0.85, abs=1e-12)
-    assert st.alpha_bar**2 + st.beta_bar**2 == pytest.approx(0.3, rel=1e-12)
-
-
-def test_steady_state_norm_identity():
-    st = cs.steady_state(0.1)
-    assert st.alpha_bar**2 + st.beta_bar**2 == pytest.approx(0.1, rel=1e-12)
-
-
-def test_steady_state_with_rabi_detuning():
-    gamma = 2e9
-    rabi = math.sqrt(0.3 * (0.0**2 + gamma**2 / 4))
-    st = cs.steady_state(0.3, rabi=rabi, detuning=0.0, gamma=gamma)
-    assert st.beta_bar == 0.0
-    assert st.alpha_bar == pytest.approx(math.sqrt(0.3), rel=1e-12)
-
-    with pytest.warns(UserWarning):   # detuned drive implies a different eps
-        st2 = cs.steady_state(0.3, rabi=rabi, detuning=gamma / 2, gamma=gamma)
-    assert st2.alpha_bar == pytest.approx(st2.beta_bar, rel=1e-12)
-    assert st2.alpha_bar**2 + st2.beta_bar**2 == pytest.approx(0.3, rel=1e-12)
-
-
-def test_steady_state_warns_on_inconsistent_epsilon():
-    with pytest.warns(UserWarning, match="imply epsilon"):
-        cs.steady_state(0.3, rabi=1e9, detuning=0.0, gamma=2e9)
-
-
 def test_renormalized_coupling_values():
     cg = fake_gradient(1.0)
     assert cs.renormalized_coupling(cg, 0.0) == pytest.approx(math.sqrt(2.0))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from casimir_sense.quadrature import (_CHUNK_NODES, QuadratureError,
-                                      _gauss_nodes, clip_edges, fixed_panels,
+                                      _gauss_nodes, clip_edges,
                                       integrate_refined, integrate_rows)
+
+from conftest import fixed_panels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
