@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dynamics import PhysicalityError, simulate
+from .dynamics import PhysicalityError, RiccatiError, simulate
 from .graphene import sigma_real_axis
 from .interaction import interaction_and_gradient
 from .measurement import evaluate_coupling
@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except QuadratureError as exc:
+    except (QuadratureError, RiccatiError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except PhysicalityError as exc:

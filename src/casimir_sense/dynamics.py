@@ -21,18 +21,24 @@ whose coefficients are all constant:
   * the conditioning on x at the information rate
     kappa_det = 2 gbar_m sqrt(epsilon Gamma_det)/Gamma.
 
-Writing V = X Y^-1 makes the equation linear,
-d/dt [X; Y] = H [X; Y] with the Hamiltonian matrix
-H = [[A, D], [kappa_det^2 e_x e_x^T, -A^T]], so over an interval dt the
-covariance follows exactly the Mobius map
+Its solution is closed form (Davison & Maki, IEEE TAC 18, 71 (1973);
+Wiseman & Milburn, Quantum Measurement and Control, ch. 6; Doherty &
+Jacobs, PRA 60, 2700 (1999)).  With C = kappa_det^2 e_x e_x^T (C = 0
+without conditioning), V* the stabilizing steady state of
+A V + V A^T + D - V C V = 0 and Abar = A - V* C, the deviation from V*
+obeys a Riccati equation without a constant term, whence
 
-    V -> (P11 V + P12) (P21 V + P22)^-1,    P = exp(H dt)
+    V(t) = V* + E D0 (I + W D0)^-1 E^T,    E = exp(Abar t),
+    W(t) = int_0^t E^T C E ds = Winf - E^T Winf E,    D0 = V(0) - V*,
 
-(Davison & Maki, IEEE TAC 18, 71 (1973); Wiseman & Milburn, Quantum
-Measurement and Control, ch. 6; Doherty & Jacobs, PRA 60, 2700 (1999)).
-The map restarts from V at every record and the interval is split where
-a bound on |eigenvalue| * dt of H exceeds one, so the growing and decaying
-solutions of H never separate far enough to lose digits.
+with Abar^T Winf + Winf Abar + C = 0.  V* comes from the Newton-Kleinman
+iteration from V = I (Kleinman, IEEE TAC 13, 114 (1968)), each step a
+2x2 Lyapunov equation solved in closed form, and E from the 2x2 closed
+form of the exponential; for 2x2 matrices
+D0 (I + W D0)^-1 = (D0 + det D0 adj W) / det(I + W D0).  Unconditioned
+and undamped (C = 0, gamma = 0), A is a pure rotation without a steady
+state and V(t) = E V(0) E^T + int_0^t E D E^T ds.  Every record time is
+evaluated at once, in blocks.
 
 Results are reported in the frame co-rotating at omega_m,
 (x~, p~) = R(omega_m t) (x, p) with R = [[cos, -sin], [sin, cos]].
@@ -43,7 +49,6 @@ is sampled.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +57,14 @@ from .measurement import evaluate_coupling
 from .params import ScenarioParams
 
 _KINDS = ("symmetric", "momentum")
-#: largest (bound on |eigenvalue of H|) * dt one propagator spans: beyond it
-#: the growing and decaying solutions of H separate far enough to cost digits
-_MAX_EXPONENT = 1.0
-#: steps per block when summing record time stamps
+#: steps per block when summing record time stamps, and record times per
+#: block of the closed-form evaluation
 _STAMP_BLOCK = 4096
+#: Newton-Kleinman steps allowed, and the relative step that ends them: the
+#: iteration converges quadratically near V*, so the iterate that a step
+#: below the tolerance reaches is exact to rounding
+_NEWTON_STEPS = 100
+_NEWTON_RTOL = 1e-13
 
 
 class PhysicalityError(RuntimeError):
@@ -67,6 +75,11 @@ class PhysicalityError(RuntimeError):
                          f"(det = {det:.12f})")
         self.t = t
         self.det = det
+
+
+class RiccatiError(RuntimeError):
+    """The conditional Riccati equation has no stabilizing steady state that
+    the Newton-Kleinman iteration could find."""
 
 
 @dataclass(frozen=True)
@@ -187,22 +200,13 @@ def _hamiltonian(cfg: StepConfig, n_th: float, measure: bool) -> np.ndarray:
     return ham
 
 
-def _growth_bound(ham: np.ndarray) -> float:
-    """Upper bound on the spectral radius of H: the similarity
-    diag(1, 1, s, s) that balances D against C leaves 1-norm
-    ||A|| + sqrt(||D|| ||C||).  Cheaper than an eigenvalue solve, whose
-    LAPACK set-up alone grows the process by half a megabyte."""
-    def norm(block):
-        return float(np.abs(block).sum(axis=0).max())
-
-    return norm(ham[:2, :2]) + math.sqrt(norm(ham[:2, 2:]) * norm(ham[2:, :2]))
-
-
 def build_step(ham: np.ndarray, dt: float) -> np.ndarray:
     """Propagator exp(ham * dt) over one interval, by scaling and squaring.
 
     The argument is halved until its 1-norm is below 1/2, where the
-    degree-16 Taylor sum is exact to double precision.
+    degree-16 Taylor sum is exact to double precision.  The closed-form
+    engine does not call it; perfbench/tracing.py counts its calls and the
+    Mobius oracle in tests/ steps with it.
     """
     arg = ham * dt
     squarings = max(0, math.frexp(float(np.abs(arg).sum(axis=0).max()))[1] + 1)
@@ -216,44 +220,160 @@ def build_step(ham: np.ndarray, dt: float) -> np.ndarray:
     return phi
 
 
-def _mobius(phi: np.ndarray, cov: tuple[float, float, float], records: int,
-            sub: int, out: array) -> tuple[float, float, float]:
-    """Apply V -> (P11 V + P12)(P21 V + P22)^-1 ``sub`` times per record for
-    ``records`` records, appending each recorded (V_x, V_xp, V_p) to out."""
-    (a11, a12, b11, b12), (a21, a22, b21, b22), \
-        (c11, c12, d11, d12), (c21, c22, d21, d22) = phi.tolist()
-    vx, vxp, vp = cov
-    for _ in range(records):
-        for _ in range(sub):
-            x11 = a11 * vx + a12 * vxp + b11
-            x12 = a11 * vxp + a12 * vp + b12
-            x21 = a21 * vx + a22 * vxp + b21
-            x22 = a21 * vxp + a22 * vp + b22
-            y11 = c11 * vx + c12 * vxp + d11
-            y12 = c11 * vxp + c12 * vp + d12
-            y21 = c21 * vx + c22 * vxp + d21
-            y22 = c21 * vxp + c22 * vp + d22
-            det = y11 * y22 - y12 * y21
-            vx = (x11 * y22 - x12 * y21) / det
-            vp = (x22 * y11 - x21 * y12) / det
-            vxp = 0.5 * (x12 * y11 - x11 * y12 + x21 * y22 - x22 * y21) / det
-        out.extend((vx, vxp, vp))
-    return vx, vxp, vp
+def _lyapunov(m, q):
+    """Symmetric X with m X + X m^T + q = 0 for a 2x2 m with both
+    eigenvalues in the left half-plane, as (x11, x12, x22) from
+    q = (q11, q12, q22).  Since m adj(m) = det(m) I, the solution is
+    X = -(det(m) q + adj(m) q adj(m)^T) / (2 tr(m) det(m))."""
+    (m11, m12), (m21, m22) = m
+    tr, det = m11 + m22, m11 * m22 - m12 * m21
+    if not tr < 0.0 < det:
+        raise RiccatiError(f"drift is not stable (trace {tr:.6e}, "
+                           f"det {det:.6e})")
+    q11, q12, q22 = q
+    # rows of adj(m) q, with adj(m) = [[m22, -m12], [-m21, m11]]
+    p11, p12 = m22 * q11 - m12 * q12, m22 * q12 - m12 * q22
+    p21, p22 = m11 * q12 - m21 * q11, m11 * q22 - m21 * q12
+    scale = -0.5 / (tr * det)
+    return (scale * (det * q11 + p11 * m22 - p12 * m12),
+            scale * (det * q12 + p12 * m11 - p11 * m21),
+            scale * (det * q22 + p22 * m11 - p21 * m21))
+
+
+def _steady_state(a, d, c: float):
+    """Stabilizing solution V* of A V + V A^T + D - c V e_x e_x^T V = 0, as
+    (v11, v12, v22), by Newton-Kleinman from V = I: each step solves
+    (A - V C) V' + V' (A - V C)^T + D + V C V = 0 with C = c e_x e_x^T."""
+    (a11, a12), (a21, a22) = a
+    d11, d12, d22 = d
+    v = (1.0, 0.0, 1.0)
+    for _ in range(_NEWTON_STEPS):
+        v11, v12, _ = v
+        new = _lyapunov(((a11 - c * v11, a12), (a21 - c * v12, a22)),
+                        (d11 + c * v11 * v11, d12 + c * v11 * v12,
+                         d22 + c * v12 * v12))
+        step = max(abs(x - y) for x, y in zip(new, v))
+        if step <= _NEWTON_RTOL * max(map(abs, new)):
+            return new
+        v = new
+    raise RiccatiError("Newton-Kleinman iteration for the steady state did "
+                       f"not converge in {_NEWTON_STEPS} steps")
+
+
+def _exp_coeffs(m, t: np.ndarray):
+    """(f, g) with exp(m t) = f I + g (m - a I), a = tr(m) / 2, at times t,
+    for a 2x2 m whose eigenvalues a +- b have no positive real part.
+    Overdamped, f and g are built from e^{(a+b)t} and
+    e^{(a-b)t} = e^{(a+b)t} e^{-2bt}, so nothing overflows where a cosh
+    would, and expm1 keeps g exact as b -> 0."""
+    (m11, m12), (m21, m22) = m
+    a = 0.5 * (m11 + m22)
+    b2 = 0.25 * (m11 - m22) ** 2 + m12 * m21         # a^2 - det(m)
+    if b2 < 0.0:
+        beta = math.sqrt(-b2)
+        decay = np.exp(a * t)
+        return decay * np.cos(beta * t), decay * np.sin(beta * t) / beta
+    b = math.sqrt(b2)
+    slow = np.exp((a + b) * t)
+    if b == 0.0:
+        return slow, t * slow
+    gap = -np.expm1(-2.0 * b * t)                    # 1 - e^{-2bt}
+    return slow - 0.5 * gap * slow, slow * gap / (2.0 * b)
+
+
+def _sandwich(e11, e12, e21, e22, x11, x12, x22):
+    """(y11, y12, y22) of Y = E X E^T for a symmetric X.  Each entry,
+    (row i of E X) . (row j of E), is built in place, so that besides E, X
+    and Y at most three arrays are alive."""
+    def entry(i1, i2, j1, j2):
+        y = i1 * x11
+        y += i2 * x12
+        y *= j1
+        z = i1 * x12
+        z += i2 * x22
+        z *= j2
+        y += z
+        return y
+
+    return (entry(e11, e12, e11, e12), entry(e11, e12, e21, e22),
+            entry(e21, e22, e21, e22))
+
+
+def _riccati(ham: np.ndarray, cov: np.ndarray):
+    """Solve the lab-frame Riccati equation with coefficients from ``ham``
+    and V(0) = cov in closed form (module docstring); returns V(t) as a
+    function of an array of times t > 0, giving (v11, v12, v22)."""
+    (a11, a12, q11, q12), (a21, a22, _, q22), (c, *_), _ = ham.tolist()
+    closed = c == 0.0 and a11 + a22 == 0.0
+    if closed:
+        # a pure rotation at a12 = omega_m: no steady state, and W = 0
+        v_inf = w_inf = (0.0, 0.0, 0.0)
+    else:
+        v_inf = _steady_state(((a11, a12), (a21, a22)), (q11, q12, q22), c)
+        a11, a21 = a11 - c * v_inf[0], a21 - c * v_inf[1]   # Abar = A - V* C
+        w_inf = _lyapunov(((a11, a21), (a12, a22)), (c, 0.0, 0.0))
+    d11 = float(cov[0, 0]) - v_inf[0]
+    d12 = 0.5 * float(cov[0, 1] + cov[1, 0]) - v_inf[1]
+    d22 = float(cov[1, 1]) - v_inf[2]
+    det0 = d11 * d22 - d12 * d12
+    k11 = 0.5 * (a11 - a22)             # Abar - a I = [[k11, a12], [a21, -k11]]
+
+    def covariance(t: np.ndarray):
+        # each array is dropped once spent, so few are alive at once
+        f, g = _exp_coeffs(((a11, a12), (a21, a22)), t)
+        e11, e12, e21, e22 = f + k11 * g, a12 * g, a21 * g, f - k11 * g
+        del f, g
+        w11, w12, w22 = _sandwich(e11, e21, e12, e22, *w_inf)
+        w11, w12, w22 = w_inf[0] - w11, w_inf[1] - w12, w_inf[2] - w22
+        # D0 (I + W D0)^-1 = (D0 + det(D0) adj(W)) / det(I + W D0)
+        den = 1.0 + d11 * w11 + 2.0 * d12 * w12 + d22 * w22 \
+            + det0 * (w11 * w22 - w12 * w12)
+        m11, m12, m22 = ((d11 + det0 * w22) / den, (d12 - det0 * w12) / den,
+                         (d22 + det0 * w11) / den)
+        del w11, w12, w22, den
+        v11, v12, v22 = _sandwich(e11, e12, e21, e22, m11, m12, m22)
+        del e11, e12, e21, e22, m11, m12, m22
+        v11 += v_inf[0]
+        v12 += v_inf[1]
+        v22 += v_inf[2]
+        if closed:
+            # + int_0^t E D E^T ds for D = diag(q11, q22), E = [[c, s], [-s, c]]
+            sigma = np.sin(2.0 * a12 * t) / (2.0 * a12)
+            v11 += 0.5 * ((q11 + q22) * t + (q11 - q22) * sigma)
+            v22 += 0.5 * ((q11 + q22) * t - (q11 - q22) * sigma)
+            v12 += (q22 - q11) * np.sin(a12 * t) ** 2 / (2.0 * a12)
+        return v11, v12, v22
+
+    return covariance
 
 
 def _record_times(tau: float, n_steps: int, record_every: int) -> np.ndarray:
     """Time stamps after steps record_every, 2 record_every, ... and n_steps,
     summed one tau at a time as a fixed-step integrator of step tau sums
     them (in blocks, so memory stays small for any tau)."""
-    stamps, t = [], 0.0
+    stamps = np.empty(-(-n_steps // record_every))
+    t, k = 0.0, 0
     for lo in range(0, n_steps, _STAMP_BLOCK):
         n = min(_STAMP_BLOCK, n_steps - lo)
         ts = np.cumsum(np.concatenate(([t], np.full(n, tau))))  # steps lo..lo+n
-        stamps.append(ts[(-lo) % record_every or record_every::record_every])
+        picked = ts[(-lo) % record_every or record_every::record_every]
+        stamps[k:k + len(picked)] = picked
+        k += len(picked)
         t = ts[-1]
     if n_steps % record_every:
-        stamps.append([t])
-    return np.concatenate(stamps)
+        stamps[-1] = t
+    return stamps
+
+
+def _co_rotating(phase: np.ndarray, v11, v12, v22, vx, vp, vxp):
+    """Write R V R^T, R = [[cos, -sin], [sin, cos]](phase), into the
+    V_x, V_p and V_xp arrays vx, vp and vxp."""
+    c, s = np.cos(phase), np.sin(phase)
+    cc, ss, cs = c * c, s * s, c * s
+    del c, s
+    vx[:] = cc * v11 - 2.0 * cs * v12 + ss * v22
+    vp[:] = ss * v11 + 2.0 * cs * v12 + cc * v22
+    vxp[:] = cs * (v11 - v22) + (cc - ss) * v12
 
 
 def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
@@ -266,11 +386,12 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     ``tau`` is the unit of the record grid only: with
     n_steps = round(t_end / tau), the covariance is recorded after every
     ``record_every`` units of tau and at n_steps * tau, the time stamps being
-    summed one tau at a time.  Between records it follows the exact Mobius
-    map of the module docstring, so tau sets no accuracy.
+    summed one tau at a time.  At each record it is the closed form of the
+    module docstring, so tau sets no accuracy.
     ``measure=False`` drops the conditioning (unconditional dynamics,
     back-action still present).  Aborts with PhysicalityError at the first
-    recorded covariance whose det is below 1 - physical_tol or not a number.
+    recorded covariance whose det is below 1 - physical_tol or not a number,
+    and with RiccatiError if no stabilizing steady state is found.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
@@ -283,33 +404,26 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         raise ValueError("record_every must be >= 1")
     cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
         else np.array(initial_cov, dtype=float)
-    ham = _hamiltonian(cfg, n_th, measure)
-    rate = _growth_bound(ham)
-    n_full, rest = divmod(n_steps, record_every)
-    state = (float(cov[0, 0]), 0.5 * float(cov[0, 1] + cov[1, 0]),
-             float(cov[1, 1]))
-    lab = array("d")
-    for records, steps in ((n_full, record_every), (int(rest > 0), rest)):
-        if records:
-            dt = steps * tau
-            sub = max(1, math.ceil(rate * dt / _MAX_EXPONENT))
-            state = _mobius(build_step(ham, dt / sub), state, records, sub,
-                            lab)
-    vx, vxp, vp = np.frombuffer(lab).reshape(-1, 3).T
+    covariance = _riccati(_hamiltonian(cfg, n_th, measure), cov)
     t = _record_times(tau, n_steps, record_every)
-    det = vx * vp - vxp * vxp
-    bad = np.flatnonzero(~(det >= 1.0 - physical_tol))
-    if bad.size:
-        raise PhysicalityError(float(t[bad[0]]), float(det[bad[0]]))
-    # co-rotating frame R V R^T, at the times the propagation reached
-    t_prop = np.append(np.arange(1, n_full + 1) * (record_every * tau),
-                       [n_steps * tau] if rest else [])
-    c, s = np.cos(cfg.omega_m * t_prop), np.sin(cfg.omega_m * t_prop)
-    cc, ss, cs = c * c, s * s, c * s
-    return Trajectory(t=t, vx=cc * vx - 2.0 * cs * vxp + ss * vp,
-                      vp=ss * vx + 2.0 * cs * vxp + cc * vp,
-                      vxp=cs * (vx - vp) + (cc - ss) * vxp,
-                      damping=cfg.damping.kind, n_th=n_th)
+    vx, vp, vxp = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    n_full = n_steps // record_every
+    for lo in range(0, len(t), _STAMP_BLOCK):
+        hi = min(lo + _STAMP_BLOCK, len(t))
+        # the times the propagation reaches; t only labels them
+        t_prop = np.arange(lo + 1, hi + 1) * (record_every * tau)
+        if hi > n_full:
+            t_prop[-1] = n_steps * tau
+        v11, v12, v22 = covariance(t_prop)
+        det = v11 * v22 - v12 * v12
+        bad = np.flatnonzero(~(det >= 1.0 - physical_tol))
+        if bad.size:
+            raise PhysicalityError(float(t[lo + bad[0]]), float(det[bad[0]]))
+        _co_rotating(cfg.omega_m * t_prop, v11, v12, v22, vx[lo:hi],
+                     vp[lo:hi], vxp[lo:hi])
+        del v11, v12, v22, det     # before the next block's temporaries
+    return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp, damping=cfg.damping.kind,
+                      n_th=n_th)
 
 
 def step_config_for(s: ScenarioParams, damping: DampingModel | str,

@@ -45,7 +45,7 @@ class ConfigError(ValueError):
     """Raised when a scenario config is missing keys or violates invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmitterParams:
     """Two-level emitter: transition frequency and free-space decay rate."""
 
@@ -69,7 +69,7 @@ class EmitterParams:
         return 2.0 * math.pi * CONSTANTS.c / self.omega0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrapheneParams:
     """Doped graphene sheet.
 
@@ -98,7 +98,7 @@ class GrapheneParams:
                    sigma_zero=sigma_zero)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MechanicalParams:
     """Single mechanical mode of the membrane."""
 
@@ -129,7 +129,7 @@ class MechanicalParams:
         return CONSTANTS.kB * self.t_bath / (CONSTANTS.hbar * self.omega_m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriveParams:
     """Weak coherent drive, set by its saturation parameter epsilon, and
     detection efficiency."""
@@ -144,7 +144,7 @@ class DriveParams:
             raise ConfigError("drive.eta_det must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioParams:
     """Full physical configuration in SI units."""
 

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import casimir_sense as cs
-from casimir_sense.dynamics import (DampingModel, StepConfig, default_tau,
-                                    simulate_conditional, step_config_for)
+from casimir_sense.dynamics import (DampingModel, RiccatiError, StepConfig,
+                                    default_tau, simulate_conditional,
+                                    step_config_for)
 
+from mobius_oracle import simulate_mobius
 from stepper_oracle import (NoiseSpec, build_step, measurement_update,
                             simulate_stepper)
 
@@ -127,8 +130,7 @@ def test_closed_system_stays_stationary():
 
 
 def test_engine_matches_exponential_from_t_zero():
-    # one exp(H t) from t = 0 per record: the Mobius restarts and the
-    # numpy scaling and squaring change nothing
+    # one Mobius map exp(H t) from t = 0 per record, by scipy
     from scipy.linalg import expm
 
     from casimir_sense.dynamics import _hamiltonian
@@ -163,6 +165,65 @@ def test_propagator_matches_scipy_expm(ref_scenario, ref_coupling):
             <= 1e-14 * np.abs(ref).max()
 
 
+def _assert_matches_oracle(traj, ref):
+    # V_x and V_p relative to themselves, V_xp relative to max |V|
+    scale = np.maximum(np.maximum(np.abs(ref.vx), np.abs(ref.vp)),
+                       np.abs(ref.vxp))
+    assert np.array_equal(traj.t, ref.t)
+    assert np.abs(traj.vx / ref.vx - 1.0).max() <= 1e-10
+    assert np.abs(traj.vp / ref.vp - 1.0).max() <= 1e-10
+    assert np.abs((traj.vxp - ref.vxp) / scale).max() <= 1e-10
+
+
+@pytest.mark.parametrize("measure", [True, False])
+@pytest.mark.parametrize("nu", [0.0, 0.7])
+@pytest.mark.parametrize("kappa2", [0.0, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.02])
+@pytest.mark.parametrize("kind", ["momentum", "symmetric"])
+def test_closed_form_matches_mobius_oracle(kind, gamma, kappa2, nu, measure):
+    # gamma = kappa2 = 0 is the undamped, unmeasured system with D = 0;
+    # gamma = 0, kappa2 = 2 with nu = 0 or measure=False has D != 0 but no
+    # conditioning, so no steady state
+    cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=nu)
+    covs = (None, np.diag([0.25, 4.0]), np.array([[3.0, 0.4], [0.4, 0.5]]))
+    for cov in covs:
+        for record_every in (1, 7):       # 7 leaves a remainder record
+            kw = dict(n_th=3.0, t_end=6.0, tau=1e-2, initial_cov=cov,
+                      record_every=record_every, measure=measure)
+            _assert_matches_oracle(simulate_conditional(cfg, **kw),
+                                   simulate_mobius(cfg, **kw))
+
+
+def test_closed_form_matches_mobius_oracle_at_operating_point(ref_scenario,
+                                                             ref_coupling):
+    # n_th = 2.08e4, conditioned from 4e4 to below vacuum within 3 us
+    for kind in ("momentum", "symmetric"):
+        cfg, n_th = step_config_for(ref_scenario, kind, coupling=ref_coupling)
+        tau = default_tau(cfg, n_th)
+        for t_end in (0.3e-6, 3e-6):
+            kw = dict(n_th=n_th, t_end=t_end, tau=tau)
+            _assert_matches_oracle(simulate_conditional(cfg, **kw),
+                                   simulate_mobius(cfg, **kw))
+
+
+@pytest.mark.parametrize("records", [4000, 40000])
+def test_memory_bounded_beyond_output(records):
+    # record times are evaluated in blocks, so the working set beyond the
+    # returned arrays does not grow with the number of records
+    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7)
+    kw = dict(n_th=3.0, t_end=records * 1e-3, tau=1e-3, record_every=1)
+    simulate_conditional(cfg, **kw)
+    tracemalloc.start()
+    try:
+        traj = simulate_conditional(cfg, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.t) == records
+    output = sum(a.nbytes for a in (traj.t, traj.vx, traj.vp, traj.vxp))
+    assert peak - output <= 512 * 1024
+
+
 def test_record_stamps_sum_one_tau_at_a_time(monkeypatch):
     # the stamps equal a fixed-step integrator's t += tau across the blocks
     # they are summed in, so CSV time columns do not depend on the engine
@@ -178,6 +239,15 @@ def test_record_stamps_sum_one_tau_at_a_time(monkeypatch):
             if step % record_every == 0 or step == 40:
                 stamps.append(t)
         assert np.array_equal(traj.t, stamps)
+
+
+def test_steady_state_failure_is_typed(monkeypatch):
+    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7)
+    with pytest.raises(RiccatiError, match="not stable"):
+        simulate_conditional(cfg, n_th=math.nan, t_end=1.0, tau=1e-2)
+    monkeypatch.setattr(cs.dynamics, "_NEWTON_STEPS", 2)
+    with pytest.raises(RiccatiError, match="did not converge in 2 steps"):
+        simulate_conditional(cfg, n_th=3.0, t_end=1.0, tau=1e-2)
 
 
 def test_record_grid_validation():

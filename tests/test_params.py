@@ -66,3 +66,11 @@ def test_drive_validation():
         cs.DriveParams(epsilon=0.0, eta_det=0.5)
     with pytest.raises(ConfigError):
         cs.DriveParams(epsilon=0.3, eta_det=1.5)
+
+
+def test_parameter_classes_carry_no_instance_dict(ref_scenario):
+    # slotted: a sweep keeps thousands of scenarios alive
+    parts = (ref_scenario, ref_scenario.emitter, ref_scenario.graphene,
+             ref_scenario.mechanics, ref_scenario.drive)
+    assert [type(p).__name__ for p in parts if hasattr(p, "__dict__")] == []
+    assert ref_scenario.constants is cs.CONSTANTS
