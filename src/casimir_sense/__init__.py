@@ -8,9 +8,8 @@ Gaussian squeezing of the membrane under continuous homodyne monitoring.
 __version__ = "0.1.0"
 
 from .constants import CONSTANTS
-from .dynamics import (ConditionalState, DampingModel, PhysicalityError,
-                       StepConfig, Trajectory, analytic_shorttime, build_step,
-                       lab_frame, simulate, simulate_conditional)
+from .dynamics import (DampingModel, PhysicalityError, StepConfig, Trajectory,
+                       build_step, simulate, simulate_conditional)
 from .graphene import (Conductivity, FrequencyAxis, sigma_imag_axis,
                        sigma_real_axis)
 from .greens import trace_green_real_parts
@@ -26,10 +25,9 @@ from .params import (ConfigError, DriveParams, EmitterParams, GrapheneParams,
 from .quadrature import QuadratureError
 
 __all__ = [
-    "CONSTANTS", "ConditionalState", "DampingModel", "PhysicalityError",
-    "StepConfig", "Trajectory", "analytic_shorttime", "build_step",
-    "lab_frame", "simulate", "simulate_conditional", "Conductivity",
-    "FrequencyAxis", "sigma_imag_axis", "sigma_real_axis",
+    "CONSTANTS", "DampingModel", "PhysicalityError", "StepConfig",
+    "Trajectory", "build_step", "simulate", "simulate_conditional",
+    "Conductivity", "FrequencyAxis", "sigma_imag_axis", "sigma_real_axis",
     "trace_green_real_parts", "CouplingGradient", "InteractionResult",
     "decay_rates", "excited_shift", "ground_shift",
     "interaction_and_gradient", "scattering_rate_map", "transition_gradient",

@@ -249,8 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float, default=3e-6,
                    help="simulated time, s")
     p.add_argument("--tau", type=float, default=None,
-                   help="record-grid unit, s: records fall on multiples of "
-                        "it (default: from the fastest rate)")
+                   help="record-grid unit, s: record k is the covariance at "
+                        "(k + 1) * (record_every * tau), the last one at the "
+                        "multiple of tau nearest t_end (default: from the "
+                        "fastest rate)")
     p.add_argument("--record-every", dest="record_every", type=int,
                    default=None)
     p.set_defaults(func=cmd_squeeze)

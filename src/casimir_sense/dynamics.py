@@ -21,29 +21,41 @@ whose coefficients are all constant:
   * the conditioning on x at the information rate
     kappa_det = 2 gbar_m sqrt(epsilon Gamma_det)/Gamma.
 
-Its solution is closed form (Davison & Maki, IEEE TAC 18, 71 (1973);
-Wiseman & Milburn, Quantum Measurement and Control, ch. 6; Doherty &
-Jacobs, PRA 60, 2700 (1999)).  With C = kappa_det^2 e_x e_x^T (C = 0
-without conditioning), V* the stabilizing steady state of
-A V + V A^T + D - V C V = 0 and Abar = A - V* C, the deviation from V*
-obeys a Riccati equation without a constant term, whence
+Its solution is closed form.  With A = a I + K, a = tr(A)/2 and K^2 = b^2 I,
+E = exp(A t) = f I + g K with f = e^{at} cosh(bt) and g = e^{at} sinh(bt)/b.
+
+Unconditioned (C = kappa_det^2 e_x e_x^T = 0: ``measure=False``, nu = 0 or
+no coupling), V(t) = E V(0) E^T + int_0^t E D E^T ds (Van Loan, IEEE TAC 23,
+395 (1978)) = E V(0) E^T + F2 D + FG (K D + D K^T) + G2 K D K^T, and
+integrating (g^2)' = 2a g^2 + 2 f g and (f g)' = 2a f g + 2 b^2 g^2 + e^{2as}
+from 0 gives, with phi = int_0^t e^{2as} ds,
+
+    G2 = int g^2 = (phi + a g^2 - f g) / (2 det A),
+    FG = int f g = g^2/2 - a G2,    F2 = int f^2 = phi + b^2 G2.
+
+No steady state enters, nor a special case for critical damping or gamma = 0;
+for t small against 1/|eigenvalues of A|, where G2 cancels, its Taylor series
+serves instead.
+
+Conditioned (Davison & Maki, IEEE TAC 18, 71 (1973); Wiseman & Milburn,
+Quantum Measurement and Control, ch. 6; Doherty & Jacobs, PRA 60, 2700
+(1999)), with V* the stabilizing steady state of A V + V A^T + D - V C V = 0
+and Abar = A - V* C, V - V* obeys a Riccati equation without a constant
+term, whence
 
     V(t) = V* + E D0 (I + W D0)^-1 E^T,    E = exp(Abar t),
     W(t) = int_0^t E^T C E ds = Winf - E^T Winf E,    D0 = V(0) - V*,
 
 with Abar^T Winf + Winf Abar + C = 0.  V* comes from the Newton-Kleinman
 iteration from V = I (Kleinman, IEEE TAC 13, 114 (1968)), each step a
-2x2 Lyapunov equation solved in closed form, and E from the 2x2 closed
-form of the exponential; for 2x2 matrices
-D0 (I + W D0)^-1 = (D0 + det D0 adj W) / det(I + W D0).  Unconditioned
-and undamped (C = 0, gamma = 0), A is a pure rotation without a steady
-state and V(t) = E V(0) E^T + int_0^t E D E^T ds.  Every record time is
-evaluated at once, in blocks.
+2x2 Lyapunov equation solved in closed form; for 2x2 matrices
+D0 (I + W D0)^-1 = (D0 + det D0 adj W) / det(I + W D0).
 
-Results are reported in the frame co-rotating at omega_m,
-(x~, p~) = R(omega_m t) (x, p) with R = [[cos, -sin], [sin, cos]].
-Conditional covariances are outcome independent, so no measurement record
-is sampled.
+Either way V is evaluated at all record times at once, in blocks, each
+record labelled with the time it is evaluated at, and reported in the frame
+co-rotating at omega_m, (x~, p~) = R(omega_m t) (x, p) with
+R = [[cos, -sin], [sin, cos]].  Conditional covariances are outcome
+independent, so no measurement record is sampled.
 """
 
 from __future__ import annotations
@@ -57,14 +69,17 @@ from .measurement import evaluate_coupling
 from .params import ScenarioParams
 
 _KINDS = ("symmetric", "momentum")
-#: steps per block when summing record time stamps, and record times per
-#: block of the closed-form evaluation
+#: record times per block of the closed-form evaluation
 _STAMP_BLOCK = 4096
 #: Newton-Kleinman steps allowed, and the relative step that ends them: the
 #: iteration converges quadratically near V*, so the iterate that a step
 #: below the tolerance reaches is exact to rounding
 _NEWTON_STEPS = 100
 _NEWTON_RTOL = 1e-13
+#: where 2 (|a| + |b|) t <= _TAYLOR_RADIUS, G2 cancels and comes from its
+#: Taylor series, whose _TAYLOR_TERMS terms reach 1e-17 of the sum
+_TAYLOR_RADIUS = 1.0
+_TAYLOR_TERMS = 20
 
 
 class PhysicalityError(RuntimeError):
@@ -94,15 +109,6 @@ class DampingModel:
             raise ValueError(f"damping kind must be one of {_KINDS}")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-
-
-@dataclass(frozen=True)
-class ConditionalState:
-    """2x2 mechanical covariance block with its time stamp and frame tag."""
-
-    cov_m: np.ndarray
-    t: float
-    frame: str = "rotating"
 
 
 @dataclass(frozen=True)
@@ -140,28 +146,6 @@ class StepConfig:
             / self.gamma_total
 
 
-def analytic_shorttime(vx_in: float, vp_in: float, kappa: float, t: float):
-    """Ideal-measurement closed forms V_x = 1/(1/V_x_in + kappa^2 t),
-    V_p = V_p_in + kappa^2 t  (gamma = 0, nu = 1, t << 1/omega_m)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return 1.0 / (1.0 / vx_in + kappa**2 * t), vp_in + kappa**2 * t
-
-
-def lab_frame(state: ConditionalState, omega_m: float) -> ConditionalState:
-    """Undo the co-rotating transform at the state's own time stamp.
-
-    The rotating quadratures are (x~, p~) = R(omega_m t) (x, p) with
-    R = [[cos, -sin], [sin, cos]], so the lab covariance is R^T cov R.
-    """
-    if state.frame != "rotating":
-        raise ValueError("state is already in the lab frame")
-    c, s = math.cos(omega_m * state.t), math.sin(omega_m * state.t)
-    rot = np.array([[c, -s], [s, c]])
-    return ConditionalState(cov_m=rot.T @ state.cov_m @ rot, t=state.t,
-                            frame="lab")
-
-
 @dataclass
 class Trajectory:
     """Recorded conditional variances (rotating frame)."""
@@ -179,25 +163,20 @@ class Trajectory:
         return float(self.t[i]), float(self.vx[i])
 
 
-def _hamiltonian(cfg: StepConfig, n_th: float, measure: bool) -> np.ndarray:
-    """[[A, D], [kappa_det^2 e_x e_x^T, -A^T]] of the lab-frame Riccati
-    equation; ``measure=False`` drops the conditioning term."""
+def _coefficients(cfg: StepConfig, n_th: float, measure: bool):
+    """Drift A, diffusion D = (d11, d12, d22) and conditioning strength
+    c = kappa_det^2 of the lab-frame Riccati equation; ``measure=False``
+    drops the conditioning (c = 0)."""
     gamma, omega = cfg.damping.gamma, cfg.omega_m
     v_th = 2.0 * n_th + 1.0
     if cfg.damping.kind == "symmetric":
-        drift = np.array([[-0.5 * gamma, omega], [-omega, -0.5 * gamma]])
-        diffusion = np.diag([gamma * v_th, gamma * v_th])
+        drift = ((-0.5 * gamma, omega), (-omega, -0.5 * gamma))
+        d11 = d22 = gamma * v_th
     else:
-        drift = np.array([[0.0, omega], [-omega, -gamma]])
-        diffusion = np.diag([gamma / v_th, gamma * v_th])
-    diffusion[1, 1] += cfg.kappa_det**2 + cfg.kappa_n**2
-    ham = np.zeros((4, 4))
-    ham[:2, :2] = drift
-    ham[:2, 2:] = diffusion
-    ham[2:, 2:] = -drift.T
-    if measure:
-        ham[2, 0] = cfg.kappa_det**2
-    return ham
+        drift = ((0.0, omega), (-omega, -gamma))
+        d11, d22 = gamma / v_th, gamma * v_th
+    diffusion = (d11, 0.0, d22 + (cfg.kappa_det**2 + cfg.kappa_n**2))
+    return drift, diffusion, cfg.kappa_det**2 if measure else 0.0
 
 
 def build_step(ham: np.ndarray, dt: float) -> np.ndarray:
@@ -299,22 +278,69 @@ def _sandwich(e11, e12, e21, e22, x11, x12, x22):
             entry(e21, e22, e21, e22))
 
 
-def _riccati(ham: np.ndarray, cov: np.ndarray):
-    """Solve the lab-frame Riccati equation with coefficients from ``ham``
-    and V(0) = cov in closed form (module docstring); returns V(t) as a
-    function of an array of times t > 0, giving (v11, v12, v22)."""
-    (a11, a12, q11, q12), (a21, a22, _, q22), (c, *_), _ = ham.tolist()
-    closed = c == 0.0 and a11 + a22 == 0.0
-    if closed:
-        # a pure rotation at a12 = omega_m: no steady state, and W = 0
-        v_inf = w_inf = (0.0, 0.0, 0.0)
-    else:
-        v_inf = _steady_state(((a11, a12), (a21, a22)), (q11, q12, q22), c)
-        a11, a21 = a11 - c * v_inf[0], a21 - c * v_inf[1]   # Abar = A - V* C
-        w_inf = _lyapunov(((a11, a21), (a12, a22)), (c, 0.0, 0.0))
-    d11 = float(cov[0, 0]) - v_inf[0]
-    d12 = 0.5 * float(cov[0, 1] + cov[1, 0]) - v_inf[1]
-    d22 = float(cov[1, 1]) - v_inf[2]
+def _g2_taylor(a: float, det: float, t: np.ndarray) -> np.ndarray:
+    """G2 = int_0^t g^2 ds = sum_m 2^(m+1) h_m t^(m+3) / (m+3)!, as
+    g^2 = 2 s^2 exp[2 l2 s, 2 a s, 2 l1 s] for the eigenvalues l1, l2 = a +- b
+    of A; h_m = u_m + a h_(m-1) is the complete homogeneous polynomial in
+    (l1, a, l2), and u_m = h_m(l1, l2) = 2a u_(m-1) - det u_(m-2) is real."""
+    u, u_prev, h, scale, coef = 1.0, 0.0, 0.0, 0.5, []
+    for m in range(_TAYLOR_TERMS):
+        h = u + a * h
+        scale *= 2.0 / (m + 3)
+        coef.append(scale * h)
+        u, u_prev = 2.0 * a * u - det * u_prev, u
+    return np.polyval(coef[::-1], t) * t**3
+
+
+def _unconditioned(drift, diffusion, x):
+    """V(t) = E V(0) E^T + int_0^t E D E^T ds in the closed form of the
+    module docstring, for V(0) = x = (x11, x12, x22)."""
+    (a11, a12), (a21, a22) = drift
+    a, k11 = 0.5 * (a11 + a22), 0.5 * (a11 - a22)   # A = a I + K
+    b2, det = k11 * k11 + a12 * a21, a11 * a22 - a12 * a21
+    if not det > 0.0:
+        raise RiccatiError(f"drift has a zero eigenvalue (det {det:.6e})")
+    d11, d12, d22 = diffusion
+    s11, s12, s22 = (2.0 * (k11 * d11 + a12 * d12), a12 * d22 + a21 * d11,
+                     2.0 * (a21 * d12 - k11 * d22))             # K D + D K^T
+    q11, q12, q22 = _sandwich(k11, a12, a21, -k11, d11, d12, d22)  # K D K^T
+    radius = 2.0 * (abs(a) + math.sqrt(abs(b2)))    # bounds 2 |eigenvalue|
+
+    def covariance(t: np.ndarray):
+        f, g = _exp_coeffs(drift, t)
+        phi = t if a == 0.0 else np.expm1(2.0 * a * t) / (2.0 * a)
+        g2 = (phi + a * g * g - f * g) / (2.0 * det)
+        near = radius * t <= _TAYLOR_RADIUS
+        if near.any():
+            g2[near] = _g2_taylor(a, det, t[near])
+        fg = 0.5 * g * g - a * g2
+        f2 = phi + b2 * g2
+        e11, e12, e21, e22 = f + k11 * g, a12 * g, a21 * g, f - k11 * g
+        del f, g
+        v11, v12, v22 = _sandwich(e11, e12, e21, e22, *x)
+        del e11, e12, e21, e22
+        v11 += f2 * d11 + fg * s11 + g2 * q11
+        v12 += f2 * d12 + fg * s12 + g2 * q12
+        v22 += f2 * d22 + fg * s22 + g2 * q22
+        return v11, v12, v22
+
+    return covariance
+
+
+def _riccati(drift, diffusion, c: float, cov: np.ndarray):
+    """Solve the lab-frame Riccati equation with drift A, diffusion D =
+    (d11, d12, d22), conditioning C = c e_x e_x^T and V(0) = cov in closed
+    form (module docstring); returns V(t) as a function of an array of times
+    t > 0, giving (v11, v12, v22)."""
+    x = (float(cov[0, 0]), 0.5 * float(cov[0, 1] + cov[1, 0]),
+         float(cov[1, 1]))
+    if c == 0.0:
+        return _unconditioned(drift, diffusion, x)
+    (a11, a12), (a21, a22) = drift
+    v_inf = _steady_state(drift, diffusion, c)
+    a11, a21 = a11 - c * v_inf[0], a21 - c * v_inf[1]   # Abar = A - V* C
+    w_inf = _lyapunov(((a11, a21), (a12, a22)), (c, 0.0, 0.0))
+    d11, d12, d22 = x[0] - v_inf[0], x[1] - v_inf[1], x[2] - v_inf[2]
     det0 = d11 * d22 - d12 * d12
     k11 = 0.5 * (a11 - a22)             # Abar - a I = [[k11, a12], [a21, -k11]]
 
@@ -336,33 +362,9 @@ def _riccati(ham: np.ndarray, cov: np.ndarray):
         v11 += v_inf[0]
         v12 += v_inf[1]
         v22 += v_inf[2]
-        if closed:
-            # + int_0^t E D E^T ds for D = diag(q11, q22), E = [[c, s], [-s, c]]
-            sigma = np.sin(2.0 * a12 * t) / (2.0 * a12)
-            v11 += 0.5 * ((q11 + q22) * t + (q11 - q22) * sigma)
-            v22 += 0.5 * ((q11 + q22) * t - (q11 - q22) * sigma)
-            v12 += (q22 - q11) * np.sin(a12 * t) ** 2 / (2.0 * a12)
         return v11, v12, v22
 
     return covariance
-
-
-def _record_times(tau: float, n_steps: int, record_every: int) -> np.ndarray:
-    """Time stamps after steps record_every, 2 record_every, ... and n_steps,
-    summed one tau at a time as a fixed-step integrator of step tau sums
-    them (in blocks, so memory stays small for any tau)."""
-    stamps = np.empty(-(-n_steps // record_every))
-    t, k = 0.0, 0
-    for lo in range(0, n_steps, _STAMP_BLOCK):
-        n = min(_STAMP_BLOCK, n_steps - lo)
-        ts = np.cumsum(np.concatenate(([t], np.full(n, tau))))  # steps lo..lo+n
-        picked = ts[(-lo) % record_every or record_every::record_every]
-        stamps[k:k + len(picked)] = picked
-        k += len(picked)
-        t = ts[-1]
-    if n_steps % record_every:
-        stamps[-1] = t
-    return stamps
 
 
 def _co_rotating(phase: np.ndarray, v11, v12, v22, vx, vp, vxp):
@@ -384,10 +386,10 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     """Propagate the conditional covariance from a thermal initial state.
 
     ``tau`` is the unit of the record grid only: with
-    n_steps = round(t_end / tau), the covariance is recorded after every
-    ``record_every`` units of tau and at n_steps * tau, the time stamps being
-    summed one tau at a time.  At each record it is the closed form of the
-    module docstring, so tau sets no accuracy.
+    n_steps = round(t_end / tau), record k (from 0) is the covariance at
+    t = (k + 1) (record_every tau), and the last one at n_steps tau.  Each
+    record is the closed form of the module docstring at the time it is
+    labelled with, so tau sets no accuracy.
     ``measure=False`` drops the conditioning (unconditional dynamics,
     back-action still present).  Aborts with PhysicalityError at the first
     recorded covariance whose det is below 1 - physical_tol or not a number,
@@ -404,22 +406,18 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         raise ValueError("record_every must be >= 1")
     cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
         else np.array(initial_cov, dtype=float)
-    covariance = _riccati(_hamiltonian(cfg, n_th, measure), cov)
-    t = _record_times(tau, n_steps, record_every)
+    covariance = _riccati(*_coefficients(cfg, n_th, measure), cov)
+    t = np.arange(1, -(-n_steps // record_every) + 1) * (record_every * tau)
+    t[-1] = n_steps * tau
     vx, vp, vxp = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-    n_full = n_steps // record_every
     for lo in range(0, len(t), _STAMP_BLOCK):
         hi = min(lo + _STAMP_BLOCK, len(t))
-        # the times the propagation reaches; t only labels them
-        t_prop = np.arange(lo + 1, hi + 1) * (record_every * tau)
-        if hi > n_full:
-            t_prop[-1] = n_steps * tau
-        v11, v12, v22 = covariance(t_prop)
+        v11, v12, v22 = covariance(t[lo:hi])
         det = v11 * v22 - v12 * v12
         bad = np.flatnonzero(~(det >= 1.0 - physical_tol))
         if bad.size:
             raise PhysicalityError(float(t[lo + bad[0]]), float(det[bad[0]]))
-        _co_rotating(cfg.omega_m * t_prop, v11, v12, v22, vx[lo:hi],
+        _co_rotating(cfg.omega_m * t[lo:hi], v11, v12, v22, vx[lo:hi],
                      vp[lo:hi], vxp[lo:hi])
         del v11, v12, v22, det     # before the next block's temporaries
     return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp, damping=cfg.damping.kind,

@@ -3,16 +3,18 @@ engine ``dynamics.simulate_conditional`` used before its closed form, kept
 as an oracle for it.
 
 Writing V = X Y^-1 makes the Riccati equation linear,
-d/dt [X; Y] = H [X; Y] with H = ``dynamics._hamiltonian``, so over an
-interval dt the covariance follows exactly
+d/dt [X; Y] = H [X; Y] with H = [[A, D], [kappa_det^2 e_x e_x^T, -A^T]]
+(``_hamiltonian``), so over an interval dt the covariance follows exactly
 
     V -> (P11 V + P12) (P21 V + P22)^-1,    P = exp(H dt).
 
 The map restarts from V at every record, and the interval is split where a
 bound on |eigenvalue| * dt of H exceeds one, so the growing and decaying
 solutions of H never separate far enough to lose digits.  Every propagator
-comes from ``dynamics.build_step``; the record stamps, the physicality check
-and the co-rotating frame are the library's.
+comes from ``dynamics.build_step``.  H is assembled here from the
+configuration, independently of the library's coefficients; the record grid,
+the physicality check and the co-rotating frame follow
+``simulate_conditional``.
 """
 
 import math
@@ -20,12 +22,32 @@ from array import array
 
 import numpy as np
 
-from casimir_sense.dynamics import (PhysicalityError, Trajectory,
-                                    _hamiltonian, _record_times, build_step)
+from casimir_sense.dynamics import PhysicalityError, Trajectory, build_step
 
 #: largest (bound on |eigenvalue of H|) * dt one propagator spans: beyond it
 #: the growing and decaying solutions of H separate far enough to cost digits
 _MAX_EXPONENT = 1.0
+
+
+def _hamiltonian(cfg, n_th: float, measure: bool) -> np.ndarray:
+    """[[A, D], [kappa_det^2 e_x e_x^T, -A^T]] of the lab-frame Riccati
+    equation; ``measure=False`` drops the conditioning term."""
+    gamma, omega = cfg.damping.gamma, cfg.omega_m
+    v_th = 2.0 * n_th + 1.0
+    if cfg.damping.kind == "symmetric":
+        drift = np.array([[-0.5 * gamma, omega], [-omega, -0.5 * gamma]])
+        diffusion = np.diag([gamma * v_th, gamma * v_th])
+    else:
+        drift = np.array([[0.0, omega], [-omega, -gamma]])
+        diffusion = np.diag([gamma / v_th, gamma * v_th])
+    diffusion[1, 1] += cfg.kappa_det**2 + cfg.kappa_n**2
+    ham = np.zeros((4, 4))
+    ham[:2, :2] = drift
+    ham[:2, 2:] = diffusion
+    ham[2:, 2:] = -drift.T
+    if measure:
+        ham[2, 0] = cfg.kappa_det**2
+    return ham
 
 
 def _growth_bound(ham: np.ndarray) -> float:
@@ -87,17 +109,17 @@ def simulate_mobius(cfg, n_th: float, t_end: float, tau: float,
             state = _mobius(build_step(ham, dt / sub), state, records, sub,
                             lab)
     vx, vxp, vp = np.frombuffer(lab).reshape(-1, 3).T
-    t = _record_times(tau, n_steps, record_every)
+    # the record grid of simulate_conditional: the last record at n_steps tau
+    t_prop = np.arange(1, n_full + (rest > 0) + 1) * (record_every * tau)
+    t_prop[-1] = n_steps * tau
     det = vx * vp - vxp * vxp
     bad = np.flatnonzero(~(det >= 1.0 - physical_tol))
     if bad.size:
-        raise PhysicalityError(float(t[bad[0]]), float(det[bad[0]]))
-    # co-rotating frame R V R^T, at the times the propagation reached
-    t_prop = np.append(np.arange(1, n_full + 1) * (record_every * tau),
-                       [n_steps * tau] if rest else [])
+        raise PhysicalityError(float(t_prop[bad[0]]), float(det[bad[0]]))
+    # co-rotating frame R V R^T
     c, s = np.cos(cfg.omega_m * t_prop), np.sin(cfg.omega_m * t_prop)
     cc, ss, cs = c * c, s * s, c * s
-    return Trajectory(t=t, vx=cc * vx - 2.0 * cs * vxp + ss * vp,
+    return Trajectory(t=t_prop, vx=cc * vx - 2.0 * cs * vxp + ss * vp,
                       vp=ss * vx + 2.0 * cs * vxp + cc * vp,
                       vxp=cs * (vx - vp) + (cc - ss) * vxp,
                       damping=cfg.damping.kind, n_th=n_th)

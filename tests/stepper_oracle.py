@@ -44,12 +44,35 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from casimir_sense.dynamics import (ConditionalState, DampingModel,
-                                    PhysicalityError, StepConfig, Trajectory)
+from casimir_sense.dynamics import (DampingModel, PhysicalityError,
+                                    StepConfig, Trajectory)
 
 HOMODYNE_R = 1e12
 #: max allowed tau * rate product (step preconditions)
 _TAU_MARGIN = 1e-2
+
+
+@dataclass(frozen=True)
+class ConditionalState:
+    """2x2 mechanical covariance block with its time stamp and frame tag."""
+
+    cov_m: np.ndarray
+    t: float
+    frame: str = "rotating"
+
+
+def lab_frame(state: ConditionalState, omega_m: float) -> ConditionalState:
+    """Undo the co-rotating transform at the state's own time stamp.
+
+    The rotating quadratures are (x~, p~) = R(omega_m t) (x, p) with
+    R = [[cos, -sin], [sin, cos]], so the lab covariance is R^T cov R.
+    """
+    if state.frame != "rotating":
+        raise ValueError("state is already in the lab frame")
+    c, s = math.cos(omega_m * state.t), math.sin(omega_m * state.t)
+    rot = np.array([[c, -s], [s, c]])
+    return ConditionalState(cov_m=rot.T @ state.cov_m @ rot, t=state.t,
+                            frame="lab")
 
 
 @dataclass(frozen=True)
@@ -149,7 +172,8 @@ def simulate_stepper(cfg: StepConfig, n_th: float, t_end: float, tau: float,
     """Propagate the conditional covariance from a thermal initial state.
 
     Alternates covariance propagation cov -> S cov S^T (with fresh input
-    blocks) and the homodyne update; records every ``record_every`` steps.
+    blocks) and the homodyne update; records every ``record_every`` steps,
+    labelled on the record grid of ``simulate_conditional``.
     ``measure=False`` skips all measurement updates (unconditional dynamics,
     back-action still present).  Aborts with PhysicalityError if a recorded
     covariance violates det >= 1 - physical_tol.
@@ -185,9 +209,11 @@ def simulate_stepper(cfg: StepConfig, n_th: float, t_end: float, tau: float,
         t += tau
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+            label = n_steps * tau if i == n_steps - 1 \
+                else (len(ts) + 1) * (record_every * tau)
             if det < 1.0 - physical_tol:
-                raise PhysicalityError(t, det)
-            ts.append(t)
+                raise PhysicalityError(label, det)
+            ts.append(label)
             vxs.append(cov[0, 0])
             vps.append(cov[1, 1])
             vxps.append(cov[0, 1])

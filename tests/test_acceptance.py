@@ -16,6 +16,7 @@ import casimir_sense as cs
 from casimir_sense.dynamics import DampingModel, StepConfig, simulate_conditional
 
 from conftest import kk_sigma_imag_oracle
+from shorttime_oracle import analytic_shorttime
 from test_micro_oracle import hilbert_oracle
 
 TWO_PI = 2 * math.pi
@@ -137,7 +138,7 @@ def test_criterion_7_short_time_squeezing_oracle():
     v0 = 2 * 2.084e4 + 1.0
     traj = simulate_conditional(cfg, n_th=(v0 - 1) / 2, t_end=50.0,
                                 tau=0.999e-2, record_every=100)
-    ref = np.array([cs.analytic_shorttime(v0, v0, 1.0, t)[0]
+    ref = np.array([analytic_shorttime(v0, v0, 1.0, t)[0]
                     for t in traj.t])
     worst = np.max(np.abs(traj.vx / ref - 1.0))
     elapsed = time.monotonic() - t0

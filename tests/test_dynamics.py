@@ -3,15 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casimir_sense as cs
 from casimir_sense.dynamics import (DampingModel, RiccatiError, StepConfig,
                                     default_tau, simulate_conditional,
                                     step_config_for)
 
-from mobius_oracle import simulate_mobius
-from stepper_oracle import (NoiseSpec, build_step, measurement_update,
-                            simulate_stepper)
+from mobius_oracle import _hamiltonian, simulate_mobius
+from shorttime_oracle import analytic_shorttime
+from stepper_oracle import (ConditionalState, NoiseSpec, build_step,
+                            lab_frame, measurement_update, simulate_stepper)
 
 
 def config(omega_m=1.0, gamma=0.0, kind="momentum", kappa2=1.0, nu=1.0):
@@ -48,8 +50,8 @@ def test_ideal_limit_matches_analytic_shorttime():
     for v0 in (1.0, 2 * 2.084e4 + 1):
         traj = simulate_conditional(cfg, n_th=(v0 - 1) / 2, t_end=50.0,
                                     tau=0.999e-2, record_every=500)
-        vx_ref, vp_ref = cs.analytic_shorttime(v0, v0, math.sqrt(kappa2),
-                                               traj.t[-1])
+        vx_ref, vp_ref = analytic_shorttime(v0, v0, math.sqrt(kappa2),
+                                            traj.t[-1])
         assert traj.vx[-1] == pytest.approx(vx_ref, rel=1e-2)
         assert traj.vp[-1] == pytest.approx(vp_ref, rel=1e-2)
 
@@ -133,8 +135,6 @@ def test_engine_matches_exponential_from_t_zero():
     # one Mobius map exp(H t) from t = 0 per record, by scipy
     from scipy.linalg import expm
 
-    from casimir_sense.dynamics import _hamiltonian
-
     for kind in ("momentum", "symmetric"):
         cfg = config(omega_m=1.0, gamma=0.05, kind=kind, kappa2=2.0, nu=0.7)
         traj = simulate_conditional(cfg, n_th=3.0, t_end=4.0, tau=1e-3,
@@ -154,8 +154,6 @@ def test_engine_matches_exponential_from_t_zero():
 
 def test_propagator_matches_scipy_expm(ref_scenario, ref_coupling):
     from scipy.linalg import expm
-
-    from casimir_sense.dynamics import _hamiltonian
 
     cfg, n_th = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
     ham = _hamiltonian(cfg, n_th, measure=True)
@@ -224,21 +222,112 @@ def test_memory_bounded_beyond_output(records):
     assert peak - output <= 512 * 1024
 
 
-def test_record_stamps_sum_one_tau_at_a_time(monkeypatch):
-    # the stamps equal a fixed-step integrator's t += tau across the blocks
-    # they are summed in, so CSV time columns do not depend on the engine
+def test_records_are_labelled_with_their_evaluation_times(monkeypatch):
+    # record k is the covariance at (k + 1) (record_every tau) and the last
+    # one at n_steps tau, across blocks of 7 records, with and without a
+    # remainder record
     monkeypatch.setattr(cs.dynamics, "_STAMP_BLOCK", 7)
     cfg = config(omega_m=1.0, gamma=0.01, kappa2=1.0, nu=0.5)
     tau = 1.3e-3
     for record_every in (1, 3, 7, 10, 50):
         traj = simulate_conditional(cfg, n_th=2.0, t_end=40 * tau, tau=tau,
                                     record_every=record_every)
-        t, stamps = 0.0, []
-        for step in range(1, 41):
-            t += tau
-            if step % record_every == 0 or step == 40:
-                stamps.append(t)
-        assert np.array_equal(traj.t, stamps)
+        assert len(traj.t) == -(-40 // record_every)
+        assert [traj.t[k] for k in range(len(traj.t) - 1)] \
+            == [(k + 1) * (record_every * tau) for k in range(len(traj.t) - 1)]
+        assert traj.t[-1] == 40 * tau
+        # a single record at the label reproduces the recorded covariance
+        for k in (0, len(traj.t) // 2, len(traj.t) - 1):
+            one = simulate_conditional(cfg, n_th=2.0, t_end=traj.t[k],
+                                       tau=traj.t[k])
+            assert one.t[0] == traj.t[k]
+            assert one.vx[0] == pytest.approx(traj.vx[k], rel=1e-14)
+            assert one.vp[0] == pytest.approx(traj.vp[k], rel=1e-14)
+
+
+def _mpmath_trajectory(cfg, n_th, cov, times, dps=40):
+    """Co-rotating E V0 E^T + int_0^t E D E^T ds without conditioning, at
+    ``dps`` digits.  The integral is Van Loan's (IEEE TAC 23, 395 (1978)):
+    exp([[-A, D], [0, A^T]] t) = [[., F12], [0, F22]] gives
+    int_0^t E D E^T ds = F22^T F12, with A and D from the Mobius oracle."""
+    import mpmath as mp
+
+    ham = _hamiltonian(cfg, n_th, measure=False)
+    rows = []
+    with mp.workdps(dps):
+        block = mp.zeros(4, 4)
+        for i in range(2):
+            for j in range(2):
+                block[i, j] = -ham[i, j]
+                block[i, j + 2] = ham[i, j + 2]
+                block[i + 2, j + 2] = ham[j, i]
+        v0 = mp.matrix(np.asarray(cov, dtype=float).tolist())
+        for t in times:
+            prop = mp.expm(block * mp.mpf(t))
+            e = prop[2:4, 2:4].T
+            v = e * v0 * e.T + e * prop[0:2, 2:4]
+            phase = cfg.omega_m * mp.mpf(t)
+            c, s = mp.cos(phase), mp.sin(phase)
+            rows.append([float(c * c * v[0, 0] - 2 * c * s * v[0, 1]
+                               + s * s * v[1, 1]),
+                         float(s * s * v[0, 0] + 2 * c * s * v[0, 1]
+                               + c * c * v[1, 1]),
+                         float(c * s * (v[0, 0] - v[1, 1])
+                               + (c * c - s * s) * v[0, 1])])
+    vx, vp, vxp = np.array(rows).T
+    return cs.Trajectory(t=np.asarray(times), vx=vx, vp=vp, vxp=vxp,
+                         damping=cfg.damping.kind, n_th=n_th)
+
+
+@pytest.mark.parametrize("kind, gamma, kappa2", [
+    ("momentum", 1e-6, 2.0), ("momentum", 1e-6, 1e6),
+    ("symmetric", 1e-6, 2.0), ("symmetric", 1e-6, 1e6),
+    ("momentum", 0.0, 2.0), ("momentum", 0.0, 1e6),
+    ("symmetric", 0.0, 2.0), ("symmetric", 0.0, 1e6),
+    ("momentum", 2.0, 2.0), ("momentum", 2.0 * (1 + 1e-9), 2.0),
+    ("momentum", 2.0 * (1 - 1e-9), 2.0)])
+def test_unconditioned_solution_matches_mpmath(kind, gamma, kappa2):
+    # no conditioning (nu = 0, so kappa_n^2 = kappa2) and n_th = 0: weak
+    # damping under strong back-action, no damping, and critical damping of
+    # the momentum model, at times on both sides of the Taylor radius
+    cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=0.0)
+    cov = np.array([[3.0, 0.4], [0.4, 0.5]])
+    traj = simulate_conditional(cfg, n_th=0.0, t_end=6.0, tau=1e-2,
+                                initial_cov=cov, record_every=1)
+    picked = [0, 1, 4, 12, 24, 25, 49, 50, 99, 299, 599]
+    ref = _mpmath_trajectory(cfg, 0.0, cov, traj.t[picked])
+    _assert_matches_oracle(cs.Trajectory(
+        t=traj.t[picked], vx=traj.vx[picked], vp=traj.vp[picked],
+        vxp=traj.vxp[picked], damping=kind), ref)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["momentum", "symmetric"]),
+       gamma=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 10.0)),
+       kappa2=st.floats(0.0, 1e6), nu=st.floats(0.0, 1.0),
+       measure=st.booleans(), n_th=st.floats(0.0, 1e4),
+       v_0=st.floats(1.0, 100.0), squeeze=st.floats(0.0, 2.0),
+       angle=st.floats(0.0, math.pi), t_end=st.floats(1e-3, 30.0))
+def test_dynamics_corner_of_the_parameter_box(kind, gamma, kappa2, nu,
+                                              measure, n_th, v_0, squeeze,
+                                              angle, t_end):
+    # in units of omega_m: any damping up to gamma = 10 omega_m (critical
+    # damping of the momentum model included), back-action up to 1e6
+    # omega_m, with or without conditioning, from a random physical state
+    cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=nu)
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    cov = v_0 * rot @ np.diag([math.exp(2 * squeeze),
+                               math.exp(-2 * squeeze)]) @ rot.T
+    try:
+        traj = simulate_conditional(cfg, n_th=n_th, t_end=t_end,
+                                    tau=default_tau(cfg, n_th),
+                                    initial_cov=cov, measure=measure)
+    except (RiccatiError, cs.PhysicalityError, ValueError):
+        return
+    rows = np.array([traj.t, traj.vx, traj.vp, traj.vxp])
+    assert np.all(np.isfinite(rows))
+    assert np.all(traj.vx * traj.vp - traj.vxp**2 >= 1.0 - 1e-9)
 
 
 def test_steady_state_failure_is_typed(monkeypatch):
@@ -266,10 +355,10 @@ def test_record_grid_validation():
 # closed forms and frames
 
 def test_analytic_shorttime_values():
-    vx, vp = cs.analytic_shorttime(3.0, 4.0, 2.0, 0.0)
+    vx, vp = analytic_shorttime(3.0, 4.0, 2.0, 0.0)
     assert (vx, vp) == (3.0, 4.0)
     n_th = 2.084e4
-    vx, _ = cs.analytic_shorttime(2 * n_th + 1, 2 * n_th + 1, 1.0, 1.0)
+    vx, _ = analytic_shorttime(2 * n_th + 1, 2 * n_th + 1, 1.0, 1.0)
     assert vx == pytest.approx(0.99998, abs=1e-5)
 
 
@@ -279,20 +368,20 @@ def test_analytic_shorttime_uncertainty_product():
     # vacuum input (pure state stays pure)
     ts = np.linspace(0.0, 10.0, 30)
     v0 = 5.0
-    prods = np.array([np.prod(cs.analytic_shorttime(v0, v0, 1.0, t))
+    prods = np.array([np.prod(analytic_shorttime(v0, v0, 1.0, t))
                       for t in ts])
     assert np.all(prods >= 1.0 - 1e-12)
     assert np.all(np.diff(prods) <= 1e-12)
-    pure = np.array([np.prod(cs.analytic_shorttime(1.0, 1.0, 1.0, t))
+    pure = np.array([np.prod(analytic_shorttime(1.0, 1.0, 1.0, t))
                      for t in ts])
     assert np.allclose(pure, 1.0, atol=1e-12)
 
 
 def test_lab_frame_quarter_period_swaps_quadratures():
     omega_m = 2 * math.pi * 1e6
-    state = cs.ConditionalState(cov_m=np.diag([2.0, 5.0]),
-                                t=math.pi / (2 * omega_m))
-    out = cs.lab_frame(state, omega_m)
+    state = ConditionalState(cov_m=np.diag([2.0, 5.0]),
+                             t=math.pi / (2 * omega_m))
+    out = lab_frame(state, omega_m)
     assert out.frame == "lab"
     assert np.allclose(out.cov_m, np.diag([5.0, 2.0]), atol=1e-9)
 
@@ -300,22 +389,22 @@ def test_lab_frame_quarter_period_swaps_quadratures():
 def test_lab_frame_identity_at_full_period():
     omega_m = 1.0
     cov = np.array([[2.0, 0.3], [0.3, 1.5]])
-    state = cs.ConditionalState(cov_m=cov, t=6 * math.pi)
-    out = cs.lab_frame(state, omega_m)
+    state = ConditionalState(cov_m=cov, t=6 * math.pi)
+    out = lab_frame(state, omega_m)
     assert np.allclose(out.cov_m, cov, atol=1e-9)
 
 
 def test_lab_frame_round_trip():
     omega_m = 3.0
     cov = np.array([[2.0, -0.4], [-0.4, 3.0]])
-    state = cs.ConditionalState(cov_m=cov, t=0.7)
-    lab = cs.lab_frame(state, omega_m)
+    state = ConditionalState(cov_m=cov, t=0.7)
+    lab = lab_frame(state, omega_m)
     c, s = math.cos(omega_m * 0.7), math.sin(omega_m * 0.7)
     rot = np.array([[c, -s], [s, c]])
     back = rot @ lab.cov_m @ rot.T
     assert np.allclose(back, cov, atol=1e-12)
     with pytest.raises(ValueError):
-        cs.lab_frame(lab, omega_m)
+        lab_frame(lab, omega_m)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +467,7 @@ def test_noise_spec_blocks():
 
 
 def test_update_without_correlations_is_identity():
-    state = cs.ConditionalState(cov_m=7.0 * np.eye(2), t=0.0)
+    state = ConditionalState(cov_m=7.0 * np.eye(2), t=0.0)
     joint = np.block([[7.0 * np.eye(2), np.zeros((2, 2))],
                       [np.zeros((2, 2)), np.eye(2)]])
     out = measurement_update(state, joint)
@@ -386,7 +475,7 @@ def test_update_without_correlations_is_identity():
 
 
 def test_vacuum_stays_vacuum_before_coupling():
-    state = cs.ConditionalState(cov_m=np.eye(2), t=0.0)
+    state = ConditionalState(cov_m=np.eye(2), t=0.0)
     joint = np.eye(4)
     out = measurement_update(state, joint)
     assert np.allclose(out.cov_m, np.eye(2), atol=1e-12)
