@@ -51,6 +51,23 @@ iteration from V = I (Kleinman, IEEE TAC 13, 114 (1968)), each step a
 2x2 Lyapunov equation solved in closed form; for 2x2 matrices
 D0 (I + W D0)^-1 = (D0 + det D0 adj W) / det(I + W D0).
 
+Weak conditioning.  As c -> 0 V* grows without bound, so the conditioned
+form cancels (V* + E D0 (I + W D0)^-1 E^T loses about tr(V*)/2 of relative
+precision, or Newton-Kleinman does not converge), while the unconditioned
+form becomes exact.  The difference Delta = V_u - V_c of the unconditioned
+and conditioned solutions from the same V(0) obeys
+dDelta/dt = A Delta + Delta A^T + c V_c e_x e_x^T V_c.  A + A^T is negative
+semidefinite for both damping models and 0 <= V_c <= V_u, so
+tr Delta(t) <= c t max (tr V_u)^2, and tr V_u(t) <= tr V(0) + t tr D.  With
+tr V >= 2 for a physical state, the conditioning therefore moves V by at
+most
+
+    moved = c t_end (tr V(0) + t_end tr D)^2 / 2
+
+relative over the run.  The unconditioned form serves when moved is below
+one rounding unit 2^-53, or below 2^-53 tr(V*)/2, the precision the
+conditioned form would lose.
+
 Either way V is evaluated at all record times at once, in blocks, each
 record labelled with the time it is evaluated at, and reported in the frame
 co-rotating at omega_m, (x~, p~) = R(omega_m t) (x, p) with
@@ -80,6 +97,8 @@ _NEWTON_RTOL = 1e-13
 #: Taylor series, whose _TAYLOR_TERMS terms reach 1e-17 of the sum
 _TAYLOR_RADIUS = 1.0
 _TAYLOR_TERMS = 20
+#: one rounding unit: conditioning that moves V by less is dropped
+_ROUNDING = 2.0**-53
 
 
 class PhysicalityError(RuntimeError):
@@ -327,17 +346,22 @@ def _unconditioned(drift, diffusion, x):
     return covariance
 
 
-def _riccati(drift, diffusion, c: float, cov: np.ndarray):
+def _riccati(drift, diffusion, c: float, cov: np.ndarray, t_end: float):
     """Solve the lab-frame Riccati equation with drift A, diffusion D =
     (d11, d12, d22), conditioning C = c e_x e_x^T and V(0) = cov in closed
     form (module docstring); returns V(t) as a function of an array of times
-    t > 0, giving (v11, v12, v22)."""
+    0 < t <= t_end, giving (v11, v12, v22)."""
     x = (float(cov[0, 0]), 0.5 * float(cov[0, 1] + cov[1, 0]),
          float(cov[1, 1]))
-    if c == 0.0:
+    # bound on the relative change of V by the conditioning over the run
+    moved = 0.5 * c * t_end \
+        * (x[0] + x[2] + t_end * (diffusion[0] + diffusion[2])) ** 2
+    if moved <= _ROUNDING:
         return _unconditioned(drift, diffusion, x)
     (a11, a12), (a21, a22) = drift
     v_inf = _steady_state(drift, diffusion, c)
+    if moved <= _ROUNDING * 0.5 * (v_inf[0] + v_inf[2]):
+        return _unconditioned(drift, diffusion, x)
     a11, a21 = a11 - c * v_inf[0], a21 - c * v_inf[1]   # Abar = A - V* C
     w_inf = _lyapunov(((a11, a21), (a12, a22)), (c, 0.0, 0.0))
     d11, d12, d22 = x[0] - v_inf[0], x[1] - v_inf[1], x[2] - v_inf[2]
@@ -406,9 +430,9 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         raise ValueError("record_every must be >= 1")
     cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
         else np.array(initial_cov, dtype=float)
-    covariance = _riccati(*_coefficients(cfg, n_th, measure), cov)
     t = np.arange(1, -(-n_steps // record_every) + 1) * (record_every * tau)
     t[-1] = n_steps * tau
+    covariance = _riccati(*_coefficients(cfg, n_th, measure), cov, t[-1])
     vx, vp, vxp = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     for lo in range(0, len(t), _STAMP_BLOCK):
         hi = min(lo + _STAMP_BLOCK, len(t))

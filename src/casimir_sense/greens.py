@@ -24,29 +24,51 @@ q0 = |w|/c, so Tr G = q0 * T(z*q0) with dimensionless kernels:
   real axis, split at the light line x = 1, with the sheet impedance
   zeta = 1/s in place of s (zeta = 0 at the interband edge, where
   Im s = -inf and the same formulas in s give nan):
-      propagating, x = sin(theta):
-        T_prop = (i/4pi) Int_0^{pi/2} dtheta sin(theta) e^{2 i zb cos(theta)}
-                 [ r_s + (sin^2 - cos^2) r_p ],
-        r_p = cos(theta)/(cos(theta) + 2 zeta),
-        r_s = -1/(2 zeta cos(theta) + 1)
-      evanescent, q = sqrt(x^2 - 1) as integration variable (the Jacobian
-      cancels the 1/k_perp singularity exactly):
-        T_evan = (1/4pi) Int_0^inf dq e^{-2 q zb} [ r_s + (1 + 2 q^2) r_p ],
-        r_p = i q/(i q + 2 zeta),  r_s = -1/(2 i q zeta + 1).
+      propagating, over c = cos(theta) = sqrt(1 - x^2), kappa = 2 zb:
+        T_prop = (i/4pi) Int_0^1 dc e^{i kappa c} [ r_s + (1 - 2 c^2) r_p ],
+        r_p = c/(c - a_p),  r_s = a_s/(c - a_s),
+        a_p = -2 zeta,  a_s = -1/(2 zeta);
+      evanescent, over q = sqrt(x^2 - 1) (the Jacobian cancels the 1/k_perp
+      singularity exactly), p = 2 zb:
+        T_evan = (1/4pi) Int_0^inf dq e^{-p q} [ r_s + (1 + 2 q^2) r_p ],
+        r_p = q/(q - b_p),  r_s = b_s/(q - b_s),
+        b_p = 2i zeta (the surface plasmon),  b_s = i/(2 zeta).
 
-The Fresnel denominators have one pole each in the integration variable:
-cos(theta) = -1/(2 zeta) (r_s) and -2 zeta (r_p) for the propagating part,
-q = i/(2 zeta) (r_s) and the surface plasmon q_p = 2i zeta (r_p) for the
-evanescent part.  The loss keeps them off the path, but at a distance w
-that can be 1e-7 of their position c = max(Re p, 0) (clean graphene, or
-|s| ~ 1e-5 where the Drude and interband parts of Im s cancel).  The panel
-edges are graded geometrically toward each pole, c +- w 4^k for k >= 0
-while w 4^k <= max(c, 1): a panel near a pole is at most a few times wider
-than its distance from it, so a few bisections resolve it at any loss.
+Both real-axis parts are integrated in closed form: each Fresnel
+coefficient has one simple pole, so the integrands are sums of q^m/(q - b)
+and c^m/(c - a) under the exponential.
+
+  evanescent: Int_0^inf e^{-pq} q^m/(q - b) dq = p^-m F_m(-p b), where
+      F_m(z) = Int_0^inf e^{-t} t^m/(t + z) dt = m! e^z E_{m+1}(z), and
+      F_0 = G(z) = e^z E1(z).  All F_m of one argument come from one E_n
+      and the recurrence F_m = (m-1)! - z F_{m-1}, run in the direction
+      that damps rounding; for |z| >= 50, from the tails of the asymptotic
+      series of G, each summed smallest term first.
+  propagating: P_m(a) = Int_0^1 e^{i kappa c} c^m/(c - a) dc, with
+      P_0 = G(i kappa a) - e^{i kappa} G(-i kappa (1 - a)) and
+      P_m = M_{m-1} + a P_{m-1}, where M_k = Int_0^1 e^{i kappa c} c^k dc
+      are the elementary moments.  For |a| > 2 the recurrence would cancel,
+      and P_m = -sum_n M_{m+n} a^{-n-1} converges instead.
+
+Branches.  For a passive sheet Re zeta >= 0, so every argument of G lies in
+the closed lower half-plane: -p b_p and -p b_s have imaginary parts
+-2p Re zeta and -p Re s/2, and the segment from i kappa a to
+-i kappa (1 - a) runs parallel to the imaginary axis at Re a <= 0.  No path
+crosses E1's cut along the negative real axis, so no 2 pi i term arises.
+In the strictly lossless limit, Re s = 0, the plasmon pole b_p lies on the
+evanescent path and -p b_p on the cut.  A small loss approaches the cut
+from below, so G takes its lower-lip value e^z (-Ei(-z) + i pi).  The i pi
+is the residue of Sokhotski-Plemelj, 1/(q - b - i0) = P 1/(q - b)
++ i pi delta(q - b); it is the -i pi of E1's principal branch on the
+other lip, plus 2 pi i.  The propagating segment that starts on the cut
+when Re a_p = 0 takes the same lip.  At the interband edge zeta = 0,
+r_p = 1 and r_s = -1 have no poles, and T_evan = 1/(pi p^3) is real, so
+Gamma_nonrad is exactly 0 there.
 
 The height enters each kernel only through its exponential, so dT/dzb is the
-same integral with one more factor under it (-2 chi, 2i cos(theta), -2q); on
-request the kernels return it from the same nodes.
+same integral with one more factor under it (-2 chi, i 2c, -2q): on the
+imaginary axis the kernel returns it from the same nodes, on the real axis
+it is the same closed form one power higher.
 
 The imaginary-axis kernel also takes arrays of (zb, s) rows and refines them
 together (quadrature.integrate_rows), each row on its own panel edges; the
@@ -55,16 +77,24 @@ ground shift passes all frequency nodes of an outer level as one call.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .constants import CONSTANTS
 from .graphene import FrequencyAxis, _sigma_ec
 from .params import GrapheneParams
-from .quadrature import clip_edges, integrate_refined, integrate_rows
+# integrate_refined is not called here; perfbench/tracing.py binds it
+from .quadrature import integrate_refined, integrate_rows  # noqa: F401
 
 _RTOL = 1e-10
 #: e^{-2 q zb} tail cutoff: exp(-2*(EXP_CUT)) ~ 1e-44 relative to the peak.
 _EXP_CUT = 50.0
+#: |z| from which G and F_m come from the asymptotic series of G; its
+#: smallest term, about sqrt(2 pi/|z|) e^-|z|, is then below 1e-15 of F_4
+_ASYMPTOTIC = 50.0
+_EULER_GAMMA = 0.5772156649015329
 
 
 def _trace_imag_scaled(zb, s, gradient: bool = False):
@@ -101,17 +131,131 @@ def _trace_imag_scaled(zb, s, gradient: bool = False):
     return out[:, 0] if gradient else out[0]
 
 
-def _graded_edges(poles):
-    """Edges c +- w 4^k (k >= 0, w 4^k <= max(c, 1)) toward each pole p near
-    the path [0, inf): c = max(Re p, 0) is its nearest point, w = |p - c|."""
-    edges = []
-    for p in poles:
-        c = max(p.real, 0.0)
-        w, top = abs(p - c), max(c, 1.0)
-        if 0.0 < w <= top:
-            steps = w * 4.0 ** np.arange(int(np.log(top / w) / np.log(4.0)) + 1)
-            edges += [*(c - steps), *(c + steps)]
-    return edges
+def _asymptotic_tails(z: complex, m: int):
+    """[F_0(z), ..., F_m(z)] for |z| >= _ASYMPTOTIC.
+
+    F_k = (-z)^k sum_{j>=k} (-1)^j j!/z^{j+1}, each tail summed from its
+    smallest term up.
+    """
+    terms = [1.0 / z]
+    while len(terms) <= m or (abs(terms[-1]) > 1e-17 * abs(terms[m])
+                              and len(terms) < abs(z)):
+        terms.append(-terms[-1] * len(terms) / z)
+    tails, total = [], 0j
+    for k in range(len(terms) - 1, -1, -1):
+        total += terms[k]
+        if k <= m:
+            tails.append((-z) ** k * total)
+    return tails[::-1]
+
+
+def _en_scaled(z: complex, n: int = 1) -> complex:
+    """e^z E_n(z) on the principal branch of E_n; n = 1 gives G.
+
+    On the negative real axis it returns the limit from Im z < 0, the side
+    a lossy sheet's arguments approach it from (see the module docstring).
+    Power series where it does not cancel (|z| <= 2, or near the negative
+    real axis, where its terms add up to about e^{|z|} against a value of
+    about e^{-Re z}: |z| + Re z <= 4), continued fraction elsewhere below
+    |z| = _ASYMPTOTIC, asymptotic series above.
+    """
+    r = abs(z)
+    if r >= _ASYMPTOTIC:
+        tails = _asymptotic_tails(z, n - 1)
+        return tails[-1] / math.factorial(n - 1)
+    if r <= 2.0 or r + z.real <= 4.0:
+        if z.imag == 0.0:
+            z = complex(z.real, -0.0)       # cmath.log: the lower lip
+        # E_n = (-z)^(n-1)/(n-1)! (psi(n) - ln z)
+        #       - sum_{k != n-1} (-z)^k/((k - n + 1) k!)
+        psi = -_EULER_GAMMA + sum(1.0 / j for j in range(1, n))
+        total, term, k, k_min = 0j, 1.0 + 0j, 0, max(r, n)
+        while True:
+            if k == n - 1:
+                total -= term * (psi - cmath.log(z))
+            else:
+                total += term / (k - n + 1)
+            k += 1
+            term *= -z / k
+            if k > k_min and abs(term) <= 1e-17 * k * abs(total):
+                return -cmath.exp(z) * total
+    # modified Lentz on 1/(z+n - 1 n/(z+n+2 - 2(n+1)/(z+n+4 - ...)))
+    f = c = 1e-300
+    d, k = 0j, 0
+    while True:
+        a = -float(k * (n + k - 1)) if k else 1.0
+        b = z + (n + 2 * k)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        f *= c * d
+        k += 1
+        if abs(c * d - 1.0) <= 1e-16:
+            return f
+
+
+def _laplace_poles(z: complex, m: int):
+    """[F_0(z), ..., F_m(z)], F_k(z) = Int_0^inf e^{-t} t^k/(t + z) dt.
+
+    F_k = k! e^z E_{k+1}(z).  Up from G by F_k = (k-1)! - z F_{k-1} while
+    |z| <= 4; beyond, that recurrence would lose |z|^k/k!, so F_m comes
+    from E_{m+1} and the rest down, F_{k-1} = ((k-1)! - F_k)/z, which
+    damps the rounding by k/|z| per step.
+    """
+    if abs(z) >= _ASYMPTOTIC:
+        return _asymptotic_tails(z, m)
+    if abs(z) <= 4.0:
+        out = [_en_scaled(z)]
+        for k in range(1, m + 1):
+            out.append(math.factorial(k - 1) - z * out[-1])
+        return out
+    out = [math.factorial(m) * _en_scaled(z, m + 1)]
+    for k in range(m, 0, -1):
+        out.append((math.factorial(k - 1) - out[-1]) / z)
+    return out[::-1]
+
+
+def _segment_moments(kappa: float, n: int):
+    """[M_0, ..., M_{n-1}], M_k = Int_0^1 e^{i kappa c} c^k dc.
+
+    Upward, M_k = (e^{i kappa} - k M_{k-1})/(i kappa), while k <= kappa,
+    where each step damps the rounding; above that downward,
+    M_k = (e^{i kappa} - i kappa M_{k+1})/(k+1), started far enough up
+    that its start error has decayed by kappa/(k+1) per step.
+    """
+    e = cmath.exp(1j * kappa)
+    moments = []
+    if kappa >= 1.0:
+        moments.append((e - 1.0) / (1j * kappa))
+        while len(moments) < min(n, int(kappa) + 1):
+            moments.append((e - len(moments) * moments[-1]) / (1j * kappa))
+    up = len(moments)
+    if up == n:
+        return moments
+    top = n + int(kappa) + 20
+    x, down = e / (top + 1 + 1j * kappa), []
+    for k in range(top - 1, up - 1, -1):
+        x = (e - 1j * kappa * x) / (k + 1)
+        if k < n:
+            down.append(x)
+    return moments + down[::-1]
+
+
+def _segment_pole_terms(kappa: float, a: complex, m: int, moments):
+    """[P_0(a), ..., P_m(a)], P_k = Int_0^1 e^{i kappa c} c^k/(c - a) dc."""
+    if abs(a) > 2.0:
+        inv = 1.0 / a
+        out = []
+        for k in range(m + 1):
+            total = 0j                      # Horner in 1/a
+            for moment in reversed(moments[k:]):
+                total = (total + moment) * inv
+            out.append(-total)
+        return out
+    out = [_en_scaled(1j * kappa * a)
+           - cmath.exp(1j * kappa) * _en_scaled(-1j * kappa * (1.0 - a))]
+    for k in range(1, m + 1):
+        out.append(moments[k - 1] + a * out[-1])
+    return out
 
 
 def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):
@@ -125,35 +269,32 @@ def _trace_real_scaled(zb: float, s: complex, gradient: bool = False):
     # Python's complex division works on the parts (Smith's method), so the
     # interband edge s = x - i inf gives zeta = 0 rather than nan
     zeta = 1.0 / s
-
-    def prop_integrand(th):
-        ct = np.cos(th)
-        st = np.sin(th)
-        rp = ct / (ct + 2.0 * zeta)
-        rs = -1.0 / (2.0 * ct * zeta + 1.0)
-        f = 1j * st * np.exp(2j * ct * zb) * (rs + (st * st - ct * ct) * rp)
-        return np.array((f, 2j * ct * f)) if gradient else f
-
-    # poles of r_p and r_s in k_perp/q0 = cos(theta) = i q; the r_s pole
-    # leaves for infinity at the interband edge, where zeta = 0
-    poles = [-2.0 * zeta]
-    if zeta:
-        poles.append(-0.5 / zeta)
-    graze = np.arccos(clip_edges(_graded_edges(poles), 0.0, 1.0))
-    prop, _ = integrate_refined(prop_integrand, [np.pi / 3.0, *graze],
-                                rtol=_RTOL)
-
-    def evan_integrand(q):
-        rp = 1j * q / (1j * q + 2.0 * zeta)
-        rs = -1.0 / (2j * q * zeta + 1.0)
-        f = np.exp(-2.0 * q * zb) * (rs + (1.0 + 2.0 * q * q) * rp)
-        return np.array((f, -2.0 * q * f)) if gradient else f
-
-    edges = clip_edges([0.5 / zb, 2.0 / zb, 8.0 / zb, 1.0,
-                        *_graded_edges([-1j * p for p in poles])],
-                       0.0, _EXP_CUT / zb + 10.0)
-    evan, _ = integrate_refined(evan_integrand, edges, rtol=_RTOL)
-    return prop / (4.0 * np.pi), evan / (4.0 * np.pi)
+    p = kappa = 2.0 * zb
+    a_p = -2.0 * zeta
+    # a_s a_p = 1, so at most one pole is past |a| = 2; its series in 1/a
+    # needs moments up to m + n with |a|^-n < 1e-17
+    far = max(abs(a_p), 1.0 / abs(a_p)) if zeta else 0.0
+    n_series = int(39.2 / math.log(far)) + 2 if far > 2.0 else 0
+    moments = _segment_moments(kappa, 5 + n_series)
+    if not zeta:
+        prop = (-2j * moments[2], 4.0 * moments[3])
+        evan = (4.0 / p**3, -24.0 / p**4)
+    else:
+        a_s = -0.5 / zeta
+        ps = _segment_pole_terms(kappa, a_s, 1, moments)
+        pp = _segment_pole_terms(kappa, a_p, 4, moments)
+        prop = (1j * (a_s * ps[0] + pp[1] - 2.0 * pp[3]),
+                -2.0 * (a_s * ps[1] + pp[2] - 2.0 * pp[4]))
+        b_s = 0.5j / zeta
+        fs = _laplace_poles(-p * b_s, 1)
+        fp = _laplace_poles(-2j * p * zeta, 4)
+        evan = (b_s * fs[0] + fp[1] / p + 2.0 * fp[3] / p**3,
+                -2.0 * (b_s * fs[1] / p + fp[2] / p**2 + 2.0 * fp[4] / p**4))
+    prop = np.array(prop, dtype=complex) / (4.0 * np.pi)
+    evan = np.array(evan, dtype=complex) / (4.0 * np.pi)
+    if gradient:
+        return prop, evan
+    return complex(prop[0]), complex(evan[0])
 
 
 def trace_green_real_parts(z: float, omega: float, g: GrapheneParams,

@@ -18,6 +18,21 @@ above, which is anchored by Gamma(free space) = Gamma0).
 The semi-infinite u integral is evaluated with the substitution u = w0 tan(t)
 and adaptive refinement; each outer level evaluates sigma(iu) and the inner
 kernel for all of its nodes at once, as the rows of one inner refinement.
+Its panel edges sit at the knees of the integrand: the interband edge 2 mu,
+the weight's w0, the kernel's scales c/2d and 4c/d, the intraband loss
+gamma_g, and the frequency
+
+    u_k = pi alpha c / (2d)
+
+where r_p saturates.  Under the kernel's weight e^{-2 chi zb}, chi is of
+order 1/zb, so r_p = chi s/(chi s + 2) turns over where
+s = 2 zb = 2 u d/c: a sheet at its interband floor s = pi alpha (mu = 0,
+or u > 2 mu, where sigma(iu)/(eps0 c) lies within 14% of it) reflects like
+a mirror in r_p below u_k and fades above it.  u_k is an edge only where
+it lies above 2 mu, since below the interband edge the Drude term sets s.
+gamma_g is an edge only for mu > 0: it is the width of the Drude term,
+which an undoped sheet does not have.
+
 The transition gradient g = d(delta_omega)/dd is analytic: d enters only
 through the exponentials of the Green's-function kernels, so each integrand
 carries its d-derivative as a second component and one pass gives the
@@ -90,8 +105,14 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
             out[1] *= u / c                           # d zb / dd = u / c
         return out
 
-    # knees of the integrand: intraband loss, interband edge, weight, kernel
-    u_edges = [g.gamma_g, 2.0 * g.mu, w0, c / (2.0 * d), 4.0 * c / d]
+    # knees of the integrand: intraband loss (a Drude term exists only for
+    # mu > 0), interband edge, weight, kernel, and where r_p saturates
+    u_edges = [2.0 * g.mu, w0, c / (2.0 * d), 4.0 * c / d]
+    if g.mu > 0.0:
+        u_edges.append(g.gamma_g)
+    u_knee = math.pi * CONSTANTS.alpha * c / (2.0 * d)
+    if u_knee > 2.0 * g.mu:
+        u_edges.append(u_knee)
     u_max = 40.0 * c / d
     theta_edges = clip_edges([math.atan(u / w0) for u in u_edges if u > 0],
                              0.0, math.atan(u_max / w0))
@@ -131,7 +152,7 @@ def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams):
     """(InteractionResult, CouplingGradient) at distance d from one pass.
 
     The error estimate is the ground-shift quadrature's for the derivative;
-    the real-axis parts converge 100 times tighter.
+    the real-axis parts are closed forms.
     """
     (dg, dg_slope), (_, err) = ground_shift(d, e, g, gradient=True)
     prop, evan = trace_green_real_parts(d, e.omega0, g, gradient=True)

@@ -192,6 +192,41 @@ def test_closed_form_matches_mobius_oracle(kind, gamma, kappa2, nu, measure):
                                    simulate_mobius(cfg, **kw))
 
 
+@pytest.mark.parametrize("kind, kappa2, nu", [
+    ("momentum", 3.8e5, 2.4e-120),      # Newton-Kleinman did not converge
+    ("symmetric", 1e-3, 1.4e-45),       # kappa_det^2 = 1.4e-48: det -1e9
+    ("momentum", 1.0, 1e-310)])         # subnormal kappa_det^2: nan drift
+def test_vanishing_conditioning_gives_the_unconditioned_covariance(kind,
+                                                                   kappa2,
+                                                                   nu):
+    # the conditioning moves V by less than a rounding unit over the run
+    cfg = config(omega_m=1.0, gamma=0.0, kind=kind, kappa2=kappa2, nu=nu)
+    assert 0.0 < cfg.kappa_det**2 < 1e-40
+    for n_th, t_end, v_0 in ((0.0, 30.0, 1.0), (3.0, 6.0, 10.0)):
+        kw = dict(n_th=n_th, t_end=t_end, tau=default_tau(cfg, n_th),
+                  initial_cov=v_0 * np.eye(2))
+        traj = simulate_conditional(cfg, **kw)
+        rows = np.array([traj.t, traj.vx, traj.vp, traj.vxp])
+        assert np.all(np.isfinite(rows))
+        assert np.all(traj.vx * traj.vp - traj.vxp**2 >= 1.0 - 1e-9)
+        free = simulate_conditional(cfg, measure=False, **kw)
+        assert np.array_equal(rows, [free.t, free.vx, free.vp, free.vxp])
+
+
+@pytest.mark.parametrize("kind, kappa2, nu, n_th, t_end", [
+    ("symmetric", 2e5, 1e-32, 0.2, 28.0),
+    ("momentum", 5e4, 1e-27, 0.6, 16.0),
+    ("momentum", 3.9e3, 7e-22, 160.0, 4.0)])
+def test_weak_conditioning_matches_mobius_oracle(kind, kappa2, nu, n_th,
+                                                 t_end):
+    # kappa_det^2 from 2e-27 to 3e-18 omega_m: V* + E D0 (I + W D0)^-1 E^T
+    # would cancel to a few digits, or to a negative det
+    cfg = config(omega_m=1.0, gamma=0.0, kind=kind, kappa2=kappa2, nu=nu)
+    kw = dict(n_th=n_th, t_end=t_end, tau=default_tau(cfg, n_th))
+    _assert_matches_oracle(simulate_conditional(cfg, **kw),
+                           simulate_mobius(cfg, **kw))
+
+
 def test_closed_form_matches_mobius_oracle_at_operating_point(ref_scenario,
                                                              ref_coupling):
     # n_th = 2.08e4, conditioned from 4e4 to below vacuum within 3 us

@@ -1,13 +1,16 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import casimir_sense as cs
-from casimir_sense import greens
+from casimir_sense import greens, quadrature
 from casimir_sense.graphene import FrequencyAxis, _sigma_ec
 from casimir_sense.greens import _trace_imag_scaled
 
+import real_axis_oracle
 from conftest import (brute_trace_imag, brute_trace_real, quad_trace_real,
                       trace_imag)
 
@@ -64,13 +67,17 @@ def test_real_axis_trace_against_quad_oracle_near_poles(mu_frac, q_factor):
         assert part.imag == pytest.approx(ref.imag, rel=1e-9)
 
 
+REAL_AXIS_GRID = [0.0, 0.3, 0.5 - 1e-7, 0.5 + 1e-7, 0.55, 0.6, 0.8, 1.0]
+
+
 @pytest.mark.parametrize("mu_frac", [0.0, 0.3, 0.5 + 1e-7, 0.55, 0.6, 0.8,
                                      1.0])
 def test_real_axis_node_count_is_bounded(monkeypatch, mu_frac):
-    # the panel edges are graded toward the Fresnel poles, so neither a pole
-    # next to the path nor a narrow plasmon needs deep bisection
+    # the oracle's panel edges are graded toward the Fresnel poles, so
+    # neither a pole next to the path nor a narrow plasmon needs deep
+    # bisection
     nodes = [0]
-    refine = greens.integrate_refined
+    refine = real_axis_oracle.integrate_refined
 
     def counting(f, edges, **kwargs):
         def counted(x):
@@ -78,13 +85,138 @@ def test_real_axis_node_count_is_bounded(monkeypatch, mu_frac):
             return f(x)
         return refine(counted, edges, **kwargs)
 
-    monkeypatch.setattr(greens, "integrate_refined", counting)
+    monkeypatch.setattr(real_axis_oracle, "integrate_refined", counting)
     for q_factor in (1e3, 1e7):
         g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
         for z in (8e-9, 18e-9, 40e-9):
             nodes[0] = 0
-            cs.trace_green_real_parts(z, W0, g, gradient=True)
+            real_axis_oracle.trace_real_parts(z, W0, g, gradient=True)
             assert 0 < nodes[0] <= 20_000, (q_factor, z, nodes[0])
+
+
+def test_real_axis_closed_form_makes_no_quadrature_call(monkeypatch):
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("integrate_refined", "integrate_rows"):
+        monkeypatch.setattr(greens, name, refuse(name))
+        monkeypatch.setattr(quadrature, name, refuse(name))
+    for mu_frac in REAL_AXIS_GRID + [0.5]:
+        for q_factor in (1e3, 1e7):
+            g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+            for z in (1e-9, 18e-9, 1e-4):
+                for gradient in (False, True):
+                    cs.trace_green_real_parts(z, W0, g, gradient=gradient)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mu_frac", REAL_AXIS_GRID)
+@pytest.mark.parametrize("q_factor", [1e3, 1e7])
+def test_real_axis_closed_form_matches_quadrature_oracle(mu_frac, q_factor):
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    for z in (8e-9, 18e-9, 40e-9):
+        closed = cs.trace_green_real_parts(z, W0, g, gradient=True)
+        oracle = real_axis_oracle.trace_real_parts(z, W0, g, gradient=True)
+        for part, ref in zip(closed, oracle):
+            assert np.all(abs(part - ref) <= 1e-9 * abs(ref)), (z, part, ref)
+
+
+@pytest.mark.parametrize("s_imag", [0.0127, -0.0127, 0.5, -3.0])
+@pytest.mark.parametrize("zb", [0.0565, 1.0, 30.0])
+def test_lossless_sheet_is_the_limit_of_small_loss(s_imag, zb):
+    # Re s = 0: the plasmon pole sits on the evanescent path, and G takes
+    # the lower lip of E1's cut, the side a small loss approaches from
+    lossless = greens._trace_real_scaled(zb, complex(0.0, s_imag), True)
+    lossy = greens._trace_real_scaled(zb, complex(1e-12, s_imag), True)
+    for part, ref in zip(lossless, lossy):
+        assert np.all(np.isfinite(part))
+        assert np.all(abs(part - ref) <= 1e-9 * abs(ref)), (part, ref)
+
+
+def _en_reference(z, n=1):
+    with mpmath.workdps(30):
+        w = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(w) * mpmath.expint(n, w))
+
+
+def test_scaled_e1_against_mpmath_log_polar_sweep():
+    # |z| from 1e-8 to 1e8 at every angle, and both lips of the cut
+    angles = [math.pi * k / 24 for k in range(-24, 25)]
+    angles += [math.pi - 1e-12, -(math.pi - 1e-12)]
+    worst = 0.0
+    for k in range(-32, 33):
+        for angle in angles:
+            z = cmath.rect(10.0 ** (k / 4), max(min(angle, math.pi - 1e-12),
+                                                 -(math.pi - 1e-12)))
+            with mpmath.workdps(30):
+                w = mpmath.mpc(z.real, z.imag)
+                ref = complex(mpmath.exp(w) * mpmath.e1(w))
+            worst = max(worst, abs(greens._en_scaled(z) - ref) / abs(ref))
+    assert worst <= 1e-12
+
+
+def test_scaled_en_at_the_arguments_of_the_real_axis_grid(monkeypatch):
+    # every (z, n) the closed forms evaluate: E1 at the segment ends and
+    # the evanescent poles, E5 where F_0..F_4 come from the top down
+    seen = []
+    en = greens._en_scaled
+
+    def recording(z, n=1):
+        seen.append((z, n))
+        return en(z, n)
+
+    monkeypatch.setattr(greens, "_en_scaled", recording)
+    for mu_frac in REAL_AXIS_GRID:
+        for q_factor in (1e3, 1e7):
+            g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+            for z in (8e-9, 18e-9, 40e-9):
+                cs.trace_green_real_parts(z, W0, g, gradient=True)
+    assert len(seen) > 100 and {n for _, n in seen} == {1, 5}
+    for z, n in seen:
+        ref = _en_reference(z, n)
+        assert abs(en(z, n) - ref) <= 1e-12 * abs(ref), (z, n)
+
+
+@pytest.mark.parametrize("mu_frac, q_factor, z", [
+    (0.8, 1e7, 40e-9), (0.8, 1e7, 18e-9), (0.6, 1e3, 18e-9),
+    (0.0, 1e3, 8e-9)])
+def test_evanescent_part_against_mpmath_quadrature(mu_frac, q_factor, z):
+    # the plasmon pole -p b_p lands near |z| = 40 on the cut at 40 nm, where
+    # an upward recurrence from G would lose |z|^4/4! of F_4
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    s = complex(_sigma_ec(FrequencyAxis.REAL, W0, g))
+    zb = z * W0 / cs.CONSTANTS.c
+    _, evan = greens._trace_real_scaled(zb, s, gradient=True)
+    with mpmath.workdps(30):
+        zeta = 1 / mpmath.mpc(s.real, s.imag)
+        b_p, b_s, p = 2j * zeta, 0.5j / zeta, 2 * zb
+
+        def f(q, power):
+            return (-2 * q) ** power * mpmath.exp(-p * q) * (
+                b_s / (q - b_s) + (1 + 2 * q * q) * q / (q - b_p))
+
+        c, w = b_p.real, abs(b_p.imag)
+        pts = sorted({0, max(c - 10 * w, 0), c, c + 10 * w, 2 * c + 10})
+        for power in (0, 1):
+            ref = complex(mpmath.quad(lambda q: f(q, power), pts + [mpmath.inf])
+                          / (4 * mpmath.pi))
+            assert abs(evan[power] - ref) <= 1e-12 * abs(ref), power
+
+
+def test_scaled_e1_agrees_with_scipy():
+    # a cross-check only: scipy's exp1 is the unscaled E1, so |z| <= 300
+    from scipy.special import exp1
+
+    for k in range(-16, 10):
+        for angle in np.linspace(-math.pi + 1e-9, math.pi - 1e-9, 17):
+            z = cmath.rect(10.0 ** (k / 4), angle)
+            ref = cmath.exp(z) * complex(exp1(z))
+            assert abs(greens._en_scaled(z) - ref) <= 1e-9 * abs(ref), z
 
 
 @pytest.mark.parametrize("mu_frac", [0.0, 0.3, 0.5, 0.6, 0.8, 1.0])

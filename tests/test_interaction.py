@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casimir_sense as cs
+from casimir_sense import interaction
 
 from gradient_oracle import richardson_gradient
 
@@ -192,3 +194,72 @@ def test_scattering_map_contrast_drops_at_short_distance():
     vals = [cs.scattering_rate_map(d, W0, s) for d in ds]
     assert np.all(np.diff(vals) > 0)
     assert vals[-1] < 1.0
+
+
+#: mu/hbar w0 from undoped to heavily doped, where the knee of r_p lies
+#: above, near and below the interband edge 2 mu
+KNEE_MU = [0.0, 1e-4, 1e-3, 5e-3, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8,
+           1.0]
+
+
+def _count_outer_nodes(monkeypatch):
+    nodes = [0]
+    refine = interaction.integrate_refined
+
+    def counting(f, edges, **kwargs):
+        def counted(x):
+            nodes[0] += np.size(x)
+            return f(x)
+        return refine(counted, edges, **kwargs)
+
+    monkeypatch.setattr(interaction, "integrate_refined", counting)
+    return nodes
+
+
+def test_ground_shift_outer_node_count_is_bounded(monkeypatch):
+    # the knee where r_p saturates, pi alpha c/(2d), is a panel edge above
+    # the interband edge; without it undoped and lightly doped sheets
+    # bisect the whole outer integral (9,072 nodes at mu = 1e-4, 1 um)
+    nodes = _count_outer_nodes(monkeypatch)
+    for mu_frac in KNEE_MU:
+        for q_factor in (1e3, 1e7):
+            g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+            for d in np.geomspace(1e-9, 1e-4, 11):
+                nodes[0] = 0
+                cs.ground_shift(d, EMITTER, g)
+                assert nodes[0] <= 2_000, (mu_frac, q_factor, d, nodes[0])
+
+
+@pytest.mark.parametrize("mu_frac, q_factor, d", [
+    (1e-4, 1e7, 8e-9), (1e-4, 1e7, 3e-9), (1e-3, 1e7, 20e-9),
+    (0.0, 1e3, 8e-9), (0.02, 1e3, 1e-9)])
+def test_ground_shift_meets_a_tighter_outer_tolerance(monkeypatch, mu_frac,
+                                                      q_factor, d):
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    value = cs.ground_shift(d, EMITTER, g)
+    monkeypatch.setattr(interaction, "_U_RTOL", 1e-11)
+    assert value == pytest.approx(cs.ground_shift(d, EMITTER, g), rel=1e-8)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mu_frac=st.one_of(st.sampled_from([0.0, 0.5]), _log_uniform(1e-6, 1.2)),
+       q_factor=_log_uniform(1e2, 1e7), d=_log_uniform(1e-9, 1e-4))
+def test_casimir_corner_of_the_parameter_box(mu_frac, q_factor, d):
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    try:
+        ir = cs.decay_rates(d, EMITTER, g)
+        one_pass, cg = cs.interaction_and_gradient(d, EMITTER, g)
+    except cs.QuadratureError:
+        return
+    for result in (ir, one_pass):
+        values = [result.delta_g, result.delta_e, result.delta_omega,
+                  result.gamma, result.gamma_rad, result.gamma_nonrad]
+        assert np.all(np.isfinite(values))
+        assert result.gamma == pytest.approx(
+            result.gamma_rad + result.gamma_nonrad, rel=1e-12)
+        assert result.gamma_nonrad >= 0.0
+    assert math.isfinite(cg.g_value) and math.isfinite(cg.error_estimate)
