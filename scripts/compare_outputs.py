@@ -9,8 +9,8 @@ imported from its own ``src/``, in a temporary directory.  For each output
 file it prints whether the file is byte-identical, how many data cells moved
 and the largest relative difference, then, per moved column, how many cells
 moved, the largest relative difference and the first few cells.  Lines
-starting with ``#`` are compared as text.  Exits 1 if a file is missing from
-one tree or changes shape.
+starting with ``#`` are compared as text.  Exits 1 if a run exits non-zero
+in either tree, or a file is missing from one tree or changes shape.
 """
 
 import argparse
@@ -41,11 +41,12 @@ CLI_EXAMPLES = [
 SHOWN = 5
 
 
-def run_tree(tree: Path, workdir: Path) -> dict:
-    """Write every output of ``tree`` into ``workdir``; returns wall times."""
+def run_tree(tree: Path, workdir: Path) -> tuple[dict, bool]:
+    """Write every output of ``tree`` into ``workdir``; returns the wall
+    times and whether every run exited 0."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("CASIMIR_SENSE_CONFIG", None)
-    times = {}
+    times, ok = {}, True
     for name, args in CLI_EXAMPLES:
         start = time.perf_counter()
         run = subprocess.run([sys.executable, "-m", "casimir_sense.cli", *args],
@@ -57,6 +58,7 @@ def run_tree(tree: Path, workdir: Path) -> dict:
         if run.returncode:
             print(f"# {tree}: {name} exited {run.returncode}: "
                   f"{run.stderr.strip()[-200:]}")
+            ok = False
     start = time.perf_counter()
     run = subprocess.run([sys.executable, str(tree / "scripts" /
                                               "survey_data.py"),
@@ -66,7 +68,8 @@ def run_tree(tree: Path, workdir: Path) -> dict:
     if run.returncode:
         print(f"# {tree}: survey_data.py exited {run.returncode}: "
               f"{run.stderr.strip()[-200:]}")
-    return times
+        ok = False
+    return times, ok
 
 
 def _table(path: Path):
@@ -150,18 +153,19 @@ def main(argv=None) -> int:
     parser.add_argument("old_tree", type=Path)
     parser.add_argument("new_tree", type=Path)
     args = parser.parse_args(argv)
+    ok = True
     with tempfile.TemporaryDirectory() as scratch:
         dirs = []
         for tag, tree in (("old", args.old_tree), ("new", args.new_tree)):
             workdir = Path(scratch) / tag
             workdir.mkdir()
-            times = run_tree(tree.resolve(), workdir)
+            times, ran = run_tree(tree.resolve(), workdir)
+            ok &= ran
             print(f"# {tag} tree {tree}: " + ", ".join(
                 f"{name} {t:.1f} s" for name, t in times.items()))
             dirs.append(workdir)
         names = sorted({p.relative_to(d).as_posix() for d in dirs
                         for p in d.rglob("*") if p.is_file()})
-        ok = True
         for name in names:
             old, new = (d / name for d in dirs)
             if not (old.exists() and new.exists()):

@@ -10,7 +10,8 @@ Scenario resolution precedence: command-line flags > CASIMIR_SENSE_CONFIG
 environment variable > built-in reference operating point.  Every CSV starts
 with a '#' header echoing the resolved scenario, so an output file is
 reproducible from itself.  Exit codes: 0 ok, 2 usage/config, 3 numerical
-failure, 4 physicality violation.
+failure, 4 physicality violation; a sweep that fails at one point keeps the
+rows before it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -34,22 +36,26 @@ from .quadrature import QuadratureError
 USAGE_ERROR, NUMERICAL_ERROR, PHYSICALITY_ERROR = 2, 3, 4
 
 
+def _with_mu(s: ScenarioParams, mu: float) -> ScenarioParams:
+    """s at Fermi energy mu (units of hbar*omega0), its loss rate and
+    sigma_zero kept."""
+    return replace(s, graphene=GrapheneParams.from_fractions(
+        mu, s.emitter.omega0, s.emitter.omega0 / s.graphene.gamma_g,
+        sigma_zero=s.graphene.sigma_zero))
+
+
 def _resolve_scenario(args) -> ScenarioParams:
-    if args.config is not None:
-        with open(args.config) as fh:
-            s = load_scenario(fh.read())
-    elif os.environ.get(ENV_CONFIG):
-        with open(os.environ[ENV_CONFIG]) as fh:
-            s = load_scenario(fh.read())
-    else:
+    path = args.config if args.config is not None \
+        else os.environ.get(ENV_CONFIG) or None
+    if path is None:
         s = reference_scenario()
+    else:
+        with open(path) as fh:
+            s = load_scenario(fh.read())
     if getattr(args, "distance", None) is not None:
         s = replace(s, distance=args.distance)
     if getattr(args, "mu", None) is not None:
-        s = replace(s, graphene=GrapheneParams.from_fractions(
-            args.mu, s.emitter.omega0,
-            s.emitter.omega0 / s.graphene.gamma_g,
-            sigma_zero=s.graphene.sigma_zero))
+        s = _with_mu(s, args.mu)
     if getattr(args, "epsilon", None) is not None:
         s = replace(s, drive=replace(s.drive, epsilon=args.epsilon))
     if getattr(args, "eta_det", None) is not None:
@@ -59,11 +65,11 @@ def _resolve_scenario(args) -> ScenarioParams:
     return s
 
 
-def _axis(args, name: str, log_flag: bool = False) -> np.ndarray:
+def _axis(args, name: str) -> np.ndarray:
+    """The --<name>-min/-max/-count grid, log-spaced under --log-<name>."""
     lo = getattr(args, f"{name}_min")
     hi = getattr(args, f"{name}_max")
     count = getattr(args, f"{name}_count")
-    log = getattr(args, f"log_{name}", False) if log_flag else False
     if count < 1:
         raise ConfigError(f"--{name}-count must be >= 1")
     if count == 1:
@@ -72,29 +78,37 @@ def _axis(args, name: str, log_flag: bool = False) -> np.ndarray:
         return np.array([lo])
     if not lo < hi:
         raise ConfigError(f"--{name}-min must be < --{name}-max")
-    if log:
+    if getattr(args, f"log_{name}", False):
         if lo <= 0:
             raise ConfigError(f"log scale needs positive --{name}-min")
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
 
 
-def _open_out(args):
-    return open(args.out, "w") if args.out else sys.stdout
-
-
-def _write_header(fh, s: ScenarioParams, argv: list[str], columns: list[str]):
-    fh.write(f"# casimir-sense {__version__}\n")
-    fh.write(f"# command: {' '.join(argv)}\n")
-    for line in scenario_to_config(s).splitlines():
-        fh.write(f"# {line}\n")
-    fh.write(",".join(columns) + "\n")
-
-
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    """A CSV cell: text as is, a number to 13 digits, empty if not finite."""
+    if isinstance(x, str):
+        return x
     if x != x or x in (float("inf"), float("-inf")):
         return ""
     return f"{x:.12e}"
+
+
+def _write_csv(args, s: ScenarioParams, argv: list[str], columns: list[str],
+               rows, footer: str | None = None) -> None:
+    """Write the '#' header echoing the scenario, the column names, each row
+    as it is drawn from ``rows`` and a closing footer line to --out or
+    stdout.  A row that raises ends the file after the rows before it."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(f"# casimir-sense {__version__}\n")
+        fh.write(f"# command: {' '.join(argv)}\n")
+        for line in scenario_to_config(s).splitlines():
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+        if footer is not None:
+            fh.write(footer + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -104,70 +118,43 @@ def cmd_conductivity(args, argv) -> int:
     s = _resolve_scenario(args)
     mus = _axis(args, "mu")
     omega = args.omega * s.emitter.omega0
-    fh = _open_out(args)
-    try:
-        _write_header(fh, s, argv, ["mu_over_hbar_omega0", "re_sigma_sigma0",
-                                    "im_sigma_sigma0"])
-        for mu in mus:
-            g = GrapheneParams.from_fractions(
-                mu, s.emitter.omega0, s.emitter.omega0 / s.graphene.gamma_g,
-                sigma_zero=s.graphene.sigma_zero)
-            val = sigma_real_axis(omega, g).sigma0_units
-            fh.write(f"{_fmt(mu)},{_fmt(val.real)},{_fmt(val.imag)}\n")
-    finally:
-        if args.out:
-            fh.close()
+    vals = [sigma_real_axis(omega, _with_mu(s, mu).graphene).sigma0_units
+            for mu in mus]
+    _write_csv(args, s, argv, ["mu_over_hbar_omega0", "re_sigma_sigma0",
+                               "im_sigma_sigma0"],
+               [(mu, v.real, v.imag) for mu, v in zip(mus, vals)])
     return 0
 
 
 def cmd_interaction(args, argv) -> int:
     s = _resolve_scenario(args)
-    ds = _axis(args, "d", log_flag=True)
-    rows = []
-    for d in ds:
-        ir, cg = interaction_and_gradient(d, s.emitter, s.graphene)
-        rows.append((d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
-                     ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value)))
-    fh = _open_out(args)
-    try:
-        _write_header(fh, s, argv,
-                      ["d_m", "delta_g_rad_s", "delta_e_rad_s",
-                       "delta_omega_rad_s", "gamma_rad_s", "gamma_rad_rad_s",
-                       "gamma_nonrad_rad_s", "g_abs_rad_s_per_m"])
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if args.out:
-            fh.close()
+    ds = _axis(args, "d")
+    # lazy, so a failed point keeps the rows written before it
+    points = ((d, *interaction_and_gradient(d, s.emitter, s.graphene))
+              for d in ds)
+    _write_csv(args, s, argv,
+               ["d_m", "delta_g_rad_s", "delta_e_rad_s", "delta_omega_rad_s",
+                "gamma_rad_s", "gamma_rad_rad_s", "gamma_nonrad_rad_s",
+                "g_abs_rad_s_per_m"],
+               ((d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
+                 ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value))
+                for d, ir, cg in points))
     return 0
 
 
 def cmd_sensitivity(args, argv) -> int:
     s = _resolve_scenario(args)
-    ds = _axis(args, "d", log_flag=True)
+    ds = _axis(args, "d")
     mus = _axis(args, "mu")
+    at_mu = [(mu, _with_mu(s, mu)) for mu in mus]
     quantum_limit = s.mechanics.x_zpm / np.sqrt(s.mechanics.omega_m)
-    rows = []
-    for d in ds:                                  # row-major: d outer
-        for mu in mus:
-            graphene = GrapheneParams.from_fractions(
-                mu, s.emitter.omega0, s.emitter.omega0 / s.graphene.gamma_g,
-                sigma_zero=s.graphene.sigma_zero)
-            cr = evaluate_coupling(replace(s, distance=d,
-                                           graphene=graphene))[2]
-            rows.append((d, mu, cr.kappa_inv_si, cr.merit,
-                         cr.kappa_inv_si < quantum_limit))
-    fh = _open_out(args)
-    try:
-        _write_header(fh, s, argv,
-                      ["d_m", "mu_over_hbar_omega0", "kappa_inv_m_rthz",
-                       "merit", "quantum_regime"])
-        for d, mu, kinv, merit, quantum in rows:
-            fh.write(f"{_fmt(d)},{_fmt(mu)},{_fmt(kinv)},{_fmt(merit)},"
-                     f"{str(bool(quantum)).lower()}\n")
-    finally:
-        if args.out:
-            fh.close()
+    points = ((d, mu, evaluate_coupling(replace(s_mu, distance=d))[2])
+              for d in ds for mu, s_mu in at_mu)  # row-major: d outer
+    _write_csv(args, s, argv, ["d_m", "mu_over_hbar_omega0",
+                               "kappa_inv_m_rthz", "merit", "quantum_regime"],
+               ((d, mu, cr.kappa_inv_si, cr.merit,
+                 "true" if cr.kappa_inv_si < quantum_limit else "false")
+                for d, mu, cr in points))
     return 0
 
 
@@ -177,18 +164,10 @@ def cmd_squeeze(args, argv) -> int:
                     record_every=args.record_every)
     t_min, v_min = traj.min_vx()
     summary = f"# summary: min_vx = {v_min:.6e} at t = {t_min:.6e} s"
-    fh = _open_out(args)
-    try:
-        _write_header(fh, s, argv, ["t_s", "vx", "vp", "vxp", "frame",
-                                    "damping"])
-        for i in range(len(traj.t)):
-            fh.write(f"{_fmt(traj.t[i])},{_fmt(traj.vx[i])},"
-                     f"{_fmt(traj.vp[i])},{_fmt(traj.vxp[i])},"
-                     f"{traj.frame},{traj.damping}\n")
-        fh.write(summary + "\n")
-    finally:
-        if args.out:
-            fh.close()
+    _write_csv(args, s, argv, ["t_s", "vx", "vp", "vxp", "frame", "damping"],
+               ((*row, "rotating", traj.damping)
+                for row in zip(traj.t, traj.vx, traj.vp, traj.vxp)),
+               footer=summary)
     if args.out:
         print(summary.lstrip("# "), file=sys.stderr)
     return 0

@@ -99,6 +99,8 @@ _TAYLOR_RADIUS = 1.0
 _TAYLOR_TERMS = 20
 #: one rounding unit: conditioning that moves V by less is dropped
 _ROUNDING = 2.0**-53
+#: a record whose det V falls below 1 - _PHYSICAL_TOL breaks uncertainty
+_PHYSICAL_TOL = 1e-9
 
 
 class PhysicalityError(RuntimeError):
@@ -174,8 +176,6 @@ class Trajectory:
     vp: np.ndarray
     vxp: np.ndarray
     damping: str
-    frame: str = "rotating"
-    n_th: float = 0.0
 
     def min_vx(self):
         i = int(np.argmin(self.vx))
@@ -405,8 +405,7 @@ def _co_rotating(phase: np.ndarray, v11, v12, v22, vx, vp, vxp):
 def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
                          tau: float, initial_cov: np.ndarray | None = None,
                          record_every: int | None = None,
-                         measure: bool = True,
-                         physical_tol: float = 1e-9) -> Trajectory:
+                         measure: bool = True) -> Trajectory:
     """Propagate the conditional covariance from a thermal initial state.
 
     ``tau`` is the unit of the record grid only: with
@@ -416,7 +415,7 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     labelled with, so tau sets no accuracy.
     ``measure=False`` drops the conditioning (unconditional dynamics,
     back-action still present).  Aborts with PhysicalityError at the first
-    recorded covariance whose det is below 1 - physical_tol or not a number,
+    recorded covariance whose det is below 1 - _PHYSICAL_TOL or not a number,
     and with RiccatiError if no stabilizing steady state is found.
     """
     if not t_end > 0.0:
@@ -438,14 +437,13 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         hi = min(lo + _STAMP_BLOCK, len(t))
         v11, v12, v22 = covariance(t[lo:hi])
         det = v11 * v22 - v12 * v12
-        bad = np.flatnonzero(~(det >= 1.0 - physical_tol))
+        bad = np.flatnonzero(~(det >= 1.0 - _PHYSICAL_TOL))
         if bad.size:
             raise PhysicalityError(float(t[lo + bad[0]]), float(det[bad[0]]))
         _co_rotating(cfg.omega_m * t[lo:hi], v11, v12, v22, vx[lo:hi],
                      vp[lo:hi], vxp[lo:hi])
         del v11, v12, v22, det     # before the next block's temporaries
-    return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp, damping=cfg.damping.kind,
-                      n_th=n_th)
+    return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp, damping=cfg.damping.kind)
 
 
 def step_config_for(s: ScenarioParams, damping: DampingModel | str,
@@ -467,17 +465,17 @@ def step_config_for(s: ScenarioParams, damping: DampingModel | str,
     return cfg, s.mechanics.n_th
 
 
-def default_tau(cfg: StepConfig, n_th: float, factor: float = 5e-3) -> float:
-    """Default record-grid unit: factor over the fastest rate of the
+def default_tau(cfg: StepConfig, n_th: float) -> float:
+    """Default record-grid unit: 5e-3 over the fastest rate of the
     dynamics."""
     rate = max(cfg.omega_m, cfg.damping.gamma * (2.0 * n_th + 1.0),
                cfg.kappa_det**2 + cfg.kappa_n**2)
-    return factor / rate
+    return 5e-3 / rate
 
 
 def simulate(s: ScenarioParams, damping: DampingModel | str, t_end: float,
              tau: float | None = None, coupling=None,
-             record_every: int | None = None, measure: bool = True) -> Trajectory:
+             record_every: int | None = None) -> Trajectory:
     """End-to-end conditional-squeezing run for a scenario.
 
     Computes the surface-modified rates at s.distance, assembles the
@@ -488,4 +486,4 @@ def simulate(s: ScenarioParams, damping: DampingModel | str, t_end: float,
     if tau is None:
         tau = default_tau(cfg, n_th)
     return simulate_conditional(cfg, n_th, t_end, tau,
-                                record_every=record_every, measure=measure)
+                                record_every=record_every)

@@ -40,8 +40,6 @@ class Conductivity:
     """Sheet conductivity at one frequency.  ``value`` is in SI siemens."""
 
     value: complex
-    frequency_axis: FrequencyAxis
-    frequency: float        # rad/s (the real number u for the imaginary axis)
 
     @property
     def sigma0_units(self) -> complex:
@@ -108,8 +106,7 @@ def sigma_real_axis(omega: float, g: GrapheneParams) -> Conductivity:
         raise ValueError("omega must be positive")
     value = _scale_complex(_sigma_ec(FrequencyAxis.REAL, omega, g),
                            CONSTANTS.eps0 * CONSTANTS.c)
-    return Conductivity(value=complex(value) if np.isscalar(omega) else value,
-                        frequency_axis=FrequencyAxis.REAL, frequency=omega)
+    return Conductivity(complex(value) if np.isscalar(omega) else value)
 
 
 def sigma_imag_axis(u: float, g: GrapheneParams) -> Conductivity:
@@ -117,5 +114,4 @@ def sigma_imag_axis(u: float, g: GrapheneParams) -> Conductivity:
     if np.any(np.asarray(u) <= 0):
         raise ValueError("u must be positive")
     value = _sigma_ec(FrequencyAxis.IMAG, u, g).real * CONSTANTS.eps0 * CONSTANTS.c
-    return Conductivity(value=float(value) if np.isscalar(u) else value,
-                        frequency_axis=FrequencyAxis.IMAG, frequency=u)
+    return Conductivity(float(value) if np.isscalar(u) else value)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import CONSTANTS
 
@@ -61,7 +61,7 @@ class EmitterParams:
     @classmethod
     def from_wavelength(cls, lambda0: float, gamma0: float) -> "EmitterParams":
         if not lambda0 > 0:
-            raise ConfigError("emitter.lambda0_m must be positive")
+            raise ConfigError("emitter.lambda0 must be positive")
         return cls(omega0=2.0 * math.pi * CONSTANTS.c / lambda0, gamma0=gamma0)
 
     @property
@@ -93,7 +93,7 @@ class GrapheneParams:
                        omega0_over_gamma_g: float = 1e3,
                        sigma_zero: bool = False) -> "GrapheneParams":
         if not omega0_over_gamma_g > 0:
-            raise ConfigError("graphene.omega0_over_gamma_g must be positive")
+            raise ConfigError("graphene.gamma_g must be positive")
         return cls(mu=mu_frac * omega0, gamma_g=omega0 / omega0_over_gamma_g,
                    sigma_zero=sigma_zero)
 
@@ -111,7 +111,7 @@ class MechanicalParams:
         if not (self.omega_m > 0 and self.mass > 0 and self.quality > 0):
             raise ConfigError("mechanics parameters must be positive")
         if not self.t_bath >= 0:
-            raise ConfigError("mechanics.bath_temperature_k must be non-negative")
+            raise ConfigError("mechanics.t_bath must be non-negative")
 
     @property
     def gamma(self) -> float:
@@ -162,85 +162,77 @@ class ScenarioParams:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config format: (section, key, default or None if required, value in s)
 
-_REQUIRED = {
-    "emitter": ("lambda0_m", "gamma0_rad_s"),
-    "graphene": ("mu_over_hbar_omega0",),
-    "mechanics": ("omega_m_rad_s", "mass_kg", "quality_factor",
-                  "bath_temperature_k"),
-    "drive": ("epsilon", "eta_det"),
-    "geometry": ("distance_m",),
-}
+_FORMAT = (
+    ("emitter", "lambda0_m", None, lambda s: s.emitter.lambda0),
+    ("emitter", "gamma0_rad_s", None, lambda s: s.emitter.gamma0),
+    ("graphene", "mu_over_hbar_omega0", None,
+     lambda s: s.graphene.mu / s.emitter.omega0),
+    ("graphene", "omega0_over_gamma_g", 1e3,
+     lambda s: s.emitter.omega0 / s.graphene.gamma_g),
+    ("graphene", "sigma_zero", False, lambda s: s.graphene.sigma_zero),
+    ("mechanics", "omega_m_rad_s", None, lambda s: s.mechanics.omega_m),
+    ("mechanics", "mass_kg", None, lambda s: s.mechanics.mass),
+    ("mechanics", "quality_factor", None, lambda s: s.mechanics.quality),
+    ("mechanics", "bath_temperature_k", None, lambda s: s.mechanics.t_bath),
+    ("drive", "epsilon", None, lambda s: s.drive.epsilon),
+    ("drive", "eta_det", None, lambda s: s.drive.eta_det),
+    ("geometry", "distance_m", None, lambda s: s.distance),
+)
 
 
-def _get_float(cp: configparser.ConfigParser, section: str, key: str,
-               default: float | None = None) -> float:
+def _read(cp: configparser.ConfigParser, section: str, key: str, default):
+    """One value of the config, typed like its default (float if none)."""
+    if not cp.has_section(section):
+        raise ConfigError(f"missing section [{section}]")
     if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {section}.{key}")
+        if default is None:
+            raise ConfigError(f"missing key {section}.{key}")
+        return default
     raw = cp.get(section, key)
+    boolean = isinstance(default, bool)
     try:
-        return float(raw)
+        return cp.getboolean(section, key) if boolean else float(raw)
     except ValueError as exc:
-        raise ConfigError(f"non-numeric value for {section}.{key}: {raw!r}") from exc
+        kind = "non-boolean" if boolean else "non-numeric"
+        raise ConfigError(f"{kind} value for {section}.{key}: {raw!r}") from exc
 
 
 def load_scenario(config_text: str) -> ScenarioParams:
     """Parse an INI-style scenario config into a validated ScenarioParams.
 
-    Raises ConfigError naming the offending key for missing keys, non-numeric
-    values and invariant violations.
+    Raises ConfigError naming the offending section or key for missing
+    sections and keys, non-numeric values and invariant violations.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(config_text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
-
-    for section, keys in _REQUIRED.items():
-        if not cp.has_section(section):
-            raise ConfigError(f"missing section [{section}]")
-        for key in keys:
-            if not cp.has_option(section, key):
-                raise ConfigError(f"missing key {section}.{key}")
-
-    emitter = EmitterParams.from_wavelength(
-        _get_float(cp, "emitter", "lambda0_m"),
-        _get_float(cp, "emitter", "gamma0_rad_s"),
-    )
-    graphene = GrapheneParams.from_fractions(
-        _get_float(cp, "graphene", "mu_over_hbar_omega0"),
-        emitter.omega0,
-        _get_float(cp, "graphene", "omega0_over_gamma_g", default=1e3),
-        sigma_zero=cp.getboolean("graphene", "sigma_zero", fallback=False),
-    )
-    mechanics = MechanicalParams(
-        omega_m=_get_float(cp, "mechanics", "omega_m_rad_s"),
-        mass=_get_float(cp, "mechanics", "mass_kg"),
-        quality=_get_float(cp, "mechanics", "quality_factor"),
-        t_bath=_get_float(cp, "mechanics", "bath_temperature_k"),
-    )
-    drive = DriveParams(
-        epsilon=_get_float(cp, "drive", "epsilon"),
-        eta_det=_get_float(cp, "drive", "eta_det"),
-    )
-    return ScenarioParams(emitter=emitter, graphene=graphene,
-                          mechanics=mechanics, drive=drive,
-                          distance=_get_float(cp, "geometry", "distance_m"))
+    (lambda0, gamma0, mu_frac, omega0_over_gamma_g, sigma_zero, omega_m, mass,
+     quality, t_bath, epsilon, eta_det, distance) = [
+        _read(cp, section, key, default) for section, key, default, _ in _FORMAT]
+    emitter = EmitterParams.from_wavelength(lambda0, gamma0)
+    return ScenarioParams(
+        emitter=emitter,
+        graphene=GrapheneParams.from_fractions(
+            mu_frac, emitter.omega0, omega0_over_gamma_g,
+            sigma_zero=sigma_zero),
+        mechanics=MechanicalParams(omega_m, mass, quality, t_bath),
+        drive=DriveParams(epsilon, eta_det),
+        distance=distance)
 
 
-def reference_scenario(**overrides) -> ScenarioParams:
+def reference_scenario() -> ScenarioParams:
     """Operating point used for the headline numbers.
 
     lambda0 = 2 um, Gamma0 = 2pi*240 MHz, mu = 0.8 hbar*omega0, d = 18 nm,
     omega_m = 2pi*1 MHz, m = 2.81e-18 kg, Q = 5e4, T = 1 K, eta_det = 0.75,
-    epsilon = 0.3.  Keyword overrides replace whole sub-params or the
-    distance, e.g. ``reference_scenario(distance=10e-9)``.
+    epsilon = 0.3.
     """
     emitter = EmitterParams.from_wavelength(2e-6, 2.0 * math.pi * 240e6)
-    base = ScenarioParams(
+    return ScenarioParams(
         emitter=emitter,
         graphene=GrapheneParams.from_fractions(0.8, emitter.omega0),
         mechanics=MechanicalParams(omega_m=2.0 * math.pi * 1e6, mass=2.81e-18,
@@ -248,30 +240,12 @@ def reference_scenario(**overrides) -> ScenarioParams:
         drive=DriveParams(epsilon=0.3, eta_det=0.75),
         distance=18e-9,
     )
-    return replace(base, **overrides) if overrides else base
 
 
 def scenario_to_config(s: ScenarioParams) -> str:
     """Serialize a scenario back to the config format (round-trip aid)."""
-    lines = [
-        "[emitter]",
-        f"lambda0_m = {s.emitter.lambda0!r}",
-        f"gamma0_rad_s = {s.emitter.gamma0!r}",
-        "",
-        "[graphene]",
-        f"mu_over_hbar_omega0 = {s.graphene.mu / s.emitter.omega0!r}",
-        f"omega0_over_gamma_g = {s.emitter.omega0 / s.graphene.gamma_g!r}",
-        f"sigma_zero = {s.graphene.sigma_zero}",
-        "",
-        "[mechanics]",
-        f"omega_m_rad_s = {s.mechanics.omega_m!r}",
-        f"mass_kg = {s.mechanics.mass!r}",
-        f"quality_factor = {s.mechanics.quality!r}",
-        f"bath_temperature_k = {s.mechanics.t_bath!r}",
-        "",
-        "[drive]",
-        f"epsilon = {s.drive.epsilon!r}",
-        f"eta_det = {s.drive.eta_det!r}",
-        "", "[geometry]", f"distance_m = {s.distance!r}", "",
-    ]
-    return "\n".join(lines)
+    sections: dict[str, list[str]] = {}
+    for section, key, _, value in _FORMAT:
+        sections.setdefault(section, [f"[{section}]"]).append(
+            f"{key} = {value(s)!r}")
+    return "\n\n".join(map("\n".join, sections.values())) + "\n"

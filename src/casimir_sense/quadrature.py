@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+#: Gauss-Legendre nodes per panel
+_ORDER = 24
 #: elements (rows x nodes) per integrand call; longer rows go in panel groups
 _CHUNK_NODES = 1 << 13
 
@@ -79,7 +81,7 @@ def _level(f, edges, columns, x, w):
     return np.concatenate(sums, axis=-1)
 
 
-def integrate_rows(f, edges, *columns, rtol: float = 1e-9, order: int = 24,
+def integrate_rows(f, edges, *columns, rtol: float = 1e-9,
                    max_doublings: int = 12):
     """Integrate f along each row of ``edges`` (rows x m, sorted per row).
 
@@ -91,7 +93,7 @@ def integrate_rows(f, edges, *columns, rtol: float = 1e-9, order: int = 24,
     QuadratureError when the budget of doublings is exhausted, or once two
     successive sums of a row are not finite.
     """
-    x, w = _gauss_nodes(order)
+    x, w = _gauss_nodes(_ORDER)
     edges = np.asarray(edges, dtype=float)
     columns = [np.asarray(c)[:, None] for c in columns]
     active = np.arange(len(edges))
@@ -118,8 +120,7 @@ def integrate_rows(f, edges, *columns, rtol: float = 1e-9, order: int = 24,
     raise QuadratureError("quadrature did not converge", np.max(err))
 
 
-def integrate_refined(f, edges, rtol: float = 1e-9, order: int = 24,
-                      max_doublings: int = 12):
+def integrate_refined(f, edges, rtol: float = 1e-9, max_doublings: int = 12):
     """Integrate f over one set of edges: integrate_rows on a single row.
 
     Returns (value, error_estimate), per component of a stacked f.
@@ -129,8 +130,7 @@ def integrate_refined(f, edges, rtol: float = 1e-9, order: int = 24,
     if edges.size < 2:
         raise ValueError("need at least two distinct edges")
     val, err = integrate_rows(lambda x: f(x[0])[..., None, :], edges[None],
-                              rtol=rtol, order=order,
-                              max_doublings=max_doublings)
+                              rtol=rtol, max_doublings=max_doublings)
     return val[..., 0], err[..., 0]
 
 

@@ -122,4 +122,4 @@ def simulate_mobius(cfg, n_th: float, t_end: float, tau: float,
     return Trajectory(t=t_prop, vx=cc * vx - 2.0 * cs * vxp + ss * vp,
                       vp=ss * vx + 2.0 * cs * vxp + cc * vp,
                       vxp=cs * (vx - vp) + (cc - ss) * vxp,
-                      damping=cfg.damping.kind, n_th=n_th)
+                      damping=cfg.damping.kind)

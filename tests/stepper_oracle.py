@@ -218,4 +218,4 @@ def simulate_stepper(cfg: StepConfig, n_th: float, t_end: float, tau: float,
             vps.append(cov[1, 1])
             vxps.append(cov[0, 1])
     return Trajectory(t=np.array(ts), vx=np.array(vxs), vp=np.array(vps),
-                      vxp=np.array(vxps), damping=cfg.damping.kind, n_th=n_th)
+                      vxp=np.array(vxps), damping=cfg.damping.kind)

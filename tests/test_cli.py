@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import casimir_sense as cs
+from casimir_sense import cli
 from casimir_sense.cli import main
 
 
@@ -124,6 +125,51 @@ def test_interaction_output_is_deterministic(tmp_path):
     assert strip(first) == strip(second)
     assert first.replace(str(tmp_path / "a"), "X") \
         == second.replace(str(tmp_path / "b"), "X")
+
+
+def test_log_axis_needs_positive_minimum(tmp_path, capsys):
+    code, text = run_cli(["interaction", "--log-d", "--d-min", "0",
+                          "--d-max", "20e-9", "--d-count", "3"], tmp_path)
+    assert code == 2 and text == ""
+    assert "log scale needs positive --d-min" in capsys.readouterr().err
+
+
+def _failing_at(n, fn):
+    """fn, except that its n-th call raises QuadratureError."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise cs.QuadratureError("injected failure", 1.0)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def test_interaction_keeps_the_rows_before_a_failed_point(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "interaction_and_gradient",
+                        _failing_at(3, cli.interaction_and_gradient))
+    code, text = run_cli(["interaction", "--d-min", "10e-9", "--d-max",
+                          "40e-9", "--d-count", "4"], tmp_path)
+    assert code == 3
+    header, rows = parse_rows(text)
+    assert header[0] == "d_m"
+    assert [float(r[0]) for r in rows] == [10e-9, 20e-9]
+
+
+def test_sensitivity_keeps_the_rows_before_a_failed_point(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "evaluate_coupling",
+                        _failing_at(2, cli.evaluate_coupling))
+    code, text = run_cli(["sensitivity", "--d-min", "18e-9", "--d-max",
+                          "18e-9", "--d-count", "1", "--mu-min", "0.6",
+                          "--mu-max", "0.8", "--mu-count", "2"], tmp_path)
+    assert code == 3
+    header, rows = parse_rows(text)
+    assert header[-1] == "quantum_regime"
+    assert [r[1] for r in rows] == [f"{0.6:.12e}"]
 
 
 def test_sensitivity_grid_row_major_and_flags(tmp_path):

@@ -311,7 +311,7 @@ def _mpmath_trajectory(cfg, n_th, cov, times, dps=40):
                                + (c * c - s * s) * v[0, 1])])
     vx, vp, vxp = np.array(rows).T
     return cs.Trajectory(t=np.asarray(times), vx=vx, vp=vp, vxp=vxp,
-                         damping=cfg.damping.kind, n_th=n_th)
+                         damping=cfg.damping.kind)
 
 
 @pytest.mark.parametrize("kind, gamma, kappa2", [
