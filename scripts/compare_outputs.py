@@ -10,7 +10,10 @@ file it prints whether the file is byte-identical, how many data cells moved
 and the largest relative difference, then, per moved column, how many cells
 moved, the largest relative difference and the first few cells.  Lines
 starting with ``#`` are compared as text.  Exits 1 if a run exits non-zero
-in either tree, or a file is missing from one tree or changes shape.
+in either tree, a file is missing from one tree or changes shape, or a data
+cell moves by more than TOLERANCE (1e-12) of the largest magnitude in its
+column of the old tree: the bound within which two trees count as giving
+the same numbers.  A column whose moved cells are not all numbers fails.
 """
 
 import argparse
@@ -39,6 +42,8 @@ CLI_EXAMPLES = [
 ]
 #: moved cells printed per column
 SHOWN = 5
+#: largest move of a data cell, over its column's largest magnitude
+TOLERANCE = 1e-12
 
 
 def run_tree(tree: Path, workdir: Path) -> tuple[dict, bool]:
@@ -100,16 +105,18 @@ def _relative(old: str, new: str) -> float:
 
 def _scaled(cells, column) -> float:
     """Largest difference of the moved cells over the column's largest
-    magnitude: the size of a move next to a value that crosses zero."""
+    magnitude, empty cells aside: the size of a move next to a value that
+    crosses zero.  inf if a cell is not a number."""
     try:
-        scale = max(abs(float(v)) for v in column)
+        scale = max(abs(float(v)) for v in column if v)
         return max(abs(float(a) - float(b)) for _, a, b, _ in cells) / scale
     except (ValueError, ZeroDivisionError):
         return float("inf")
 
 
 def compare_file(old: Path, new: Path, label: str) -> bool:
-    """Print the comparison of one output file; False if it changes shape."""
+    """Print the comparison of one output file; False if it changes shape
+    or a data cell moves by more than TOLERANCE of its column's scale."""
     if old.read_bytes() == new.read_bytes():
         print(f"{label}: byte-identical")
         return True
@@ -131,13 +138,17 @@ def compare_file(old: Path, new: Path, label: str) -> bool:
         + abs(len(old_comments) - len(new_comments))
     print(f"{label}: {cells} of {sum(map(len, old_rows))} data cells moved, "
           f"max relative difference {worst:.3e}; {comments} '#' lines differ")
+    same = True
     for j, cells_j in sorted(moved.items()):
         name = header[j] if j < len(header) else f"column {j}"
         worst_j = max(cells_j, key=lambda c: c[3])
+        scaled = _scaled(cells_j, [r[j] for r in old_rows])
+        same &= scaled <= TOLERANCE
         print(f"    {name}: {len(cells_j)} cells, max relative "
               f"{worst_j[3]:.3e} (row {worst_j[0]}: {worst_j[1]} -> "
               f"{worst_j[2]}), max difference over the column's largest "
-              f"magnitude {_scaled(cells_j, [r[j] for r in old_rows]):.3e}")
+              f"magnitude {scaled:.3e}"
+              + ("" if scaled <= TOLERANCE else f" > {TOLERANCE:.0e}"))
         for i, a, b, rel in cells_j[:SHOWN]:
             print(f"        row {i}: {a} -> {b} ({rel:.2e})")
         if len(cells_j) > SHOWN:
@@ -145,7 +156,7 @@ def compare_file(old: Path, new: Path, label: str) -> bool:
     for a, b in zip(old_comments, new_comments):
         if a != b:
             print(f"    # old: {a.rstrip()}\n    # new: {b.rstrip()}")
-    return True
+    return same
 
 
 def main(argv=None) -> int:

@@ -30,8 +30,24 @@ s = 2 zb = 2 u d/c: a sheet at its interband floor s = pi alpha (mu = 0,
 or u > 2 mu, where sigma(iu)/(eps0 c) lies within 14% of it) reflects like
 a mirror in r_p below u_k and fades above it.  u_k is an edge only where
 it lies above 2 mu, since below the interband edge the Drude term sets s.
-gamma_g is an edge only for mu > 0: it is the width of the Drude term,
-which an undoped sheet does not have.
+
+gamma_g, the width of the Drude term 4 alpha mu/(u + gamma_g) of s, is an
+edge only where the integrand can show that knee; an undoped sheet has no
+Drude term.  Below c/2d the integrand is flat in u up to the factor r_p,
+whose mean under the kernel's weight is 1 - 2 zb/s to first order, so the
+knee enters through 1/s.  Above the interband edge (gamma_g >= 2 mu) the
+Drude term is a bump on the floor, and s has a zero within about gamma_g
+of u = 0, close against the long panel above 2 mu: the edge stays.  Below
+it the Drude term makes 1/s ~ (u + gamma_g)/(4 alpha mu) smooth across the
+knee, and the zeros of s lie about mu away, as far as the panel [0, 2 mu]
+is long.  The knee then shows only where r_p itself bends: as
+s(i gamma_g) >= (1 + pi/2) alpha for every mu > 0 (equality at
+mu = gamma_g/2), its dip 2 zb/s there is at most
+2 gamma_g d/(c (1 + pi/2) alpha), and the edge stays where that bound
+exceeds 5% (gamma_g d/c > 4.7e-4: large d or a lossy sheet).  At the
+operating point (mu = 0.8 hbar w0, 18 nm, w0/gamma_g = 1e3) the dropped
+panel held 72 of 432 outer nodes, each a full inner refinement row, on an
+integrand flat to 1e-5; the integral now takes 360.
 
 The transition gradient g = d(delta_omega)/dd is analytic: d enters only
 through the exponentials of the Green's-function kernels, so each integrand
@@ -54,6 +70,9 @@ from .quadrature import clip_edges, integrate_refined
 
 #: relative tolerance of the outer (frequency) integral
 _U_RTOL = 1e-8
+#: gamma_g d / c above which the Drude knee is an edge even below 2 mu:
+#: there r_p may dip by more than 5% at the knee (see the module docstring)
+_DRUDE_KNEE_ZB = 0.05 * (1.0 + 0.5 * math.pi) * CONSTANTS.alpha / 2.0
 
 
 class NumericsError(RuntimeError):
@@ -105,10 +124,12 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
             out[1] *= u / c                           # d zb / dd = u / c
         return out
 
-    # knees of the integrand: intraband loss (a Drude term exists only for
-    # mu > 0), interband edge, weight, kernel, and where r_p saturates
+    # knees of the integrand: interband edge, weight, kernel, intraband
+    # loss where the kernel sees it (module docstring), and where r_p
+    # saturates
     u_edges = [2.0 * g.mu, w0, c / (2.0 * d), 4.0 * c / d]
-    if g.mu > 0.0:
+    if g.mu > 0.0 and (g.gamma_g >= 2.0 * g.mu
+                       or g.gamma_g * d / c > _DRUDE_KNEE_ZB):
         u_edges.append(g.gamma_g)
     u_knee = math.pi * CONSTANTS.alpha * c / (2.0 * d)
     if u_knee > 2.0 * g.mu:

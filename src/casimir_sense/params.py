@@ -26,8 +26,10 @@ sections with the unit encoded in the key name::
     [geometry]
     distance_m = 18e-9
 
-The default config path may be set through the ``CASIMIR_SENSE_CONFIG``
-environment variable; without it the reference operating point above is used.
+Sections and keys outside this format are rejected, so that a misspelled
+optional key cannot silently take its default.  The default config path may
+be set through the ``CASIMIR_SENSE_CONFIG`` environment variable; without
+it the reference operating point above is used.
 """
 
 from __future__ import annotations
@@ -199,11 +201,27 @@ def _read(cp: configparser.ConfigParser, section: str, key: str, default):
         raise ConfigError(f"{kind} value for {section}.{key}: {raw!r}") from exc
 
 
+def _unknown(cp: configparser.ConfigParser) -> list[str]:
+    """Sections and keys of the config that _FORMAT does not list; a
+    non-empty [DEFAULT] counts as one, since it adds keys to every section."""
+    known = {(section, key) for section, key, _, _ in _FORMAT}
+    sections = {section for section, _ in known}
+    names = ["[DEFAULT]"] if cp.defaults() else []
+    for section in cp.sections():
+        if section not in sections:
+            names.append(f"[{section}]")
+            continue
+        names += [f"{section}.{key}" for key in cp.options(section)
+                  if (section, key) not in known and key not in cp.defaults()]
+    return names
+
+
 def load_scenario(config_text: str) -> ScenarioParams:
     """Parse an INI-style scenario config into a validated ScenarioParams.
 
     Raises ConfigError naming the offending section or key for missing
-    sections and keys, non-numeric values and invariant violations.
+    sections and keys, non-numeric values and invariant violations, and
+    naming every section and key the format does not know.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -213,6 +231,10 @@ def load_scenario(config_text: str) -> ScenarioParams:
     (lambda0, gamma0, mu_frac, omega0_over_gamma_g, sigma_zero, omega_m, mass,
      quality, t_bath, epsilon, eta_det, distance) = [
         _read(cp, section, key, default) for section, key, default, _ in _FORMAT]
+    unknown = _unknown(cp)
+    if unknown:
+        raise ConfigError("unknown config section or key: "
+                          + ", ".join(unknown))
     emitter = EmitterParams.from_wavelength(lambda0, gamma0)
     return ScenarioParams(
         emitter=emitter,

@@ -230,9 +230,22 @@ def test_ground_shift_outer_node_count_is_bounded(monkeypatch):
                 assert nodes[0] <= 2_000, (mu_frac, q_factor, d, nodes[0])
 
 
+@pytest.mark.parametrize("mu_frac, d, nodes", [
+    (0.8, 18e-9, 360), (0.5, 18e-9, 288), (1e-4, 10e-9, 504)])
+def test_ground_shift_outer_node_count_at_pinned_points(monkeypatch, mu_frac,
+                                                        d, nodes):
+    # gamma_g < 2 mu with r_p flat at the Drude knee: no gamma_g edge (432
+    # and 360 nodes with it); gamma_g > 2 mu keeps it (1,008 without it)
+    count = _count_outer_nodes(monkeypatch)
+    cs.ground_shift(d, EMITTER, graphene(mu_frac), gradient=True)
+    assert count[0] == nodes
+
+
 @pytest.mark.parametrize("mu_frac, q_factor, d", [
     (1e-4, 1e7, 8e-9), (1e-4, 1e7, 3e-9), (1e-3, 1e7, 20e-9),
-    (0.0, 1e3, 8e-9), (0.02, 1e3, 1e-9)])
+    (0.0, 1e3, 8e-9), (0.02, 1e3, 1e-9),
+    (1e-3, 1e3, 20e-6),     # r_p dips at the Drude knee: gamma_g an edge
+    (0.8, 1e3, 18e-9)])     # operating point: gamma_g no edge
 def test_ground_shift_meets_a_tighter_outer_tolerance(monkeypatch, mu_frac,
                                                       q_factor, d):
     g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)

@@ -62,6 +62,19 @@ def test_load_reports_missing_section(config_text):
         cs.load_scenario(bad)
 
 
+def test_load_rejects_unknown_sections_and_keys(config_text):
+    # misspelled optional keys would silently take their defaults
+    bad = config_text.replace(
+        "mu_over_hbar_omega0 = 0.8",
+        "mu_over_hbar_omega0 = 0.8\nomega0_over_gamma = 1e7\nsigma_zer0 = true")
+    with pytest.raises(ConfigError, match=r"graphene\.omega0_over_gamma, "
+                                          r"graphene\.sigma_zer0$"):
+        cs.load_scenario(bad)
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\], \[drives\]$"):
+        cs.load_scenario("[DEFAULT]\nepsilon = 0.3\n" + config_text
+                         + "\n[drives]\neta_det = 0.5\n")
+
+
 def test_config_round_trip(ref_scenario):
     clean_transparent = replace(ref_scenario, graphene=cs.GrapheneParams(
         mu=ref_scenario.graphene.mu, sigma_zero=True,
