@@ -25,13 +25,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dynamics import PhysicalityError, RiccatiError, simulate
+from .dynamics import PhysicalityError, simulate
 from .graphene import sigma_real_axis
 from .interaction import interaction_and_gradient
 from .measurement import evaluate_coupling
 from .params import (ConfigError, ENV_CONFIG, GrapheneParams, ScenarioParams,
                      load_scenario, reference_scenario, scenario_to_config)
-from .quadrature import QuadratureError
+from .quadrature import NumericsError
 
 USAGE_ERROR, NUMERICAL_ERROR, PHYSICALITY_ERROR = 2, 3, 4
 
@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (QuadratureError, RiccatiError) as exc:
+    except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except PhysicalityError as exc:

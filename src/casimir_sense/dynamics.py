@@ -84,6 +84,7 @@ import numpy as np
 
 from .measurement import evaluate_coupling
 from .params import ScenarioParams
+from .quadrature import NumericsError
 
 _KINDS = ("symmetric", "momentum")
 #: record times per block of the closed-form evaluation
@@ -113,7 +114,7 @@ class PhysicalityError(RuntimeError):
         self.det = det
 
 
-class RiccatiError(RuntimeError):
+class RiccatiError(NumericsError):
     """The conditional Riccati equation has no stabilizing steady state that
     the Newton-Kleinman iteration could find."""
 
@@ -446,19 +447,19 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp, damping=cfg.damping.kind)
 
 
-def step_config_for(s: ScenarioParams, damping: DampingModel | str,
+def step_config_for(s: ScenarioParams, damping: str,
                     coupling=None) -> tuple[StepConfig, float]:
     """Derive the step rates for a scenario; returns (config, n_th).
 
-    ``coupling`` may carry a precomputed (ir, cg, CouplingResult) triple to
-    avoid re-running the Casimir integrals.
+    ``damping`` is the kind, "symmetric" or "momentum".  ``coupling`` may
+    carry a precomputed (ir, cg, CouplingResult) triple to avoid re-running
+    the Casimir integrals.
     """
-    if isinstance(damping, str):
-        damping = DampingModel(kind=damping, gamma=s.mechanics.gamma)
     ir, cg, cr = coupling if coupling is not None else evaluate_coupling(s)
     gbar_m = cr.g_bar
     gamma_det = cr.nu * ir.gamma
     gamma_n = (1.0 - cr.nu) * ir.gamma
+    damping = DampingModel(kind=damping, gamma=s.mechanics.gamma)
     cfg = StepConfig(omega_m=s.mechanics.omega_m, damping=damping,
                      gbar_m=gbar_m, epsilon=s.drive.epsilon,
                      gamma_det=gamma_det, gamma_n=gamma_n)
@@ -473,7 +474,7 @@ def default_tau(cfg: StepConfig, n_th: float) -> float:
     return 5e-3 / rate
 
 
-def simulate(s: ScenarioParams, damping: DampingModel | str, t_end: float,
+def simulate(s: ScenarioParams, damping: str, t_end: float,
              tau: float | None = None, coupling=None,
              record_every: int | None = None) -> Trajectory:
     """End-to-end conditional-squeezing run for a scenario.

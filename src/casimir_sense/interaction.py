@@ -15,9 +15,12 @@ two-level result (it reproduces the textbook -Gamma0/16 (k0 d)^-3 perfect-
 mirror limit and is the only choice consistent with the decay-rate formula
 above, which is anchored by Gamma(free space) = Gamma0).
 
-The semi-infinite u integral is evaluated with the substitution u = w0 tan(t)
-and adaptive refinement; each outer level evaluates sigma(iu) and the inner
-kernel for all of its nodes at once, as the rows of one inner refinement.
+The semi-infinite u integral is evaluated with the substitution
+u = w0 tan(theta) and adaptive refinement.  With t = tan(theta) and
+Tr G(d, d, iu) = (u/c) T(d u/c), the weight u^2/(w0^2 + u^2) = sin^2(theta)
+and du = w0 dtheta/cos^2(theta) combine to dw_g = Gamma0 Int t^3 T dtheta.
+Each outer level evaluates sigma(iu) and the inner kernel for all of its
+nodes at once, as the rows of one inner refinement.
 Its panel edges sit at the knees of the integrand: the interband edge 2 mu,
 the weight's w0, the kernel's scales c/2d and 4c/d, the intraband loss
 gamma_g, and the frequency
@@ -66,7 +69,8 @@ from .constants import CONSTANTS
 from .graphene import _sigma_ec, FrequencyAxis
 from .greens import _trace_imag_scaled, trace_green_real_parts
 from .params import EmitterParams, GrapheneParams, ScenarioParams
-from .quadrature import clip_edges, integrate_refined
+# perfbench/workloads.py imports NumericsError from this module
+from .quadrature import NumericsError, clip_edges, integrate_refined  # noqa
 
 #: relative tolerance of the outer (frequency) integral
 _U_RTOL = 1e-8
@@ -75,15 +79,10 @@ _U_RTOL = 1e-8
 _DRUDE_KNEE_ZB = 0.05 * (1.0 + 0.5 * math.pi) * CONSTANTS.alpha / 2.0
 
 
-class NumericsError(RuntimeError):
-    """No longer raised; kept because perfbench/workloads.py imports it."""
-
-
 @dataclass(frozen=True)
 class InteractionResult:
     """Shifts and decay rates of the emitter at distance d (all rad/s)."""
 
-    d: float
     delta_g: float
     delta_e: float
     delta_omega: float      # delta_e - delta_g
@@ -96,7 +95,6 @@ class InteractionResult:
 class CouplingGradient:
     """d(delta_omega)/dd with the quadrature's error estimate."""
 
-    d: float
     g_value: float          # rad/s per m (signed)
     error_estimate: float   # rad/s per m
 
@@ -118,8 +116,7 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
         t = np.tan(theta)
         u = w0 * t
         s = _sigma_ec(FrequencyAxis.IMAG, u, g).real
-        out = (t / np.cos(theta) ** 2) * np.sin(theta) ** 2 \
-            * _trace_imag_scaled(d * u / c, s, gradient=gradient)
+        out = t * t * t * _trace_imag_scaled(d * u / c, s, gradient=gradient)
         if gradient:
             out[1] *= u / c                           # d zb / dd = u / c
         return out
@@ -143,7 +140,7 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     return e.gamma0 * float(val)
 
 
-def _result(d: float, e: EmitterParams, dg: float, prop: complex,
+def _result(e: EmitterParams, dg: float, prop: complex,
             evan: complex) -> InteractionResult:
     """Shifts and rates from dw_g and the two real-axis trace parts."""
     scale = 2.0 * e.gamma0 * math.pi * CONSTANTS.c / e.omega0
@@ -151,7 +148,7 @@ def _result(d: float, e: EmitterParams, dg: float, prop: complex,
     gamma_nonrad = scale * evan.imag
     de = -dg - 0.5 * scale * (prop + evan).real
     return InteractionResult(
-        d=d, delta_g=dg, delta_e=de, delta_omega=de - dg,
+        delta_g=dg, delta_e=de, delta_omega=de - dg,
         gamma=gamma_rad + gamma_nonrad,
         gamma_rad=gamma_rad, gamma_nonrad=gamma_nonrad,
     )
@@ -165,8 +162,8 @@ def decay_rates(d: float, e: EmitterParams,
     interference; Gamma_nonrad is the evanescent sector (plasmons and
     absorption).  Gamma is their sum by construction.
     """
-    return _result(d, e, ground_shift(d, e, g),
-                   *trace_green_real_parts(d, e.omega0, g))
+    prop, evan = trace_green_real_parts(d, e.omega0, g)
+    return _result(e, ground_shift(d, e, g), prop[0], evan[0])
 
 
 def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams):
@@ -176,11 +173,11 @@ def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams):
     the real-axis parts are closed forms.
     """
     (dg, dg_slope), (_, err) = ground_shift(d, e, g, gradient=True)
-    prop, evan = trace_green_real_parts(d, e.omega0, g, gradient=True)
+    prop, evan = trace_green_real_parts(d, e.omega0, g)
     resonant = e.gamma0 * math.pi * CONSTANTS.c / e.omega0
     slope = -2.0 * dg_slope - resonant * (prop[1] + evan[1]).real
-    return (_result(d, e, dg, prop[0], evan[0]),
-            CouplingGradient(d=d, g_value=slope, error_estimate=2.0 * err))
+    return (_result(e, dg, prop[0], evan[0]),
+            CouplingGradient(g_value=slope, error_estimate=2.0 * err))
 
 
 def excited_shift(d: float, e: EmitterParams, g: GrapheneParams) -> float:

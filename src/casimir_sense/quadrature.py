@@ -28,9 +28,15 @@ _ORDER = 24
 #: gradient-bound workload ran 13% slower and its value-only one 2% faster
 #: (2-vCPU Xeon, 2 MiB L2 a core)
 _CHUNK_NODES = 1 << 12
+#: bisections of every panel before refinement gives up
+_MAX_DOUBLINGS = 12
 
 
-class QuadratureError(RuntimeError):
+class NumericsError(RuntimeError):
+    """Base of the typed numerical failures (quadrature, Riccati)."""
+
+
+class QuadratureError(NumericsError):
     """Adaptive refinement failed to converge; carries the residual estimate."""
 
     def __init__(self, message: str, residual: float):
@@ -85,8 +91,7 @@ def _level(f, edges, columns, x, w):
     return np.concatenate(sums, axis=-1)
 
 
-def integrate_rows(f, edges, *columns, rtol: float = 1e-9,
-                   max_doublings: int = 12):
+def integrate_rows(f, edges, *columns, rtol: float = 1e-9):
     """Integrate f along each row of ``edges`` (rows x m, sorted per row).
 
     f(x, *cols) gets the nodes x (r x n) of r rows and, of each of
@@ -94,8 +99,8 @@ def integrate_rows(f, edges, *columns, rtol: float = 1e-9,
     returns (..., r, n).  All rows bisect together, and a row is frozen at
     the first level where |I_k - I_{k-1}| <= rtol * |I_k| in every component.
     Returns (values, error estimates), each (..., rows); raises
-    QuadratureError when the budget of doublings is exhausted, or once two
-    successive sums of a row are not finite.
+    QuadratureError when _MAX_DOUBLINGS doublings do not converge, or once
+    two successive sums of a row are not finite.
     """
     x, w = _gauss_nodes(_ORDER)
     edges = np.asarray(edges, dtype=float)
@@ -103,7 +108,7 @@ def integrate_rows(f, edges, *columns, rtol: float = 1e-9,
     active = np.arange(len(edges))
     prev = _level(f, edges, columns, x, w)
     value, error = np.empty_like(prev), np.empty(prev.shape)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         halved = np.empty((len(edges), 2 * edges.shape[1] - 1))
         halved[:, ::2] = edges
         halved[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
@@ -124,7 +129,7 @@ def integrate_rows(f, edges, *columns, rtol: float = 1e-9,
     raise QuadratureError("quadrature did not converge", np.max(err))
 
 
-def integrate_refined(f, edges, rtol: float = 1e-9, max_doublings: int = 12):
+def integrate_refined(f, edges, rtol: float = 1e-9):
     """Integrate f over one set of edges: integrate_rows on a single row.
 
     Returns (value, error_estimate), per component of a stacked f.
@@ -134,7 +139,7 @@ def integrate_refined(f, edges, rtol: float = 1e-9, max_doublings: int = 12):
     if edges.size < 2:
         raise ValueError("need at least two distinct edges")
     val, err = integrate_rows(lambda x: f(x[0])[..., None, :], edges[None],
-                              rtol=rtol, max_doublings=max_doublings)
+                              rtol=rtol)
     return val[..., 0], err[..., 0]
 
 

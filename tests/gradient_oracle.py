@@ -8,7 +8,7 @@ value-only transition_shift, so the oracle shares no derivative code with
 the library.
 """
 
-import casimir_sense as cs
+from casimir_sense import interaction
 
 
 class OracleError(RuntimeError):
@@ -21,7 +21,7 @@ def richardson_gradient(d, e, g, rel_step=0.01):
     for _ in range(3):
         if d - h <= 0:
             raise OracleError("stencil step underflows the distance")
-        f = {dd: cs.transition_shift(dd, e, g)
+        f = {dd: interaction.transition_shift(dd, e, g)
              for dd in (d + h, d - h, d + h / 2, d - h / 2)}
         coarse = (f[d + h] - f[d - h]) / (2.0 * h)
         fine = (f[d + h / 2] - f[d - h / 2]) / h

@@ -239,6 +239,16 @@ def test_squeeze_damping_discrimination(tmp_path, config_text):
     assert outs["momentum"] < outs["symmetric"]
 
 
+def test_squeeze_riccati_failure_is_a_numerical_error(tmp_path,
+                                                     monkeypatch):
+    def no_steady_state(*args, **kwargs):
+        raise cs.dynamics.RiccatiError("injected failure")
+
+    monkeypatch.setattr(cli, "simulate", no_steady_state)
+    code, _ = run_cli(["squeeze", "--t-end", "1e-7"], tmp_path)
+    assert code == 3
+
+
 def test_squeeze_nonpositive_t_end_is_usage_error(tmp_path, capsys):
     code, text = run_cli(["squeeze", "--t-end=-1e-6"], tmp_path)
     assert code == 2 and text == ""

@@ -159,7 +159,7 @@ def test_propagator_matches_scipy_expm(ref_scenario, ref_coupling):
     ham = _hamiltonian(cfg, n_th, measure=True)
     for dt in (0.0, 1e-10, 1e-9, 1e-7):    # 0 to 6 squarings
         ref = expm(ham * dt)
-        assert np.abs(cs.build_step(ham, dt) - ref).max() \
+        assert np.abs(cs.dynamics.build_step(ham, dt) - ref).max() \
             <= 1e-14 * np.abs(ref).max()
 
 
@@ -372,6 +372,17 @@ def test_steady_state_failure_is_typed(monkeypatch):
     monkeypatch.setattr(cs.dynamics, "_NEWTON_STEPS", 2)
     with pytest.raises(RiccatiError, match="did not converge in 2 steps"):
         simulate_conditional(cfg, n_th=3.0, t_end=1.0, tau=1e-2)
+
+
+def test_riccati_failure_is_a_typed_benchmark_error():
+    # the benchmark counts a typed error as one failed op; any other
+    # exception escaping an op marks the whole run incorrect
+    from test_benchmark_bindings import _load
+
+    typed = _load("workloads").TYPED_ERRORS
+    assert isinstance(RiccatiError("no steady state"), typed)
+    assert issubclass(RiccatiError, cs.NumericsError)
+    assert issubclass(cs.QuadratureError, cs.NumericsError)
 
 
 def test_record_grid_validation():

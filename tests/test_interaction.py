@@ -22,7 +22,7 @@ def graphene(mu_frac, sigma_zero=False):
 def test_transparent_sheet_gives_free_space_result():
     g = graphene(0.8, sigma_zero=True)
     assert cs.ground_shift(18e-9, EMITTER, g) == 0.0
-    assert cs.excited_shift(18e-9, EMITTER, g) == 0.0
+    assert interaction.excited_shift(18e-9, EMITTER, g) == 0.0
     ir = cs.decay_rates(18e-9, EMITTER, g)
     assert ir.gamma == pytest.approx(GAMMA0, rel=1e-12)
     assert ir.gamma_rad == pytest.approx(GAMMA0, rel=1e-12)
@@ -50,8 +50,8 @@ def test_excited_shift_identity():
     g = graphene(0.8)
     d = 18e-9
     dg = cs.ground_shift(d, EMITTER, g)
-    de = cs.excited_shift(d, EMITTER, g)
-    trace = sum(cs.trace_green_real_parts(d, W0, g))
+    de = interaction.excited_shift(d, EMITTER, g)
+    trace = sum(cs.trace_green_real_parts(d, W0, g))[0]
     rhs = -GAMMA0 * math.pi * cs.CONSTANTS.c / W0 * trace.real
     assert de + dg == pytest.approx(rhs, rel=1e-12)
 
@@ -139,8 +139,8 @@ def test_gradient_matches_central_difference_of_transition_shift(mu_frac, d):
     # step 1e-3 d: truncation ~1e-6 relative, quadrature noise ~1e-5
     g = graphene(mu_frac)
     h = 1e-3 * d
-    slope = (cs.transition_shift(d + h, EMITTER, g)
-             - cs.transition_shift(d - h, EMITTER, g)) / (2.0 * h)
+    slope = (interaction.transition_shift(d + h, EMITTER, g)
+             - interaction.transition_shift(d - h, EMITTER, g)) / (2.0 * h)
     assert cs.transition_gradient(d, EMITTER, g).g_value \
         == pytest.approx(slope, rel=5e-5)
 

@@ -8,14 +8,14 @@ from casimir_sense.interaction import CouplingGradient, InteractionResult
 
 
 def fake_interaction(gamma=2e9, rad_fraction=0.54):
-    return InteractionResult(d=18e-9, delta_g=-1e11, delta_e=2e11,
+    return InteractionResult(delta_g=-1e11, delta_e=2e11,
                              delta_omega=3e11, gamma=gamma,
                              gamma_rad=rad_fraction * gamma,
                              gamma_nonrad=(1 - rad_fraction) * gamma)
 
 
 def fake_gradient(g=1.0e20):
-    return CouplingGradient(d=18e-9, g_value=-g, error_estimate=1e16)
+    return CouplingGradient(g_value=-g, error_estimate=1e16)
 
 
 def test_renormalized_coupling_values():

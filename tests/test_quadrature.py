@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from casimir_sense import quadrature
 from casimir_sense.quadrature import (_CHUNK_NODES, QuadratureError,
                                       _gauss_nodes, clip_edges,
                                       integrate_refined, integrate_rows)
@@ -37,12 +38,13 @@ def test_reported_error_bounds_tolerance_refinement():
     assert abs(loose - tight) <= est
 
 
-def test_nonconvergence_raises_with_residual():
+def test_nonconvergence_raises_with_residual(monkeypatch):
     # inverse-sqrt singularity inside a panel: bisection gains only ~sqrt(2)
     # per level, so the refinement budget runs out
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 8)
     f = lambda x: 1.0 / np.sqrt(np.abs(x - 1 / math.pi) + 1e-300)
     with pytest.raises(QuadratureError) as exc:
-        integrate_refined(f, [0.0, 1.0], rtol=1e-12, max_doublings=8)
+        integrate_refined(f, [0.0, 1.0], rtol=1e-12)
     assert exc.value.residual > 0
 
 

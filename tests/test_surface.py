@@ -25,6 +25,26 @@ def _parameters(fn):
         return {}
 
 
+#: the exported names, sorted; a change to the public surface edits this list
+PUBLIC = [
+    "CONSTANTS", "Conductivity", "ConfigError", "CouplingGradient",
+    "CouplingResult", "DampingModel", "DriveParams", "EmitterParams",
+    "GrapheneParams", "InteractionResult", "MechanicalParams",
+    "NumericsError", "PhysicalityError", "QuadratureError", "ScenarioParams",
+    "StepConfig", "Trajectory", "decay_rates", "detection_efficiency",
+    "evaluate_coupling", "ground_shift", "interaction_and_gradient", "kappa",
+    "load_scenario", "reference_scenario", "renormalized_coupling",
+    "scattering_rate_map", "scenario_to_config", "sigma_imag_axis",
+    "sigma_real_axis", "simulate", "simulate_conditional",
+    "trace_green_real_parts", "transition_gradient",
+]
+
+
+def test_exports_are_pinned():
+    assert PUBLIC == sorted(PUBLIC)
+    assert sorted(cs.__all__) == PUBLIC
+
+
 def test_names_are_unique():
     assert len(cs.__all__) == len(set(cs.__all__))
 
