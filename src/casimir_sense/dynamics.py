@@ -419,10 +419,10 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     recorded covariance whose det is below 1 - _PHYSICAL_TOL or not a number,
     and with RiccatiError if no stabilizing steady state is found.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     n_steps = max(1, int(round(t_end / tau)))
     if record_every is None:
         record_every = max(1, n_steps // 2000)

@@ -22,8 +22,8 @@ and du = w0 dtheta/cos^2(theta) combine to dw_g = Gamma0 Int t^3 T dtheta.
 Each outer level evaluates sigma(iu) and the inner kernel for all of its
 nodes at once, as the rows of one inner refinement.
 Its panel edges sit at the knees of the integrand: the interband edge 2 mu,
-the weight's w0, the kernel's scales c/2d and 4c/d, the intraband loss
-gamma_g, and the frequency
+the kernel's scales c/2d and 4c/d, the intraband loss gamma_g, and the
+frequency
 
     u_k = pi alpha c / (2d)
 
@@ -33,6 +33,12 @@ s = 2 zb = 2 u d/c: a sheet at its interband floor s = pi alpha (mu = 0,
 or u > 2 mu, where sigma(iu)/(eps0 c) lies within 14% of it) reflects like
 a mirror in r_p below u_k and fades above it.  u_k is an edge only where
 it lies above 2 mu, since below the interband edge the Drude term sets s.
+
+w0 is no knee: the weight t^3 is smooth through theta = pi/4.  It is an
+edge only where u_k lies above it, d < d* = alpha lambda0/4 (3.65 nm at
+lambda0 = 2 um), because there it splits the long panel that ends at u_k;
+above d* it falls inside a panel that needs no split.  Dropping it at every
+d costs nodes below d* (840 against 432 at mu = 1e-3 hbar w0, 2 nm).
 
 gamma_g, the width of the Drude term 4 alpha mu/(u + gamma_g) of s, is an
 edge only where the integrand can show that knee; an undoped sheet has no
@@ -48,9 +54,9 @@ s(i gamma_g) >= (1 + pi/2) alpha for every mu > 0 (equality at
 mu = gamma_g/2), its dip 2 zb/s there is at most
 2 gamma_g d/(c (1 + pi/2) alpha), and the edge stays where that bound
 exceeds 5% (gamma_g d/c > 4.7e-4: large d or a lossy sheet).  At the
-operating point (mu = 0.8 hbar w0, 18 nm, w0/gamma_g = 1e3) the dropped
-panel held 72 of 432 outer nodes, each a full inner refinement row, on an
-integrand flat to 1e-5; the integral now takes 360.
+operating point (mu = 0.8 hbar w0, 18 nm, w0/gamma_g = 1e3) a gamma_g edge
+adds 72 outer nodes, each a full inner refinement row, on an integrand flat
+to 1e-5; without it and w0 the integral takes 288.
 
 The transition gradient g = d(delta_omega)/dd is analytic: d enters only
 through the exponentials of the Green's-function kernels, so each integrand
@@ -121,16 +127,19 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
             out[1] *= u / c                           # d zb / dd = u / c
         return out
 
-    # knees of the integrand: interband edge, weight, kernel, intraband
-    # loss where the kernel sees it (module docstring), and where r_p
-    # saturates
-    u_edges = [2.0 * g.mu, w0, c / (2.0 * d), 4.0 * c / d]
+    # knees of the integrand: interband edge, kernel, intraband loss where
+    # the kernel sees it, and where r_p saturates.  w0 is no knee; it is an
+    # edge only below d = alpha lambda0/4, where it splits the long panel
+    # ending at u_knee (module docstring).  288 nodes at the operating point
+    u_edges = [2.0 * g.mu, c / (2.0 * d), 4.0 * c / d]
     if g.mu > 0.0 and (g.gamma_g >= 2.0 * g.mu
                        or g.gamma_g * d / c > _DRUDE_KNEE_ZB):
         u_edges.append(g.gamma_g)
     u_knee = math.pi * CONSTANTS.alpha * c / (2.0 * d)
     if u_knee > 2.0 * g.mu:
         u_edges.append(u_knee)
+    if u_knee > w0:
+        u_edges.append(w0)
     u_max = 40.0 * c / d
     theta_edges = clip_edges([math.atan(u / w0) for u in u_edges if u > 0],
                              0.0, math.atan(u_max / w0))

@@ -27,7 +27,8 @@ sections with the unit encoded in the key name::
     distance_m = 18e-9
 
 Sections and keys outside this format are rejected, so that a misspelled
-optional key cannot silently take its default.  The default config path may
+optional key cannot silently take its default, and so is a value that is
+not finite: the ConfigError names the field.  The default config path may
 be set through the ``CASIMIR_SENSE_CONFIG`` environment variable; without
 it the reference operating point above is used.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import CONSTANTS
 
@@ -45,6 +46,16 @@ ENV_CONFIG = "CASIMIR_SENSE_CONFIG"
 
 class ConfigError(ValueError):
     """Raised when a scenario config is missing keys or violates invariants."""
+
+
+def _require_finite(params, prefix: str) -> None:
+    """Raise ConfigError naming the first float field of ``params`` that is
+    inf or nan."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{field.name} must be finite, "
+                              f"got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +70,12 @@ class EmitterParams:
             raise ConfigError("emitter.omega0 must be positive")
         if not self.gamma0 > 0:
             raise ConfigError("emitter.gamma0 must be positive")
+        _require_finite(self, "emitter.")
 
     @classmethod
     def from_wavelength(cls, lambda0: float, gamma0: float) -> "EmitterParams":
-        if not lambda0 > 0:
-            raise ConfigError("emitter.lambda0 must be positive")
+        if not 0 < lambda0 < math.inf:
+            raise ConfigError("emitter.lambda0 must be positive and finite")
         return cls(omega0=2.0 * math.pi * CONSTANTS.c / lambda0, gamma0=gamma0)
 
     @property
@@ -89,13 +101,15 @@ class GrapheneParams:
             raise ConfigError("graphene.mu must be non-negative")
         if not self.gamma_g > 0:
             raise ConfigError("graphene.gamma_g must be positive")
+        _require_finite(self, "graphene.")
 
     @classmethod
     def from_fractions(cls, mu_frac: float, omega0: float,
                        omega0_over_gamma_g: float = 1e3,
                        sigma_zero: bool = False) -> "GrapheneParams":
-        if not omega0_over_gamma_g > 0:
-            raise ConfigError("graphene.gamma_g must be positive")
+        if not 0 < omega0_over_gamma_g < math.inf:
+            raise ConfigError("graphene.omega0_over_gamma_g must be positive "
+                              "and finite")
         return cls(mu=mu_frac * omega0, gamma_g=omega0 / omega0_over_gamma_g,
                    sigma_zero=sigma_zero)
 
@@ -114,6 +128,7 @@ class MechanicalParams:
             raise ConfigError("mechanics parameters must be positive")
         if not self.t_bath >= 0:
             raise ConfigError("mechanics.t_bath must be non-negative")
+        _require_finite(self, "mechanics.")
 
     @property
     def gamma(self) -> float:
@@ -161,6 +176,7 @@ class ScenarioParams:
     def __post_init__(self):
         if not self.distance > 0:
             raise ConfigError("distance must be positive")
+        _require_finite(self, "")
 
 
 # ---------------------------------------------------------------------------

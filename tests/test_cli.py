@@ -255,6 +255,16 @@ def test_squeeze_nonpositive_t_end_is_usage_error(tmp_path, capsys):
     assert "t_end must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--t-end", "--tau"])
+def test_squeeze_infinite_time_is_usage_error(tmp_path, capsys, flag):
+    # a usage error, not an OverflowError (t_end) or a physicality failure
+    # at t = inf (tau)
+    code, text = run_cli(["squeeze", flag, "inf"], tmp_path)
+    assert code == 2 and text == ""
+    assert f"{flag[2:].replace('-', '_')} must be positive and finite" \
+        in capsys.readouterr().err
+
+
 def test_squeeze_reports_subunity_minimum(tmp_path):
     # default scenario, momentum damping: conditional squeezing within 3 us
     code, text = run_cli(["squeeze", "--t-end", "3e-6", "--record-every",

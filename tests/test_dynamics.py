@@ -14,6 +14,7 @@ from mobius_oracle import _hamiltonian, simulate_mobius
 from shorttime_oracle import analytic_shorttime
 from stepper_oracle import (ConditionalState, NoiseSpec, build_step,
                             lab_frame, measurement_update, simulate_stepper)
+from test_interaction import _log_uniform
 
 
 def config(omega_m=1.0, gamma=0.0, kind="momentum", kappa2=1.0, nu=1.0):
@@ -602,3 +603,42 @@ def test_oracle_converges_to_exact_engine_at_operating_point(ref_scenario,
         devs.append(np.abs(oracle.vx / exact.vx - 1.0).max())
     assert devs[0] < 2e-2
     assert devs[1] < 0.3 * devs[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mu_frac=st.one_of(st.sampled_from([0.0, 0.5]),
+                         _log_uniform(1e-6, 1.2)),
+       q_factor=_log_uniform(1e2, 1e7),
+       # both sides of alpha lambda0/4 = 3.65 nm, where w0 stops being an
+       # outer edge of the ground shift
+       d=st.one_of(st.sampled_from([3e-9, 4e-9]), _log_uniform(1e-9, 1e-4)),
+       epsilon=st.floats(1e-3, 0.99), eta_det=st.floats(0.0, 1.0),
+       quality=_log_uniform(1e2, 1e7), t_bath=st.floats(0.0, 300.0),
+       kind=st.sampled_from(["momentum", "symmetric"]))
+def test_whole_parameter_box_end_to_end(mu_frac, q_factor, d, epsilon,
+                                        eta_det, quality, t_bath, kind):
+    ref = cs.reference_scenario()
+    s = cs.ScenarioParams(
+        emitter=ref.emitter,
+        graphene=cs.GrapheneParams.from_fractions(mu_frac, ref.emitter.omega0,
+                                                  q_factor),
+        mechanics=cs.MechanicalParams(ref.mechanics.omega_m,
+                                      ref.mechanics.mass, quality, t_bath),
+        drive=cs.DriveParams(epsilon, eta_det), distance=d)
+    try:
+        coupling = cs.evaluate_coupling(s)
+        traj = cs.simulate(s, kind, 1e-7, coupling=coupling)
+    except cs.NumericsError:
+        return
+    ir, cg, cr = coupling
+    assert np.all(np.isfinite([ir.delta_g, ir.delta_e, ir.delta_omega,
+                               ir.gamma, ir.gamma_rad, ir.gamma_nonrad,
+                               cg.g_value, cg.error_estimate, cr.g_bar,
+                               cr.nu, cr.kappa, cr.merit, cr.merit_ideal]))
+    assert ir.gamma == pytest.approx(ir.gamma_rad + ir.gamma_nonrad,
+                                     rel=1e-12)
+    assert cr.kappa_inv_si > 0.0
+    assert math.isfinite(cr.kappa_inv_si) or cr.kappa == 0.0
+    rows = np.array([traj.t, traj.vx, traj.vp, traj.vxp])
+    assert np.all(np.isfinite(rows))
+    assert np.all(traj.vx * traj.vp - traj.vxp**2 >= 1.0 - 1e-9)

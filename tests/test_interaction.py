@@ -219,8 +219,11 @@ def _count_outer_nodes(monkeypatch):
 def test_ground_shift_outer_node_count_is_bounded(monkeypatch):
     # the knee where r_p saturates, pi alpha c/(2d), is a panel edge above
     # the interband edge; without it undoped and lightly doped sheets
-    # bisect the whole outer integral (9,072 nodes at mu = 1e-4, 1 um)
+    # bisect the whole outer integral (9,072 nodes at mu = 1e-4, 1 um).
+    # w0 is an edge only below alpha lambda0/4: with it everywhere the grid
+    # takes 113,832 nodes
     nodes = _count_outer_nodes(monkeypatch)
+    total = 0
     for mu_frac in KNEE_MU:
         for q_factor in (1e3, 1e7):
             g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
@@ -228,14 +231,19 @@ def test_ground_shift_outer_node_count_is_bounded(monkeypatch):
                 nodes[0] = 0
                 cs.ground_shift(d, EMITTER, g)
                 assert nodes[0] <= 2_000, (mu_frac, q_factor, d, nodes[0])
+                total += nodes[0]
+    assert total <= 101_448
 
 
 @pytest.mark.parametrize("mu_frac, d, nodes", [
-    (0.8, 18e-9, 360), (0.5, 18e-9, 288), (1e-4, 10e-9, 504)])
+    (0.8, 18e-9, 288), (0.5, 18e-9, 288), (1e-4, 10e-9, 432),
+    (0.0, 3e-9, 360), (0.0, 4e-9, 288), (1e-3, 2e-9, 432)])
 def test_ground_shift_outer_node_count_at_pinned_points(monkeypatch, mu_frac,
                                                         d, nodes):
-    # gamma_g < 2 mu with r_p flat at the Drude knee: no gamma_g edge (432
-    # and 360 nodes with it); gamma_g > 2 mu keeps it (1,008 without it)
+    # gamma_g < 2 mu with r_p flat at the Drude knee: no gamma_g edge (360
+    # nodes each with it); gamma_g > 2 mu keeps it (840 without it).  w0 is
+    # an edge only below d* = alpha lambda0/4 = 3.65 nm, which lies between
+    # 3 and 4 nm; at mu = 1e-3, 2 nm, 840 nodes without it
     count = _count_outer_nodes(monkeypatch)
     cs.ground_shift(d, EMITTER, graphene(mu_frac), gradient=True)
     assert count[0] == nodes
@@ -245,7 +253,9 @@ def test_ground_shift_outer_node_count_at_pinned_points(monkeypatch, mu_frac,
     (1e-4, 1e7, 8e-9), (1e-4, 1e7, 3e-9), (1e-3, 1e7, 20e-9),
     (0.0, 1e3, 8e-9), (0.02, 1e3, 1e-9),
     (1e-3, 1e3, 20e-6),     # r_p dips at the Drude knee: gamma_g an edge
-    (0.8, 1e3, 18e-9)])     # operating point: gamma_g no edge
+    (0.8, 1e3, 18e-9),      # operating point: gamma_g no edge
+    (1e-3, 1e3, 1e-9),      # below alpha lambda0/4: w0 an edge
+    (0.0, 1e3, 4e-9)])      # above it: w0 no edge
 def test_ground_shift_meets_a_tighter_outer_tolerance(monkeypatch, mu_frac,
                                                       q_factor, d):
     g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)

@@ -34,6 +34,27 @@ def test_load_rejects_zero_distance(config_text):
             cs.load_scenario(bad)
 
 
+@pytest.mark.parametrize("key, field", [
+    ("lambda0_m", "emitter.lambda0"), ("gamma0_rad_s", "emitter.gamma0"),
+    ("mu_over_hbar_omega0", "graphene.mu"),
+    ("omega0_over_gamma_g", "graphene.omega0_over_gamma_g"),
+    ("omega_m_rad_s", "mechanics.omega_m"), ("mass_kg", "mechanics.mass"),
+    ("quality_factor", "mechanics.quality"),
+    ("bath_temperature_k", "mechanics.t_bath"),
+    ("epsilon", "drive.epsilon"), ("eta_det", "drive.eta_det"),
+    ("distance_m", "distance")])
+def test_load_rejects_an_infinite_value_by_field(config_text, key, field):
+    # by name here, not deep in the quadrature (distance) or as a numerical
+    # failure (mu)
+    text = config_text.replace("[graphene]",
+                               "[graphene]\nomega0_over_gamma_g = 1e3")
+    lines = [f"{key} = inf" if line.split(" = ")[0] == key else line
+             for line in text.splitlines()]
+    assert f"{key} = inf" in lines
+    with pytest.raises(ConfigError, match=rf"^{field}\b"):
+        cs.load_scenario("\n".join(lines))
+
+
 def test_load_reports_missing_key(config_text):
     bad = config_text.replace("mass_kg = 2.81e-18\n", "")
     with pytest.raises(ConfigError, match="mechanics.mass_kg"):
