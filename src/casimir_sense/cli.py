@@ -70,6 +70,9 @@ def _axis(args, name: str) -> np.ndarray:
     lo = getattr(args, f"{name}_min")
     hi = getattr(args, f"{name}_max")
     count = getattr(args, f"{name}_count")
+    for end, value in (("min", lo), ("max", hi)):
+        if not np.isfinite(value):
+            raise ConfigError(f"--{name}-{end} must be finite, got {value}")
     if count < 1:
         raise ConfigError(f"--{name}-count must be >= 1")
     if count == 1:

@@ -100,10 +100,16 @@ def _sigma_ec(axis: FrequencyAxis, freq, g: GrapheneParams):
 # ---------------------------------------------------------------------------
 # public operations
 
+def _positive_finite(freq) -> bool:
+    """Whether every element of freq lies in (0, inf); nan does not."""
+    freq = np.asarray(freq, dtype=float)
+    return bool(np.all((freq > 0.0) & (freq < np.inf)))
+
+
 def sigma_real_axis(omega: float, g: GrapheneParams) -> Conductivity:
     """Complex sheet conductivity sigma(omega), omega > 0 in rad/s."""
-    if np.any(np.asarray(omega) <= 0):
-        raise ValueError("omega must be positive")
+    if not _positive_finite(omega):
+        raise ValueError("omega must be positive and finite")
     value = _scale_complex(_sigma_ec(FrequencyAxis.REAL, omega, g),
                            CONSTANTS.eps0 * CONSTANTS.c)
     return Conductivity(complex(value) if np.isscalar(omega) else value)
@@ -111,7 +117,7 @@ def sigma_real_axis(omega: float, g: GrapheneParams) -> Conductivity:
 
 def sigma_imag_axis(u: float, g: GrapheneParams) -> Conductivity:
     """Real positive sigma(iu), u > 0 in rad/s."""
-    if np.any(np.asarray(u) <= 0):
-        raise ValueError("u must be positive")
+    if not _positive_finite(u):
+        raise ValueError("u must be positive and finite")
     value = _sigma_ec(FrequencyAxis.IMAG, u, g).real * CONSTANTS.eps0 * CONSTANTS.c
     return Conductivity(float(value) if np.isscalar(u) else value)

@@ -72,7 +72,10 @@ it is the same closed form one power higher.
 
 The imaginary-axis kernel also takes arrays of (zb, s) rows and refines them
 together (quadrature.integrate_rows), each row on its own panel edges; the
-ground shift passes all frequency nodes of an outer level as one call.
+ground shift passes all frequency nodes of an outer level as one call.  The
+rows stop at quadrature.RTOL, the tolerance of the outer frequency integral
+they feed: every row has one sign, so a tighter inner tolerance would not
+make the outer sum more accurate (quadrature module docstring).
 """
 
 from __future__ import annotations
@@ -86,9 +89,8 @@ from .constants import CONSTANTS
 from .graphene import FrequencyAxis, _sigma_ec
 from .params import GrapheneParams
 # integrate_refined is not called here; perfbench/tracing.py binds it
-from .quadrature import integrate_refined, integrate_rows  # noqa: F401
+from .quadrature import RTOL, integrate_refined, integrate_rows  # noqa: F401
 
-_RTOL = 1e-10
 #: e^{-2 q zb} tail cutoff: exp(-2*(EXP_CUT)) ~ 1e-44 relative to the peak.
 _EXP_CUT = 50.0
 #: |z| from which G and F_m come from the asymptotic series of G; its
@@ -125,7 +127,7 @@ def _trace_imag_scaled(zb, s, gradient: bool = False):
                         np.ones_like(zbs), _EXP_CUT / zbs + 10.0), axis=-1)
     edges = np.sqrt(1.0 + np.sort(x_edges) ** 2)
     val, _ = integrate_rows(integrand, edges, zbs, np.atleast_1d(s),
-                            rtol=_RTOL)
+                            rtol=RTOL)
     # d/dzb of e^{-2 chi zb} is -2 chi, and the integrand carries -1
     scale = np.array([-1.0, 2.0])[:, None] if gradient else -1.0
     out = scale * np.exp(-2.0 * zbs) * val / (4.0 * np.pi)
@@ -299,10 +301,10 @@ def trace_green_real_parts(z: float, omega: float, g: GrapheneParams):
     non-radiative decay.  Each part is the complex array
     [value, d value/dz] (1/m, 1/m^2), both from one closed form.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("z must be positive and finite")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     s = complex(_sigma_ec(FrequencyAxis.REAL, omega, g))
     q0 = omega / CONSTANTS.c
     prop, evan = _trace_real_scaled(z * q0, s)

@@ -20,7 +20,8 @@ u = w0 tan(theta) and adaptive refinement.  With t = tan(theta) and
 Tr G(d, d, iu) = (u/c) T(d u/c), the weight u^2/(w0^2 + u^2) = sin^2(theta)
 and du = w0 dtheta/cos^2(theta) combine to dw_g = Gamma0 Int t^3 T dtheta.
 Each outer level evaluates sigma(iu) and the inner kernel for all of its
-nodes at once, as the rows of one inner refinement.
+nodes at once, as the rows of one inner refinement; both levels stop at
+quadrature.RTOL.
 Its panel edges sit at the knees of the integrand: the interband edge 2 mu,
 the kernel's scales c/2d and 4c/d, the intraband loss gamma_g, and the
 frequency
@@ -76,10 +77,9 @@ from .graphene import _sigma_ec, FrequencyAxis
 from .greens import _trace_imag_scaled, trace_green_real_parts
 from .params import EmitterParams, GrapheneParams, ScenarioParams
 # perfbench/workloads.py imports NumericsError from this module
-from .quadrature import NumericsError, clip_edges, integrate_refined  # noqa
+from .quadrature import (NumericsError, RTOL, clip_edges,  # noqa: F401
+                         integrate_refined)
 
-#: relative tolerance of the outer (frequency) integral
-_U_RTOL = 1e-8
 #: gamma_g d / c above which the Drude knee is an edge even below 2 mu:
 #: there r_p may dip by more than 5% at the knee (see the module docstring)
 _DRUDE_KNEE_ZB = 0.05 * (1.0 + 0.5 * math.pi) * CONSTANTS.alpha / 2.0
@@ -111,8 +111,8 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
 
     With gradient: (value, error estimate), each the array [dw_g, d dw_g/dd].
     """
-    if d <= 0:
-        raise ValueError("d must be positive")
+    if not 0.0 < d < math.inf:
+        raise ValueError("d must be positive and finite")
     if g.sigma_zero:
         return (np.zeros(2), np.zeros(2)) if gradient else 0.0
     w0 = e.omega0
@@ -143,7 +143,7 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     u_max = 40.0 * c / d
     theta_edges = clip_edges([math.atan(u / w0) for u in u_edges if u > 0],
                              0.0, math.atan(u_max / w0))
-    val, err = integrate_refined(integrand, theta_edges, rtol=_U_RTOL)
+    val, err = integrate_refined(integrand, theta_edges, rtol=RTOL)
     if gradient:
         return e.gamma0 * val, e.gamma0 * err
     return e.gamma0 * float(val)
@@ -171,8 +171,9 @@ def decay_rates(d: float, e: EmitterParams,
     interference; Gamma_nonrad is the evanescent sector (plasmons and
     absorption).  Gamma is their sum by construction.
     """
+    dg = ground_shift(d, e, g)              # first: it checks d by name
     prop, evan = trace_green_real_parts(d, e.omega0, g)
-    return _result(e, ground_shift(d, e, g), prop[0], evan[0])
+    return _result(e, dg, prop[0], evan[0])
 
 
 def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams):
@@ -213,6 +214,8 @@ def scattering_rate_map(d: float, omega_l: float, s: ScenarioParams) -> float:
     frequency cancels.  Shifts and rates are evaluated at the emitter
     resonance.
     """
+    if not 0.0 < omega_l < math.inf:
+        raise ValueError("omega_l must be positive and finite")
     ir = decay_rates(d, s.emitter, s.graphene)
     detune = s.emitter.omega0 + ir.delta_omega - omega_l
     return (ir.gamma_rad * s.emitter.gamma0 / 4.0) \

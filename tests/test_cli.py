@@ -54,6 +54,26 @@ def test_conductivity_empty_range_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_conductivity_non_finite_omega_is_usage_error(tmp_path, capsys,
+                                                      value):
+    # not a file of empty sigma cells with exit code 0
+    code, text = run_cli(["conductivity", "--omega", value], tmp_path)
+    assert code == 2 and text == ""
+    assert "omega must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, end", [
+    (["--d-min", "nan", "--d-max", "nan", "--d-count", "1"], "--d-min"),
+    (["--d-max", "inf"], "--d-max"),
+    (["--d-max", "nan", "--log-d"], "--d-max")])
+def test_non_finite_axis_end_is_usage_error(tmp_path, capsys, args, end):
+    # not "requires equal endpoints", nor a sweep of nan distances
+    code, text = run_cli(["interaction", *args], tmp_path)
+    assert code == 2 and text == ""
+    assert f"{end} must be finite" in capsys.readouterr().err
+
+
 def test_bad_config_path_is_usage_error(tmp_path):
     code, _ = run_cli(["conductivity", "--config", str(tmp_path / "nope.ini")],
                       tmp_path)

@@ -44,11 +44,22 @@ def closed_form(zb, s):
         return float(value), float(slope)
 
 
+def _grid():
+    """110 fixed points, corners included, over the (zb, s) box the ground
+    shift reaches: zb in [1e-5, 50], s in [1e-5, 3e3]."""
+    return (a.ravel() for a in np.meshgrid(np.geomspace(1e-5, 50.0, 11),
+                                           np.geomspace(1e-5, 3e3, 10)))
+
+
 def test_imag_kernel_matches_closed_form():
-    # 110 fixed points, corners included, over the (zb, s) box the ground
-    # shift reaches: zb in [1e-5, 50], s in [1e-5, 3e3]
-    zb, s = (a.ravel() for a in np.meshgrid(np.geomspace(1e-5, 50.0, 11),
-                                            np.geomspace(1e-5, 3e3, 10)))
+    zb, s = _grid()
     ref = np.array([closed_form(a, b) for a, b in zip(zb, s)]).T
     got = _trace_imag_scaled(zb, s, gradient=True)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+
+def test_imag_kernel_has_one_sign():
+    # the inner rows may stop at the outer tolerance because no two of them
+    # cancel: T < 0 and dT/dzb > 0 wherever s > 0 (quadrature docstring)
+    value, slope = _trace_imag_scaled(*_grid(), gradient=True)
+    assert np.all(value < 0.0) and np.all(slope > 0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casimir_sense as cs
-from casimir_sense import interaction
+from casimir_sense import greens, interaction
 
 from gradient_oracle import richardson_gradient
 
@@ -171,6 +171,39 @@ def make_scenario(mu_frac, d, sigma_zero=False):
         distance=d)
 
 
+# (name in the message, call with the argument under test)
+_FREE_ARGUMENTS = [
+    ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.8))),
+    ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.8),
+                                    gradient=True)),
+    ("d", lambda x: cs.ground_shift(x, EMITTER,
+                                    graphene(0.8, sigma_zero=True))),
+    ("d", lambda x: cs.decay_rates(x, EMITTER, graphene(0.8))),
+    ("d", lambda x: cs.interaction_and_gradient(x, EMITTER, graphene(0.8))),
+    ("d", lambda x: cs.scattering_rate_map(x, W0, make_scenario(0.8, 18e-9))),
+    ("omega_l", lambda x: cs.scattering_rate_map(18e-9, x,
+                                                 make_scenario(0.8, 18e-9))),
+    ("z", lambda x: cs.trace_green_real_parts(x, W0, graphene(0.8))),
+    ("omega", lambda x: cs.trace_green_real_parts(18e-9, x, graphene(0.8))),
+    ("omega", lambda x: cs.sigma_real_axis(x, graphene(0.8))),
+    ("omega", lambda x: cs.sigma_real_axis(np.array([W0, x]), graphene(0.8))),
+    ("u", lambda x: cs.sigma_imag_axis(x, graphene(0.8))),
+    ("u", lambda x: cs.sigma_imag_axis(np.array([W0, x]), graphene(0.8))),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, call", _FREE_ARGUMENTS,
+                         ids=[f"{n}-{i}" for i, (n, _) in
+                              enumerate(_FREE_ARGUMENTS)])
+def test_non_finite_argument_fails_by_name(name, call, value):
+    # a ValueError that names the argument, not a QuadratureError from the
+    # integrand, an edge-list error or a silent nan
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and "
+                                         "finite$"):
+        call(value)
+
+
 def test_scattering_map_free_space_normalization():
     s = make_scenario(0.8, 18e-9, sigma_zero=True)
     assert cs.scattering_rate_map(18e-9, W0, s) == pytest.approx(1.0, rel=1e-12)
@@ -249,19 +282,36 @@ def test_ground_shift_outer_node_count_at_pinned_points(monkeypatch, mu_frac,
     assert count[0] == nodes
 
 
-@pytest.mark.parametrize("mu_frac, q_factor, d", [
+# (mu/hbar w0, w0/gamma_g, d) of the tolerance checks
+_TOLERANCE_POINTS = [
     (1e-4, 1e7, 8e-9), (1e-4, 1e7, 3e-9), (1e-3, 1e7, 20e-9),
     (0.0, 1e3, 8e-9), (0.02, 1e3, 1e-9),
     (1e-3, 1e3, 20e-6),     # r_p dips at the Drude knee: gamma_g an edge
     (0.8, 1e3, 18e-9),      # operating point: gamma_g no edge
     (1e-3, 1e3, 1e-9),      # below alpha lambda0/4: w0 an edge
-    (0.0, 1e3, 4e-9)])      # above it: w0 no edge
+    (0.0, 1e3, 4e-9)]       # above it: w0 no edge
+
+
+@pytest.mark.parametrize("mu_frac, q_factor, d", _TOLERANCE_POINTS)
 def test_ground_shift_meets_a_tighter_outer_tolerance(monkeypatch, mu_frac,
                                                       q_factor, d):
     g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
     value = cs.ground_shift(d, EMITTER, g)
-    monkeypatch.setattr(interaction, "_U_RTOL", 1e-11)
+    monkeypatch.setattr(interaction, "RTOL", 1e-11)
     assert value == pytest.approx(cs.ground_shift(d, EMITTER, g), rel=1e-8)
+
+
+@pytest.mark.parametrize("mu_frac, q_factor, d", _TOLERANCE_POINTS)
+def test_imag_kernel_meets_a_tighter_inner_tolerance(monkeypatch, mu_frac,
+                                                     q_factor, d):
+    # the inner rows stop at the outer tolerance; rows of one sign under
+    # positive weights cannot cancel, so a tighter inner tolerance moves
+    # [value, slope] by far less than it (quadrature module docstring)
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    value, _ = cs.ground_shift(d, EMITTER, g, gradient=True)
+    monkeypatch.setattr(greens, "RTOL", 1e-12)
+    tight, _ = cs.ground_shift(d, EMITTER, g, gradient=True)
+    np.testing.assert_allclose(value, tight, rtol=2e-12, atol=0.0)
 
 
 def _log_uniform(lo, hi):
