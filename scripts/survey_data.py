@@ -62,16 +62,13 @@ def scattering_maps(scenario, outdir, n):
 
 def sensitivity(scenario, outdir, n):
     w0 = scenario.emitter.omega0
-    x_zpm = scenario.mechanics.x_zpm
-    quantum_gate = x_zpm / np.sqrt(scenario.mechanics.omega_m)
     rows = []
     for d in np.geomspace(8e-9, 60e-9, n):
         for mu in np.linspace(0.1, 1.1, n):
             s = replace(scenario, distance=d,
                         graphene=cs.GrapheneParams.from_fractions(mu, w0))
             _, _, cr = cs.evaluate_coupling(s)
-            rows.append((d, mu, cr.kappa_inv_si, cr.merit,
-                         cr.kappa_inv_si < quantum_gate))
+            rows.append((d, mu, cr.kappa_inv_si, cr.merit, cr.merit > 1.0))
     write_csv(outdir / "sensitivity_grid.csv",
               ["d_m", "mu_over_hbar_omega0", "kappa_inv_m_rthz", "merit",
                "quantum_regime"], rows)

@@ -52,15 +52,15 @@ def _resolve_scenario(args) -> ScenarioParams:
     else:
         with open(path) as fh:
             s = load_scenario(fh.read())
-    if getattr(args, "distance", None) is not None:
+    if args.distance is not None:
         s = replace(s, distance=args.distance)
-    if getattr(args, "mu", None) is not None:
+    if args.mu is not None:
         s = _with_mu(s, args.mu)
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         s = replace(s, drive=replace(s.drive, epsilon=args.epsilon))
-    if getattr(args, "eta_det", None) is not None:
+    if args.eta_det is not None:
         s = replace(s, drive=replace(s.drive, eta_det=args.eta_det))
-    if getattr(args, "sigma_zero", False):
+    if args.sigma_zero:
         s = replace(s, graphene=replace(s.graphene, sigma_zero=True))
     return s
 
@@ -150,13 +150,12 @@ def cmd_sensitivity(args, argv) -> int:
     ds = _axis(args, "d")
     mus = _axis(args, "mu")
     at_mu = [(mu, _with_mu(s, mu)) for mu in mus]
-    quantum_limit = s.mechanics.x_zpm / np.sqrt(s.mechanics.omega_m)
     points = ((d, mu, evaluate_coupling(replace(s_mu, distance=d))[2])
               for d in ds for mu, s_mu in at_mu)  # row-major: d outer
     _write_csv(args, s, argv, ["d_m", "mu_over_hbar_omega0",
                                "kappa_inv_m_rthz", "merit", "quantum_regime"],
                ((d, mu, cr.kappa_inv_si, cr.merit,
-                 "true" if cr.kappa_inv_si < quantum_limit else "false")
+                 "true" if cr.merit > 1.0 else "false")
                 for d, mu, cr in points))
     return 0
 

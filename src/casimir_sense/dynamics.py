@@ -18,15 +18,16 @@ whose coefficients are all constant:
     damping and diag(1/(2 n_th + 1), 2 n_th + 1) for momentum damping (the
     extra x-noise keeps the momentum-damping model completely positive),
     plus the back-action of the detected and the undetected scattering;
-  * the conditioning on x at the information rate
-    kappa_det = 2 gbar_m sqrt(epsilon Gamma_det)/Gamma.
+  * the conditioning on x at the information rate kappa_det = kappa of
+    ``measurement``; kappa_n is the same rate at the undetected share
+    1 - nu of the scattering.
 
 Its solution is closed form.  With A = a I + K, a = tr(A)/2 and K^2 = b^2 I,
 E = exp(A t) = f I + g K with f = e^{at} cosh(bt) and g = e^{at} sinh(bt)/b.
 
-Unconditioned (C = kappa_det^2 e_x e_x^T = 0: ``measure=False``, nu = 0 or
-no coupling), V(t) = E V(0) E^T + int_0^t E D E^T ds (Van Loan, IEEE TAC 23,
-395 (1978)) = E V(0) E^T + F2 D + FG (K D + D K^T) + G2 K D K^T, and
+Unconditioned (C = kappa_det^2 e_x e_x^T = 0: nu = 0 or no coupling),
+V(t) = E V(0) E^T + int_0^t E D E^T ds (Van Loan, IEEE TAC 23, 395 (1978))
+= E V(0) E^T + F2 D + FG (K D + D K^T) + G2 K D K^T, and
 integrating (g^2)' = 2a g^2 + 2 f g and (f g)' = 2a f g + 2 b^2 g^2 + e^{2as}
 from 0 gives, with phi = int_0^t e^{2as} ds,
 
@@ -82,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import evaluate_coupling
+from .measurement import _information_rate, evaluate_coupling
 from .params import ScenarioParams
 from .quadrature import NumericsError
 
@@ -129,43 +130,33 @@ class DampingModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"damping kind must be one of {_KINDS}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite, "
+                             f"got {self.gamma}")
 
 
 @dataclass(frozen=True)
 class StepConfig:
     """Rates of the monitored-membrane dynamics.
 
-    gamma_det = nu * Gamma is the detected scattering rate, gamma_n the
-    undetected remainder, gbar_m the renormalized coupling in zero-point
-    units (rad/s).  kappa_det equals the information rate kappa.
+    kappa_det is the information rate of the detected scattering and
+    kappa_n the same rate of the undetected remainder, both in 1/sqrt(s)
+    per x_zpm; the back-action is kappa_det^2 + kappa_n^2.  A record that
+    conditions nothing has kappa_det = 0, with the whole back-action in
+    kappa_n.
     """
 
-    omega_m: float
+    omega_m: float          # rad/s
     damping: DampingModel
-    gbar_m: float
-    epsilon: float
-    gamma_det: float
-    gamma_n: float
+    kappa_det: float
+    kappa_n: float
 
-    @property
-    def gamma_total(self) -> float:
-        return self.gamma_det + self.gamma_n
-
-    @property
-    def kappa_det(self) -> float:
-        if self.gbar_m == 0.0 or self.gamma_det == 0.0:
-            return 0.0
-        return 2.0 * self.gbar_m * math.sqrt(self.epsilon * self.gamma_det) \
-            / self.gamma_total
-
-    @property
-    def kappa_n(self) -> float:
-        if self.gbar_m == 0.0 or self.gamma_n == 0.0:
-            return 0.0
-        return 2.0 * self.gbar_m * math.sqrt(self.epsilon * self.gamma_n) \
-            / self.gamma_total
+    def __post_init__(self):
+        for name in ("omega_m", "kappa_det", "kappa_n"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {value}")
 
 
 @dataclass
@@ -183,10 +174,9 @@ class Trajectory:
         return float(self.t[i]), float(self.vx[i])
 
 
-def _coefficients(cfg: StepConfig, n_th: float, measure: bool):
+def _coefficients(cfg: StepConfig, n_th: float):
     """Drift A, diffusion D = (d11, d12, d22) and conditioning strength
-    c = kappa_det^2 of the lab-frame Riccati equation; ``measure=False``
-    drops the conditioning (c = 0)."""
+    c = kappa_det^2 of the lab-frame Riccati equation."""
     gamma, omega = cfg.damping.gamma, cfg.omega_m
     v_th = 2.0 * n_th + 1.0
     if cfg.damping.kind == "symmetric":
@@ -196,7 +186,7 @@ def _coefficients(cfg: StepConfig, n_th: float, measure: bool):
         drift = ((0.0, omega), (-omega, -gamma))
         d11, d22 = gamma / v_th, gamma * v_th
     diffusion = (d11, 0.0, d22 + (cfg.kappa_det**2 + cfg.kappa_n**2))
-    return drift, diffusion, cfg.kappa_det**2 if measure else 0.0
+    return drift, diffusion, cfg.kappa_det**2
 
 
 def build_step(ham: np.ndarray, dt: float) -> np.ndarray:
@@ -405,19 +395,16 @@ def _co_rotating(phase: np.ndarray, v11, v12, v22, vx, vp, vxp):
 
 def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
                          tau: float, initial_cov: np.ndarray | None = None,
-                         record_every: int | None = None,
-                         measure: bool = True) -> Trajectory:
+                         record_every: int | None = None) -> Trajectory:
     """Propagate the conditional covariance from a thermal initial state.
 
     ``tau`` is the unit of the record grid only: with
     n_steps = round(t_end / tau), record k (from 0) is the covariance at
     t = (k + 1) (record_every tau), and the last one at n_steps tau.  Each
     record is the closed form of the module docstring at the time it is
-    labelled with, so tau sets no accuracy.
-    ``measure=False`` drops the conditioning (unconditional dynamics,
-    back-action still present).  Aborts with PhysicalityError at the first
-    recorded covariance whose det is below 1 - _PHYSICAL_TOL or not a number,
-    and with RiccatiError if no stabilizing steady state is found.
+    labelled with, so tau sets no accuracy.  Aborts with PhysicalityError at
+    the first recorded covariance whose det is below 1 - _PHYSICAL_TOL or not
+    a number, and with RiccatiError if no stabilizing steady state is found.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -432,7 +419,7 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         else np.array(initial_cov, dtype=float)
     t = np.arange(1, -(-n_steps // record_every) + 1) * (record_every * tau)
     t[-1] = n_steps * tau
-    covariance = _riccati(*_coefficients(cfg, n_th, measure), cov, t[-1])
+    covariance = _riccati(*_coefficients(cfg, n_th), cov, t[-1])
     vx, vp, vxp = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     for lo in range(0, len(t), _STAMP_BLOCK):
         hi = min(lo + _STAMP_BLOCK, len(t))
@@ -455,14 +442,13 @@ def step_config_for(s: ScenarioParams, damping: str,
     carry a precomputed (ir, cg, CouplingResult) triple to avoid re-running
     the Casimir integrals.
     """
-    ir, cg, cr = coupling if coupling is not None else evaluate_coupling(s)
-    gbar_m = cr.g_bar
-    gamma_det = cr.nu * ir.gamma
-    gamma_n = (1.0 - cr.nu) * ir.gamma
-    damping = DampingModel(kind=damping, gamma=s.mechanics.gamma)
-    cfg = StepConfig(omega_m=s.mechanics.omega_m, damping=damping,
-                     gbar_m=gbar_m, epsilon=s.drive.epsilon,
-                     gamma_det=gamma_det, gamma_n=gamma_n)
+    ir, _, cr = coupling if coupling is not None else evaluate_coupling(s)
+    kappa_n = _information_rate(cr.g_bar, s.drive.epsilon, 1.0 - cr.nu,
+                                ir.gamma)
+    cfg = StepConfig(omega_m=s.mechanics.omega_m,
+                     damping=DampingModel(kind=damping,
+                                          gamma=s.mechanics.gamma),
+                     kappa_det=cr.kappa, kappa_n=kappa_n)
     return cfg, s.mechanics.n_th
 
 

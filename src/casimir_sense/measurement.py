@@ -58,6 +58,13 @@ def detection_efficiency(ir: InteractionResult, eta_det: float) -> float:
     return eta_det * ir.gamma_rad / ir.gamma
 
 
+def _information_rate(g_bar: float, epsilon: float, share: float,
+                      gamma: float) -> float:
+    """2 gbar sqrt(epsilon share / Gamma): the rate at which the scattering
+    channel carrying ``share`` of Gamma reports the position."""
+    return 2.0 * g_bar * math.sqrt(epsilon * share / gamma)
+
+
 def kappa(s: ScenarioParams, ir: InteractionResult,
           cg: CouplingGradient) -> CouplingResult:
     """Information rate and sensitivity from one scenario's interaction data."""
@@ -66,13 +73,13 @@ def kappa(s: ScenarioParams, ir: InteractionResult,
     nu = detection_efficiency(ir, s.drive.eta_det)
     x_zpm = s.mechanics.x_zpm
     g_bar = gbar_si * x_zpm                           # zero-point units
-    kap = 2.0 * g_bar * math.sqrt(eps * nu / ir.gamma)
-    kap_ideal_sq = 4.0 * eps * g_bar**2 / ir.gamma
+    kap = _information_rate(g_bar, eps, nu, ir.gamma)
+    kap_ideal = _information_rate(g_bar, eps, 1.0, ir.gamma)
     kappa_inv = x_zpm / kap if kap > 0 else math.inf
     return CouplingResult(
         g_bar=g_bar, nu=nu, kappa=kap, kappa_inv_si=kappa_inv,
         merit=kap**2 / s.mechanics.omega_m,
-        merit_ideal=kap_ideal_sq / s.mechanics.omega_m,
+        merit_ideal=kap_ideal**2 / s.mechanics.omega_m,
     )
 
 

@@ -23,9 +23,10 @@ One step applies the first-order-in-tau symplectic map S:
     same structure with kappa_n for the undetected channel.
   * the signal map
       x_L_out = kappa_det sqrt(tau) (cos x_m + sin p_m)
-                + (1 - 2 Gamma_det/Gamma) x_L_in
-                - (2 sqrt(Gamma_det Gamma_N)/Gamma) x_N_in
-    and the two-channel reflection acting identically on the p quadratures.
+                + (1 - 2 nu) x_L_in - 2 sqrt(nu (1 - nu)) x_N_in
+    and the two-channel reflection acting identically on the p quadratures,
+    with the detected share nu = kappa_det^2 / (kappa_det^2 + kappa_n^2) of
+    the scattering.
 
 After each step the light mode is measured: a homodyne detection of x_L is
 the r -> infinity limit of projecting onto a squeezed state with covariance
@@ -129,11 +130,10 @@ def build_step(t: float, tau: float, cfg: StepConfig) -> StepOperator:
     S[0, 6], S[0, 7] = sg * c, -sg * s
     S[1, 6], S[1, 7] = sg * s, sg * c
     # light / undetected channel: signal write-out plus two-port reflection
-    gtot = cfg.gamma_total
-    if gtot > 0.0:
-        rho_l = 1.0 - 2.0 * cfg.gamma_det / gtot
-        rho_n = 1.0 - 2.0 * cfg.gamma_n / gtot
-        x_mix = 2.0 * math.sqrt(cfg.gamma_det * cfg.gamma_n) / gtot
+    if back_action > 0.0:
+        nu = kd * kd / back_action
+        rho_l, rho_n = 1.0 - 2.0 * nu, 2.0 * nu - 1.0
+        x_mix = 2.0 * math.sqrt(nu * (1.0 - nu))
     else:
         rho_l, rho_n, x_mix = 1.0, 1.0, 0.0
     S[2, 0], S[2, 1] = kd * st * c, kd * st * s

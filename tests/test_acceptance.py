@@ -133,8 +133,7 @@ def test_criterion_7_short_time_squeezing_oracle():
     kappa2 = 1.0
     cfg = StepConfig(omega_m=kappa2 / 1e7,
                      damping=DampingModel("momentum", 0.0),
-                     gbar_m=0.5 * math.sqrt(kappa2 / 0.3), epsilon=0.3,
-                     gamma_det=1.0, gamma_n=0.0)      # nu = 1
+                     kappa_det=math.sqrt(kappa2), kappa_n=0.0)  # nu = 1
     v0 = 2 * 2.084e4 + 1.0
     traj = simulate_conditional(cfg, n_th=(v0 - 1) / 2, t_end=50.0,
                                 tau=0.999e-2, record_every=100)
@@ -200,11 +199,11 @@ def test_criterion_10_micro_oracle(ref_scenario):
     kappa_ideal_sq = 0.1 * omega_m
     nu = 0.6
     tau, t_end = 5e-3, 4 * math.pi
-    ref = hilbert_oracle(omega_m, math.sqrt(kappa_ideal_sq * nu),
-                         math.sqrt(kappa_ideal_sq * (1 - nu)), t_end, tau)
+    kappa_det = math.sqrt(kappa_ideal_sq * nu)
+    kappa_n = math.sqrt(kappa_ideal_sq * (1 - nu))
+    ref = hilbert_oracle(omega_m, kappa_det, kappa_n, t_end, tau)
     cfg = StepConfig(omega_m=omega_m, damping=DampingModel("momentum", 0.0),
-                     gbar_m=0.5 * math.sqrt(kappa_ideal_sq / 0.3),
-                     epsilon=0.3, gamma_det=nu, gamma_n=1 - nu)
+                     kappa_det=kappa_det, kappa_n=kappa_n)
     traj = simulate_conditional(cfg, n_th=0.0, t_end=t_end, tau=tau,
                                 record_every=25)
     vx = np.interp(ref[:, 0], traj.t, traj.vx)

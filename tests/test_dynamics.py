@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,27 +19,49 @@ from test_interaction import _log_uniform
 
 
 def config(omega_m=1.0, gamma=0.0, kind="momentum", kappa2=1.0, nu=1.0):
-    """StepConfig with a prescribed ideal back-action rate kappa2 = kd^2+kn^2."""
-    gamma_total = 1.0
-    gbar_m = 0.5 * math.sqrt(kappa2 * gamma_total / 0.3)
+    """StepConfig with back-action rate kappa2 = kd^2 + kn^2, of which the
+    detected share nu conditions the record."""
     return StepConfig(omega_m=omega_m,
                       damping=DampingModel(kind=kind, gamma=gamma),
-                      gbar_m=gbar_m, epsilon=0.3,
-                      gamma_det=nu * gamma_total,
-                      gamma_n=(1.0 - nu) * gamma_total)
+                      kappa_det=math.sqrt(kappa2 * nu),
+                      kappa_n=math.sqrt(kappa2 * (1.0 - nu)))
 
 
-def test_step_config_rates():
-    cfg = config(kappa2=4.0, nu=0.25)
-    assert cfg.kappa_det**2 + cfg.kappa_n**2 == pytest.approx(4.0, rel=1e-12)
-    assert cfg.kappa_det**2 == pytest.approx(1.0, rel=1e-12)
+def unmeasured(cfg):
+    """cfg with a record that conditions nothing, the back-action kept."""
+    return replace(cfg, kappa_det=0.0,
+                   kappa_n=math.hypot(cfg.kappa_det, cfg.kappa_n))
+
+
+def test_step_config_rates(ref_scenario, ref_coupling):
+    # the detected rate is kappa itself; both rates add up to the ideal
+    # back-action kappa^2 at nu = 1, with or without detection
+    ir, cg, _ = ref_coupling
+    no_detection = replace(ref_scenario,
+                           drive=replace(ref_scenario.drive, eta_det=0.0))
+    for s in (ref_scenario, no_detection):
+        cr = cs.kappa(s, ir, cg)
+        cfg, n_th = step_config_for(s, "momentum", coupling=(ir, cg, cr))
+        assert cfg.kappa_det == cr.kappa
+        assert cfg.kappa_det**2 + cfg.kappa_n**2 == pytest.approx(
+            s.mechanics.omega_m * cr.merit_ideal, rel=1e-12, abs=0)
+        assert n_th == s.mechanics.n_th
+    assert cfg.kappa_det == 0.0 < cfg.kappa_n
+
+
+@pytest.mark.parametrize("field", ["omega_m", "kappa_det", "kappa_n"])
+@pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+def test_step_config_rejects_a_bad_rate_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(config(), **{field: value})
 
 
 def test_damping_model_validation():
     with pytest.raises(ValueError):
         DampingModel("critical", 1.0)
-    with pytest.raises(ValueError):
-        DampingModel("symmetric", -1.0)
+    for gamma in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            DampingModel("symmetric", gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +110,7 @@ def test_conditioning_never_exceeds_unconditional_variance():
     cfg = config(omega_m=1.0, gamma=0.02, kind="momentum", kappa2=0.5, nu=0.6)
     kw = dict(n_th=8.0, t_end=12.0, tau=2e-3, record_every=50)
     cond = simulate_conditional(cfg, **kw)
-    uncond = simulate_conditional(cfg, measure=False, **kw)
+    uncond = simulate_conditional(unmeasured(cfg), **kw)
     assert np.all(cond.vx <= uncond.vx * (1 + 1e-12))
 
 
@@ -181,16 +204,19 @@ def _assert_matches_oracle(traj, ref):
 @pytest.mark.parametrize("kind", ["momentum", "symmetric"])
 def test_closed_form_matches_mobius_oracle(kind, gamma, kappa2, nu, measure):
     # gamma = kappa2 = 0 is the undamped, unmeasured system with D = 0;
-    # gamma = 0, kappa2 = 2 with nu = 0 or measure=False has D != 0 but no
-    # conditioning, so no steady state
+    # gamma = 0, kappa2 = 2 with nu = 0 or unmeasured has D != 0 but no
+    # conditioning, so no steady state.  Unmeasured, the engine runs the
+    # unmeasured config and the oracle drops its conditioning term itself.
     cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=nu)
+    engine_cfg = cfg if measure else unmeasured(cfg)
     covs = (None, np.diag([0.25, 4.0]), np.array([[3.0, 0.4], [0.4, 0.5]]))
     for cov in covs:
         for record_every in (1, 7):       # 7 leaves a remainder record
             kw = dict(n_th=3.0, t_end=6.0, tau=1e-2, initial_cov=cov,
-                      record_every=record_every, measure=measure)
-            _assert_matches_oracle(simulate_conditional(cfg, **kw),
-                                   simulate_mobius(cfg, **kw))
+                      record_every=record_every)
+            _assert_matches_oracle(simulate_conditional(engine_cfg, **kw),
+                                   simulate_mobius(cfg, measure=measure,
+                                                   **kw))
 
 
 @pytest.mark.parametrize("kind, kappa2, nu", [
@@ -210,7 +236,7 @@ def test_vanishing_conditioning_gives_the_unconditioned_covariance(kind,
         rows = np.array([traj.t, traj.vx, traj.vp, traj.vxp])
         assert np.all(np.isfinite(rows))
         assert np.all(traj.vx * traj.vp - traj.vxp**2 >= 1.0 - 1e-9)
-        free = simulate_conditional(cfg, measure=False, **kw)
+        free = simulate_conditional(unmeasured(cfg), **kw)
         assert np.array_equal(rows, [free.t, free.vx, free.vp, free.vxp])
 
 
@@ -356,9 +382,10 @@ def test_dynamics_corner_of_the_parameter_box(kind, gamma, kappa2, nu,
     cov = v_0 * rot @ np.diag([math.exp(2 * squeeze),
                                math.exp(-2 * squeeze)]) @ rot.T
     try:
-        traj = simulate_conditional(cfg, n_th=n_th, t_end=t_end,
+        traj = simulate_conditional(cfg if measure else unmeasured(cfg),
+                                    n_th=n_th, t_end=t_end,
                                     tau=default_tau(cfg, n_th),
-                                    initial_cov=cov, measure=measure)
+                                    initial_cov=cov)
     except (RiccatiError, cs.PhysicalityError, ValueError):
         return
     rows = np.array([traj.t, traj.vx, traj.vp, traj.vxp])

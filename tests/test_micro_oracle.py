@@ -75,12 +75,9 @@ def test_gaussian_engine_matches_hilbert_space_oracle():
 
     ref = hilbert_oracle(omega_m, kappa_det, kappa_n, t_end, tau)
 
-    gamma_total = 1.0
     cfg = StepConfig(omega_m=omega_m,
                      damping=DampingModel("momentum", 0.0),
-                     gbar_m=0.5 * math.sqrt(kappa_ideal_sq * gamma_total / 0.3),
-                     epsilon=0.3, gamma_det=nu * gamma_total,
-                     gamma_n=(1 - nu) * gamma_total)
+                     kappa_det=kappa_det, kappa_n=kappa_n)
     traj = simulate_conditional(cfg, n_th=0.0, t_end=t_end, tau=tau,
                                 record_every=25)
 
