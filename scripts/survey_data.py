@@ -37,7 +37,7 @@ def conductivity(scenario, outdir, n):
     rows = []
     for mu in np.linspace(0.0, 1.2, n):
         g = cs.GrapheneParams.from_fractions(mu, w0)
-        val = cs.sigma_real_axis(w0, g).sigma0_units
+        val = cs.sigma_real_axis(w0, g)
         rows.append((mu, val.real, val.imag))
     write_csv(outdir / "conductivity_vs_mu.csv",
               ["mu_over_hbar_omega0", "re_sigma_sigma0", "im_sigma_sigma0"],

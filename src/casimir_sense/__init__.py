@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 from .constants import CONSTANTS
 from .dynamics import (DampingModel, PhysicalityError, StepConfig, Trajectory,
                        simulate, simulate_conditional)
-from .graphene import Conductivity, sigma_imag_axis, sigma_real_axis
+from .graphene import sigma_imag_axis, sigma_real_axis
 from .greens import trace_green_real_parts
 from .interaction import (CouplingGradient, InteractionResult, decay_rates,
                           ground_shift, interaction_and_gradient,
                           scattering_rate_map, transition_gradient)
-from .measurement import (CouplingResult, detection_efficiency,
-                          evaluate_coupling, kappa, renormalized_coupling)
+from .measurement import CouplingResult, evaluate_coupling, kappa
 from .params import (ConfigError, DriveParams, EmitterParams, GrapheneParams,
                      MechanicalParams, ScenarioParams, load_scenario,
                      reference_scenario, scenario_to_config)
@@ -24,13 +23,12 @@ from .quadrature import NumericsError, QuadratureError
 
 __all__ = [
     "CONSTANTS", "DampingModel", "PhysicalityError", "StepConfig",
-    "Trajectory", "simulate", "simulate_conditional", "Conductivity",
-    "sigma_imag_axis", "sigma_real_axis", "trace_green_real_parts",
-    "CouplingGradient", "InteractionResult", "decay_rates", "ground_shift",
+    "Trajectory", "simulate", "simulate_conditional", "sigma_imag_axis",
+    "sigma_real_axis", "trace_green_real_parts", "CouplingGradient",
+    "InteractionResult", "decay_rates", "ground_shift",
     "interaction_and_gradient", "scattering_rate_map", "transition_gradient",
-    "CouplingResult", "detection_efficiency", "evaluate_coupling", "kappa",
-    "renormalized_coupling", "ConfigError", "DriveParams", "EmitterParams",
-    "GrapheneParams", "MechanicalParams", "ScenarioParams", "load_scenario",
-    "reference_scenario", "scenario_to_config", "NumericsError",
-    "QuadratureError",
+    "CouplingResult", "evaluate_coupling", "kappa", "ConfigError",
+    "DriveParams", "EmitterParams", "GrapheneParams", "MechanicalParams",
+    "ScenarioParams", "load_scenario", "reference_scenario",
+    "scenario_to_config", "NumericsError", "QuadratureError",
 ]

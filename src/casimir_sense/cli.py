@@ -29,8 +29,8 @@ from .dynamics import PhysicalityError, simulate
 from .graphene import sigma_real_axis
 from .interaction import interaction_and_gradient
 from .measurement import evaluate_coupling
-from .params import (ConfigError, ENV_CONFIG, GrapheneParams, ScenarioParams,
-                     load_scenario, reference_scenario, scenario_to_config)
+from .params import (ConfigError, ENV_CONFIG, ScenarioParams, load_scenario,
+                     reference_scenario, scenario_to_config)
 from .quadrature import NumericsError
 
 USAGE_ERROR, NUMERICAL_ERROR, PHYSICALITY_ERROR = 2, 3, 4
@@ -39,9 +39,7 @@ USAGE_ERROR, NUMERICAL_ERROR, PHYSICALITY_ERROR = 2, 3, 4
 def _with_mu(s: ScenarioParams, mu: float) -> ScenarioParams:
     """s at Fermi energy mu (units of hbar*omega0), its loss rate and
     sigma_zero kept."""
-    return replace(s, graphene=GrapheneParams.from_fractions(
-        mu, s.emitter.omega0, s.emitter.omega0 / s.graphene.gamma_g,
-        sigma_zero=s.graphene.sigma_zero))
+    return replace(s, graphene=replace(s.graphene, mu=mu * s.emitter.omega0))
 
 
 def _resolve_scenario(args) -> ScenarioParams:
@@ -121,8 +119,7 @@ def cmd_conductivity(args, argv) -> int:
     s = _resolve_scenario(args)
     mus = _axis(args, "mu")
     omega = args.omega * s.emitter.omega0
-    vals = [sigma_real_axis(omega, _with_mu(s, mu).graphene).sigma0_units
-            for mu in mus]
+    vals = [sigma_real_axis(omega, _with_mu(s, mu).graphene) for mu in mus]
     _write_csv(args, s, argv, ["mu_over_hbar_omega0", "re_sigma_sigma0",
                                "im_sigma_sigma0"],
                [(mu, v.real, v.imag) for mu, v in zip(mus, vals)])

@@ -410,13 +410,17 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         raise ValueError("t_end must be positive and finite")
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
+    if not 0.0 <= n_th < math.inf:
+        raise ValueError("n_th must be non-negative and finite")
+    cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
+        else np.array(initial_cov, dtype=float)
+    if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
+        raise ValueError("initial_cov must be a finite 2x2 array")
     n_steps = max(1, int(round(t_end / tau)))
     if record_every is None:
         record_every = max(1, n_steps // 2000)
     elif record_every < 1:
         raise ValueError("record_every must be >= 1")
-    cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
-        else np.array(initial_cov, dtype=float)
     t = np.arange(1, -(-n_steps // record_every) + 1) * (record_every * tau)
     t[-1] = n_steps * tau
     covariance = _riccati(*_coefficients(cfg, n_th), cov, t[-1])

@@ -15,14 +15,17 @@ its Kramers-Kronig transform does, giving
               + (e^2/4 hbar) (2/pi) arctan(hbar u / 2 mu),
 
 with the arctan term replaced by its mu -> 0 limit (= 1) for undoped sheets.
-The Fresnel pair of the free-standing sheet is formed from it in ``greens``.
-All functions accept scalars or numpy arrays for the frequency argument.
+
+Both public functions return sigma/sigma0, in units of the universal
+conductivity sigma0 = e^2/4hbar (an undoped sheet reads 1 on the real
+axis): a complex or float for a scalar frequency, an ndarray for an array.
+The Fresnel pair of the free-standing sheet, formed in ``greens``, reads
+sigma/(eps0 c) = pi alpha sigma/sigma0 through ``_sigma_ec``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +38,8 @@ class FrequencyAxis(enum.Enum):
     IMAG = "imag"
 
 
-@dataclass(frozen=True)
-class Conductivity:
-    """Sheet conductivity at one frequency.  ``value`` is in SI siemens."""
-
-    value: complex
-
-    @property
-    def sigma0_units(self) -> complex:
-        """Value in multiples of the universal conductivity e^2/4hbar."""
-        scaled = _scale_complex(self.value, 1.0 / CONSTANTS.sigma0)
-        return complex(scaled) if scaled.ndim == 0 else scaled
-
-
 # ---------------------------------------------------------------------------
-# dimensionless internals (sigma in units of eps0*c); vectorized over omega/u
+# sigma/sigma0 internals, vectorized over omega/u; all rates in rad/s
 
 def _scale_complex(value, factor: float):
     """Componentwise real scaling; full complex multiply would turn the
@@ -60,41 +50,46 @@ def _scale_complex(value, factor: float):
     return out
 
 
-def _sigma_ec_real(omega, mu: float, gamma_g: float):
-    """sigma(omega)/(eps0 c) on the real axis; omega, mu, gamma_g in rad/s."""
+def _sigma_real(omega, mu: float, gamma_g: float):
+    """sigma(omega)/sigma0 on the real axis."""
     omega = np.asarray(omega, dtype=float)
-    pi_alpha = np.pi * CONSTANTS.alpha
     drude = (4.0 * mu / np.pi) * 1j / (omega + 1j * gamma_g)
-    if mu > 0.0:
-        # log diverges at the interband edge hbar*omega = 2mu; that is the
-        # physical T = 0 singularity, not a numerical defect.  Assembling
-        # real and imaginary parts separately keeps the -inf out of complex
-        # products that would turn it into nan.
-        with np.errstate(divide="ignore"):
-            log_term = np.log(np.abs((omega - 2.0 * mu) / (omega + 2.0 * mu)))
-        value = np.empty(omega.shape, dtype=complex)
-        value.real = drude.real + np.where(omega > 2.0 * mu, 1.0, 0.0)
-        value.imag = drude.imag + log_term / np.pi
-        return _scale_complex(value, pi_alpha)
-    return pi_alpha * (drude + 1.0)
+    # log diverges at the interband edge hbar*omega = 2mu; that is the
+    # physical T = 0 singularity, not a numerical defect.  Assembling real
+    # and imaginary parts separately keeps the -inf out of complex products
+    # that would turn it into nan.  At mu = 0 the log is exactly 0.
+    with np.errstate(divide="ignore"):
+        log_term = np.log(np.abs((omega - 2.0 * mu) / (omega + 2.0 * mu)))
+    value = np.empty(omega.shape, dtype=complex)
+    value.real = drude.real + np.where(omega > 2.0 * mu, 1.0, 0.0)
+    value.imag = drude.imag + log_term / np.pi
+    return value
 
 
-def _sigma_ec_imag(u, mu: float, gamma_g: float):
-    """sigma(iu)/(eps0 c); real and positive for passive graphene."""
+def _sigma_imag(u, mu: float, gamma_g: float):
+    """sigma(iu)/sigma0; real and positive for passive graphene."""
     u = np.asarray(u, dtype=float)
-    pi_alpha = np.pi * CONSTANTS.alpha
     drude = (4.0 * mu / np.pi) / (u + gamma_g)
     inter = (2.0 / np.pi) * np.arctan(u / (2.0 * mu)) if mu > 0.0 \
         else np.ones_like(u)
-    return pi_alpha * (drude + inter)
+    return drude + inter
+
+
+def _sigma(axis: FrequencyAxis, freq, g: GrapheneParams):
+    """sigma/sigma0 on ``axis``: complex on the real axis, real on the
+    imaginary one, exact zeros for a sigma_zero sheet."""
+    real = axis is FrequencyAxis.REAL
+    if g.sigma_zero:
+        return np.zeros(np.shape(freq), dtype=complex if real else float)
+    return (_sigma_real if real else _sigma_imag)(freq, g.mu, g.gamma_g)
 
 
 def _sigma_ec(axis: FrequencyAxis, freq, g: GrapheneParams):
-    if g.sigma_zero:
-        return np.zeros_like(np.asarray(freq, dtype=float), dtype=complex)
+    """sigma/(eps0 c), the dimensionless conductivity of the Fresnel pair."""
+    pi_alpha = np.pi * CONSTANTS.alpha
     if axis is FrequencyAxis.REAL:
-        return _sigma_ec_real(freq, g.mu, g.gamma_g)
-    return _sigma_ec_imag(freq, g.mu, g.gamma_g).astype(complex)
+        return _scale_complex(_sigma(axis, freq, g), pi_alpha)
+    return pi_alpha * _sigma(axis, freq, g)
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +101,17 @@ def _positive_finite(freq) -> bool:
     return bool(np.all((freq > 0.0) & (freq < np.inf)))
 
 
-def sigma_real_axis(omega: float, g: GrapheneParams) -> Conductivity:
-    """Complex sheet conductivity sigma(omega), omega > 0 in rad/s."""
+def sigma_real_axis(omega: float, g: GrapheneParams):
+    """Complex sigma(omega)/sigma0, omega > 0 in rad/s."""
     if not _positive_finite(omega):
         raise ValueError("omega must be positive and finite")
-    value = _scale_complex(_sigma_ec(FrequencyAxis.REAL, omega, g),
-                           CONSTANTS.eps0 * CONSTANTS.c)
-    return Conductivity(complex(value) if np.isscalar(omega) else value)
+    value = _sigma(FrequencyAxis.REAL, omega, g)
+    return complex(value) if np.isscalar(omega) else value
 
 
-def sigma_imag_axis(u: float, g: GrapheneParams) -> Conductivity:
-    """Real positive sigma(iu), u > 0 in rad/s."""
+def sigma_imag_axis(u: float, g: GrapheneParams):
+    """Real positive sigma(iu)/sigma0, u > 0 in rad/s."""
     if not _positive_finite(u):
         raise ValueError("u must be positive and finite")
-    value = _sigma_ec(FrequencyAxis.IMAG, u, g).real * CONSTANTS.eps0 * CONSTANTS.c
-    return Conductivity(float(value) if np.isscalar(u) else value)
+    value = _sigma(FrequencyAxis.IMAG, u, g)
+    return float(value) if np.isscalar(u) else value

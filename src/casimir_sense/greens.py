@@ -89,7 +89,8 @@ from .constants import CONSTANTS
 from .graphene import FrequencyAxis, _sigma_ec
 from .params import GrapheneParams
 # integrate_refined is not called here; perfbench/tracing.py binds it
-from .quadrature import RTOL, integrate_refined, integrate_rows  # noqa: F401
+from .quadrature import (NumericsError, RTOL, integrate_refined,  # noqa: F401
+                         integrate_rows)
 
 #: e^{-2 q zb} tail cutoff: exp(-2*(EXP_CUT)) ~ 1e-44 relative to the peak.
 _EXP_CUT = 50.0
@@ -162,8 +163,12 @@ def _en_scaled(z: complex, n: int = 1) -> complex:
     a lossy sheet's arguments approach it from (see the module docstring).
     Power series where it does not cancel (|z| <= 2, or near the negative
     real axis, where its terms add up to about e^{|z|} against a value of
-    about e^{-Re z}: |z| + Re z <= 4), continued fraction elsewhere.
+    about e^{-Re z}: |z| + Re z <= 4), continued fraction elsewhere.  Both
+    stop on a convergence test that nan or inf never passes, so such a z
+    raises NumericsError instead.
     """
+    if not cmath.isfinite(z):
+        raise NumericsError(f"E_n argument z = {z} is not finite")
     r = abs(z)
     if r <= 2.0 or r + z.real <= 4.0:
         if z.imag == 0.0:

@@ -121,7 +121,7 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     def integrand(theta):
         t = np.tan(theta)
         u = w0 * t
-        s = _sigma_ec(FrequencyAxis.IMAG, u, g).real
+        s = _sigma_ec(FrequencyAxis.IMAG, u, g)
         out = t * t * t * _trace_imag_scaled(d * u / c, s, gradient=gradient)
         if gradient:
             out[1] *= u / c                           # d zb / dd = u / c

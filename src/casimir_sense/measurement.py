@@ -4,12 +4,16 @@ To first order in the saturation parameter epsilon the linearized emitter
 mediates a QND coupling between the membrane position and the measured light
 quadrature at rate
 
-    kappa = 2 gbar sqrt(epsilon nu / Gamma),      gbar = sqrt(2) |g| (1 - 3 epsilon/8),
+    kappa = 2 gbar sqrt(epsilon nu / Gamma),
+    gbar  = sqrt(2) |g| (1 - 3 epsilon/8) x_zpm,
+    nu    = eta_det Gamma_rad / Gamma,
 
-where nu = eta_det * Gamma_rad/Gamma is the total detection efficiency and
-Gamma is the surface-modified decay rate at the operating distance.  In
-zero-point units (positions in x_zpm) the squeezing figure of merit is
-kappa^2 x_zpm^2 / omega_m.
+where g = d(delta_omega)/dd is the coupling gradient (rad/s per m; only
+gbar^2 enters observable rates, so its sign is dropped), nu is the total
+detection efficiency and Gamma is the surface-modified decay rate at the
+operating distance.  In zero-point units (positions in x_zpm) gbar is in
+rad/s, kappa in 1/sqrt(s), and the squeezing figure of merit is
+kappa^2 / omega_m.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from .params import ScenarioParams
 class CouplingResult:
     """Motion-to-light coupling figures at one operating point.
 
-    g_bar and kappa are in zero-point units: g_bar = sqrt(2)(1-3eps/8)|g|x_zpm
-    in rad/s per x_zpm, kappa in 1/sqrt(s) per x_zpm.  kappa_inv_si is the
-    displacement sensitivity in m/sqrt(Hz) (inf when nu = 0).  merit uses the
-    actual nu; merit_ideal sets nu = 1 (both are exposed since the quoted
-    figure of merit is the ideal-detection one).
+    g_bar and kappa are in zero-point units (module docstring): rad/s and
+    1/sqrt(s) per x_zpm.  kappa_inv_si is the displacement sensitivity in
+    m/sqrt(Hz) (inf when nu = 0).  merit uses the actual nu; merit_ideal
+    sets nu = 1 (both are exposed since the quoted figure of merit is the
+    ideal-detection one).
     """
 
     g_bar: float
@@ -40,22 +44,6 @@ class CouplingResult:
     kappa_inv_si: float
     merit: float
     merit_ideal: float
-
-
-def renormalized_coupling(cg: CouplingGradient, epsilon: float) -> float:
-    """gbar = sqrt(2) |g| (1 - 3 epsilon/8) in rad/s per m (magnitude).
-
-    Only gbar^2 enters observable rates, so the sign convention of the
-    gradient is dropped.
-    """
-    return math.sqrt(2.0) * abs(cg.g_value) * (1.0 - 3.0 * epsilon / 8.0)
-
-
-def detection_efficiency(ir: InteractionResult, eta_det: float) -> float:
-    """nu = eta_det * Gamma_rad / Gamma."""
-    if not 0.0 <= eta_det <= 1.0:
-        raise ValueError("eta_det must lie in [0, 1]")
-    return eta_det * ir.gamma_rad / ir.gamma
 
 
 def _information_rate(g_bar: float, epsilon: float, share: float,
@@ -69,10 +57,9 @@ def kappa(s: ScenarioParams, ir: InteractionResult,
           cg: CouplingGradient) -> CouplingResult:
     """Information rate and sensitivity from one scenario's interaction data."""
     eps = s.drive.epsilon
-    gbar_si = renormalized_coupling(cg, eps)          # rad/s per m
-    nu = detection_efficiency(ir, s.drive.eta_det)
     x_zpm = s.mechanics.x_zpm
-    g_bar = gbar_si * x_zpm                           # zero-point units
+    g_bar = math.sqrt(2.0) * abs(cg.g_value) * (1.0 - 3.0 * eps / 8.0) * x_zpm
+    nu = s.drive.eta_det * ir.gamma_rad / ir.gamma
     kap = _information_rate(g_bar, eps, nu, ir.gamma)
     kap_ideal = _information_rate(g_bar, eps, 1.0, ir.gamma)
     kappa_inv = x_zpm / kap if kap > 0 else math.inf

@@ -52,7 +52,7 @@ def brute_trace_imag(z, u, g, n=1_000_001):
     Written directly from the reflected-trace integral with omega = iu and
     k_perp on the Im >= 0 branch; shares no code with the adaptive path.
     """
-    sig = cs.sigma_imag_axis(u, g).value if not g.sigma_zero else 0.0
+    sig = cs.sigma_imag_axis(u, g) * C.sigma0
     s = sig / (C.eps0 * C.c)
     w = 1j * u / C.c                       # omega/c on the imag axis
     kmax = (50.0 / z) + 10.0 * (u / C.c)
@@ -75,7 +75,7 @@ def brute_trace_real(z, omega, g, n=2_000_001):
     """
     from scipy.integrate import simpson
 
-    sig = cs.sigma_real_axis(omega, g).value if not g.sigma_zero else 0.0
+    sig = cs.sigma_real_axis(omega, g) * C.sigma0
     s = sig / (C.eps0 * C.c)
     kw = omega / C.c
     zb = z * kw
@@ -113,7 +113,7 @@ def quad_trace_real(z, omega, g):
     """
     from scipy.integrate import quad
 
-    sig = cs.sigma_real_axis(omega, g).value
+    sig = cs.sigma_real_axis(omega, g) * C.sigma0
     s = sig / (C.eps0 * C.c)
     kw = omega / C.c
     zb = z * kw
@@ -175,7 +175,7 @@ def kk_sigma_imag_oracle(u, g):
 
 def trace_imag(z, u, g):
     """Reflected Tr G(z, z, iu) from the pipeline's imaginary-axis kernel."""
-    s = _sigma_ec(FrequencyAxis.IMAG, u, g).real
+    s = _sigma_ec(FrequencyAxis.IMAG, u, g)
     q0 = u / C.c
     return q0 * _trace_imag_scaled(z * q0, s)
 

@@ -396,7 +396,7 @@ def test_dynamics_corner_of_the_parameter_box(kind, gamma, kappa2, nu,
 def test_steady_state_failure_is_typed(monkeypatch):
     cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7)
     with pytest.raises(RiccatiError, match="not stable"):
-        simulate_conditional(cfg, n_th=math.nan, t_end=1.0, tau=1e-2)
+        cs.dynamics._lyapunov(((0.1, 1.0), (-1.0, 0.0)), (1.0, 0.0, 1.0))
     monkeypatch.setattr(cs.dynamics, "_NEWTON_STEPS", 2)
     with pytest.raises(RiccatiError, match="did not converge in 2 steps"):
         simulate_conditional(cfg, n_th=3.0, t_end=1.0, tau=1e-2)
@@ -411,6 +411,20 @@ def test_riccati_failure_is_a_typed_benchmark_error():
     assert isinstance(RiccatiError("no steady state"), typed)
     assert issubclass(RiccatiError, cs.NumericsError)
     assert issubclass(cs.QuadratureError, cs.NumericsError)
+
+
+def test_bad_initial_state_is_named():
+    # n_th and initial_cov are checked before any work, so a nan or a wrong
+    # shape names its argument instead of failing later as another fault
+    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7)
+    for n_th in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="n_th must be non-negative"):
+            simulate_conditional(cfg, n_th=n_th, t_end=1.0, tau=1e-2)
+    for cov in (np.full((2, 2), math.nan), np.eye(3),
+                [[1.0, math.inf], [math.inf, 1.0]]):
+        with pytest.raises(ValueError, match="initial_cov must be a finite"):
+            simulate_conditional(cfg, n_th=1.0, t_end=1.0, tau=1e-2,
+                                 initial_cov=cov)
 
 
 def test_record_grid_validation():

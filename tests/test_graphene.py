@@ -22,13 +22,13 @@ def graphene(mu_frac, ratio=1e3, sigma_zero=False):
 def test_undoped_sheet_has_universal_conductivity():
     g = graphene(0.0)
     for w in (0.2 * W0, W0, 5 * W0):
-        val = cs.sigma_real_axis(w, g).sigma0_units
+        val = cs.sigma_real_axis(w, g)
         assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_plasmonic_regime_at_high_doping():
     # hbar w0 < 2 mu: interband absorption off, net imaginary part positive
-    val = cs.sigma_real_axis(W0, graphene(0.8)).sigma0_units
+    val = cs.sigma_real_axis(W0, graphene(0.8))
     drude_re = (4 * 0.8 / math.pi) * 1e-3 / (1 + 1e-6)
     assert val.real == pytest.approx(drude_re, rel=1e-9)
     assert val.real < 0.01
@@ -37,7 +37,7 @@ def test_plasmonic_regime_at_high_doping():
 
 def test_absorptive_regime_at_low_doping():
     # hbar w0 > 2 mu: interband step active, Re sigma ~ sigma0 + small Drude
-    val = cs.sigma_real_axis(W0, graphene(0.4)).sigma0_units
+    val = cs.sigma_real_axis(W0, graphene(0.4))
     assert val.real > 1.0
     assert val.real == pytest.approx(1.0, rel=1e-3)
     assert val.imag < 0
@@ -47,8 +47,24 @@ def test_passivity_on_real_axis():
     for mu_frac in (0.0, 0.3, 0.55, 0.8, 1.2):
         g = graphene(mu_frac)
         w = np.geomspace(0.01, 10.0, 200) * W0
-        vals = cs.sigma_real_axis(w, g).value
+        vals = cs.sigma_real_axis(w, g)
         assert np.all(vals.real >= 0)
+
+
+def test_sigma_returns_plain_values_in_sigma0_units():
+    # a scalar frequency gives a plain number, an array an ndarray; the
+    # undoped sheet is exactly sigma0, a sigma_zero sheet exactly 0, and the
+    # interband edge hbar w = 2 mu keeps Im sigma = -inf, never nan
+    assert type(cs.sigma_real_axis(W0, graphene(0.8))) is complex
+    assert type(cs.sigma_imag_axis(W0, graphene(0.8))) is float
+    w = np.array([0.5, 1.0]) * W0
+    assert isinstance(cs.sigma_real_axis(w, graphene(0.8)), np.ndarray)
+    assert isinstance(cs.sigma_imag_axis(w, graphene(0.8)), np.ndarray)
+    assert cs.sigma_real_axis(W0, graphene(0.0)) == 1.0
+    assert cs.sigma_real_axis(W0, graphene(0.8, sigma_zero=True)) == 0.0
+    assert cs.sigma_imag_axis(W0, graphene(0.8, sigma_zero=True)) == 0.0
+    edge = cs.sigma_real_axis(W0, graphene(0.5))
+    assert math.isfinite(edge.real) and edge.imag == -math.inf
 
 
 def test_sigma_rejects_nonpositive_frequency():
@@ -64,13 +80,13 @@ def test_sigma_rejects_nonpositive_frequency():
 def test_imag_axis_undoped_limit():
     g = graphene(0.0)
     u = np.geomspace(1e-3, 1e3, 50) * W0
-    vals = cs.sigma_imag_axis(u, g).value
-    assert np.allclose(vals, cs.CONSTANTS.sigma0, rtol=1e-12)
+    vals = cs.sigma_imag_axis(u, g)
+    assert np.allclose(vals, 1.0, rtol=1e-12)
 
 
 def test_imag_axis_high_frequency_limit():
     g = graphene(0.8)
-    val = cs.sigma_imag_axis(1e6 * W0, g).sigma0_units
+    val = cs.sigma_imag_axis(1e6 * W0, g)
     assert val == pytest.approx(1.0, rel=1e-5)
 
 
@@ -79,13 +95,13 @@ def test_imag_axis_monotone_decreasing_at_default_loss():
     # sits at ~1.3e3 w0 for mu = 0.8, just beyond the tested decade range
     g = graphene(0.8)
     u = np.geomspace(1e-3, 1e3, 400) * W0
-    vals = cs.sigma_imag_axis(u, g).value
+    vals = cs.sigma_imag_axis(u, g)
     assert np.all(np.diff(vals) < 0)
 
 
 def test_kk_match_at_operating_point():
     g = graphene(0.8)
-    closed = cs.sigma_imag_axis(W0, g).value
+    closed = cs.sigma_imag_axis(W0, g) * cs.CONSTANTS.sigma0
     oracle = kk_sigma_imag_oracle(W0, g)
     assert closed == pytest.approx(oracle, rel=1e-6)
 
@@ -95,6 +111,6 @@ def test_kk_match_at_operating_point():
 def test_kk_dispersion_property(logu, mu_frac):
     g = graphene(mu_frac)
     u = 10.0**logu * W0
-    closed = cs.sigma_imag_axis(u, g).value
+    closed = cs.sigma_imag_axis(u, g) * cs.CONSTANTS.sigma0
     oracle = kk_sigma_imag_oracle(u, g)
     assert closed == pytest.approx(oracle, rel=1e-5)

@@ -187,6 +187,19 @@ def test_scaled_en_at_the_arguments_of_the_real_axis_grid(monkeypatch):
         assert abs(en(z, n) - ref) <= 1e-12 * abs(ref), (z, n)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: greens._en_scaled(complex(math.nan, 0.0)),
+    lambda: greens._en_scaled(complex(1.0, math.inf), 5),
+    lambda: greens._laplace_poles(complex(math.nan, 1.0), 4),
+    lambda: greens._trace_real_scaled(0.4, complex(math.nan, 1.0)),
+], ids=["en-nan", "en-inf", "laplace-poles-nan", "real-kernel-nan-s"])
+def test_non_finite_en_argument_is_a_numerics_error(call):
+    # the power series and the continued fraction stop only on convergence
+    # tests that nan never passes: a typed error, not a hang
+    with pytest.raises(cs.NumericsError, match="E_n argument z"):
+        call()
+
+
 @pytest.mark.parametrize("mu_frac, q_factor, z", [
     (0.8, 1e7, 40e-9), (0.8, 1e7, 18e-9), (0.6, 1e3, 18e-9),
     (0.0, 1e3, 8e-9)])
@@ -316,8 +329,8 @@ def test_imag_kernel_rows_match_one_row_calls(q_factor):
     u = W0 * np.tan(rng.uniform(0.0, 1.5, 48))
     mu = rng.uniform(0.0, 1.0, 48)
     s = np.array([_sigma_ec(FrequencyAxis.IMAG, ui,
-                            cs.GrapheneParams.from_fractions(m, W0, q_factor)
-                            ).real for ui, m in zip(u, mu)])
+                            cs.GrapheneParams.from_fractions(m, W0, q_factor))
+                  for ui, m in zip(u, mu)])
     zb = np.geomspace(1e-4, 40.0, 48)
     rows = _trace_imag_scaled(zb, s, gradient=True)
     values = _trace_imag_scaled(zb, s)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,19 +19,31 @@ def fake_gradient(g=1.0e20):
     return CouplingGradient(g_value=-g, error_estimate=1e16)
 
 
-def test_renormalized_coupling_values():
-    cg = fake_gradient(1.0)
-    assert cs.renormalized_coupling(cg, 0.0) == pytest.approx(math.sqrt(2.0))
-    assert cs.renormalized_coupling(cg, 0.3) == pytest.approx(
-        math.sqrt(2.0) * 0.8875, rel=1e-12)
-    assert cs.renormalized_coupling(cg, 0.3) == pytest.approx(1.2551, rel=1e-4)
+def fake_scenario(epsilon, eta_det):
+    """What kappa reads of a scenario, with x_zpm = 1 so that g_bar is in
+    rad/s per m; epsilon = 0 lies outside DriveParams' open interval."""
+    return SimpleNamespace(
+        drive=SimpleNamespace(epsilon=epsilon, eta_det=eta_det),
+        mechanics=SimpleNamespace(x_zpm=1.0, omega_m=1.0))
 
 
-def test_detection_efficiency_values():
-    assert cs.detection_efficiency(fake_interaction(rad_fraction=0.54), 0.75) \
+def test_kappa_renormalized_coupling_values():
+    ir, cg = fake_interaction(), fake_gradient(1.0)
+    assert cs.kappa(fake_scenario(0.0, 0.75), ir, cg).g_bar \
+        == pytest.approx(math.sqrt(2.0))
+    g_bar = cs.kappa(fake_scenario(0.3, 0.75), ir, cg).g_bar
+    assert g_bar == pytest.approx(math.sqrt(2.0) * 0.8875, rel=1e-12)
+    assert g_bar == pytest.approx(1.2551, rel=1e-4)
+
+
+def test_kappa_detection_efficiency_values():
+    cg = fake_gradient()
+    assert cs.kappa(fake_scenario(0.3, 0.75),
+                    fake_interaction(rad_fraction=0.54), cg).nu \
         == pytest.approx(0.405, rel=1e-12)
-    assert cs.detection_efficiency(fake_interaction(rad_fraction=1.0), 1.0) == 1.0
-    assert cs.detection_efficiency(fake_interaction(), 0.0) == 0.0
+    assert cs.kappa(fake_scenario(0.3, 1.0),
+                    fake_interaction(rad_fraction=1.0), cg).nu == 1.0
+    assert cs.kappa(fake_scenario(0.3, 0.0), fake_interaction(), cg).nu == 0.0
 
 
 def scenario_with(epsilon=0.3, eta_det=0.75):

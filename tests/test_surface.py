@@ -27,13 +27,12 @@ def _parameters(fn):
 
 #: the exported names, sorted; a change to the public surface edits this list
 PUBLIC = [
-    "CONSTANTS", "Conductivity", "ConfigError", "CouplingGradient",
-    "CouplingResult", "DampingModel", "DriveParams", "EmitterParams",
-    "GrapheneParams", "InteractionResult", "MechanicalParams",
-    "NumericsError", "PhysicalityError", "QuadratureError", "ScenarioParams",
-    "StepConfig", "Trajectory", "decay_rates", "detection_efficiency",
-    "evaluate_coupling", "ground_shift", "interaction_and_gradient", "kappa",
-    "load_scenario", "reference_scenario", "renormalized_coupling",
+    "CONSTANTS", "ConfigError", "CouplingGradient", "CouplingResult",
+    "DampingModel", "DriveParams", "EmitterParams", "GrapheneParams",
+    "InteractionResult", "MechanicalParams", "NumericsError",
+    "PhysicalityError", "QuadratureError", "ScenarioParams", "StepConfig",
+    "Trajectory", "decay_rates", "evaluate_coupling", "ground_shift",
+    "interaction_and_gradient", "kappa", "load_scenario", "reference_scenario",
     "scattering_rate_map", "scenario_to_config", "sigma_imag_axis",
     "sigma_real_axis", "simulate", "simulate_conditional",
     "trace_green_real_parts", "transition_gradient",
