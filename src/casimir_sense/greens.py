@@ -70,12 +70,14 @@ same integral with one more factor under it (-2 chi, i 2c, -2q): on the
 imaginary axis the kernel returns it from the same nodes, on the real axis
 it is the same closed form one power higher.
 
-The imaginary-axis kernel also takes arrays of (zb, s) rows and refines them
-together (quadrature.integrate_rows), each row on its own panel edges; the
-ground shift passes all frequency nodes of an outer level as one call.  The
-rows stop at quadrature.RTOL, the tolerance of the outer frequency integral
-they feed: every row has one sign, so a tighter inner tolerance would not
-make the outer sum more accurate (quadrature module docstring).
+The imaginary-axis kernel also takes arrays of (zb, s) of any one shape,
+each element one row, and refines the rows together
+(quadrature.integrate_rows), each on its own panel edges; the result has
+the shape of zb.  The ground shift hands over the (panels x nodes) array of
+each outer call as it is.  The rows stop at quadrature.RTOL, the tolerance
+of the outer frequency integral they feed: every row has one sign, so a
+tighter inner tolerance would not make the outer sum more accurate
+(quadrature module docstring).
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ _EULER_GAMMA = 0.5772156649015329
 def _trace_imag_scaled(zb, s, gradient: bool = False):
     """Dimensionless imaginary-axis kernel T(zb, s); Tr G = (u/c) * T.
 
-    zb and s may be equal-length arrays, one row each: all rows are
-    integrated together and the result has one entry per row.  With
-    gradient, returns [T, dT/dzb] stacked along the first axis.
+    zb and s may be arrays of one shape, each element a row: all rows are
+    integrated together and the result has that shape.  With gradient,
+    returns [T, dT/dzb] stacked along a new first axis.
     """
     def integrand(chi, zb, s):
         # -e^{-2 (chi-1) zb} [r_s - (2 chi^2 - 1) r_p], and chi times it,
@@ -120,21 +122,20 @@ def _trace_imag_scaled(zb, s, gradient: bool = False):
             np.multiply(chi, f, out=out[1])
         return out
 
-    zbs = np.atleast_1d(np.asarray(zb, dtype=float))
+    shape = np.shape(zb)
+    zbs = np.asarray(zb, dtype=float).ravel()
     # x = 1 is no light line (the imaginary axis has none); for zb > 8 it
     # splits the last panel where the weight has decayed.  Dropping it took
     # 1.56x the nodes (176 (w0/gamma_g, mu, d) points, more at every one)
     x_edges = np.stack((np.zeros_like(zbs), 0.5 / zbs, 2.0 / zbs, 8.0 / zbs,
                         np.ones_like(zbs), _EXP_CUT / zbs + 10.0), axis=-1)
     edges = np.sqrt(1.0 + np.sort(x_edges) ** 2)
-    val, _ = integrate_rows(integrand, edges, zbs, np.atleast_1d(s),
-                            rtol=RTOL)
+    val, _ = integrate_rows(integrand, edges, zbs, np.ravel(s), rtol=RTOL)
     # d/dzb of e^{-2 chi zb} is -2 chi, and the integrand carries -1
     scale = np.array([-1.0, 2.0])[:, None] if gradient else -1.0
     out = scale * np.exp(-2.0 * zbs) * val / (4.0 * np.pi)
-    if np.ndim(zb):
-        return out
-    return out[:, 0] if gradient else out[0]
+    # [()] makes a 0-d result a scalar and leaves any other shape alone
+    return out.reshape(out.shape[:-1] + shape)[()]
 
 
 def _asymptotic_tails(z: complex, m: int):
@@ -268,6 +269,9 @@ def _segment_pole_terms(kappa: float, a: complex, m: int, moments):
 def _trace_real_scaled(zb: float, s: complex):
     """Dimensionless real-axis kernels (T_prop, T_evan), each the complex
     array [T, dT/dzb]."""
+    if not 0.0 < zb < math.inf:
+        raise NumericsError(f"real-axis kernel height zb = {zb!r} not in "
+                            "(0, inf)")
     if s == 0.0:
         return (np.zeros(2, complex),) * 2
 

@@ -2,16 +2,17 @@
 
 Composite Gauss-Legendre rule over a list of panel edges; the panel set is
 refined by bisecting every panel until two successive refinements agree.
-Integrands must be vectorized over the node array (real or complex values).
-An integrand may also return a stack of components, nodes along the last
-axis.  integrate_rows refines a family of such integrals at once, one per
-row of edges; integrate_refined is its one-row case.  Each level is the sum
-over panels of the half-width times the weighted node sum, evaluated in
-chunks of at most _CHUNK_NODES elements.  The scheme is deliberately
-simple: the integrands here are smooth between well-understood breakpoints
-(the knees of the frequency integrand, the kernel scale 1/2z), which the
-caller supplies as initial edges; the imaginary-axis kernel is integrated
-over chi = sqrt(1 + x^2), so its edges are the chi of those breakpoints.
+An integrand gets a (panels x nodes) array, one row of Gauss nodes per
+panel, and returns that shape (real or complex values) or a stack of
+components (..., panels, nodes).  integrate_rows refines a family of such
+integrals at once, one per row of edges; integrate_refined is its one-row
+case.  Each level walks the panels of all rows in chunks of at most
+_CHUNK_NODES elements and sums a row's panels only once all are in, so no
+value depends on the chunk size.  The scheme is deliberately simple: the
+integrands here are smooth between well-understood breakpoints (the knees
+of the frequency integrand, the kernel scale 1/2z), which the caller
+supplies as initial edges; the imaginary-axis kernel is integrated over
+chi = sqrt(1 + x^2), so its edges are the chi of those breakpoints.
 
 One tolerance, RTOL, serves both levels of the nested ground-shift integral:
 the outer integral over frequency and the inner imaginary-axis rows that
@@ -39,11 +40,11 @@ import numpy as np
 
 #: Gauss-Legendre nodes per panel
 _ORDER = 24
-#: elements (rows x nodes) per integrand call; longer rows go in panel
-#: groups.  At 4,096 the gradient path's [f, chi f] stack and its node-sized
-#: temporaries (about 370 KB at peak) stay in L2.  At 8,192 the benchmark's
-#: gradient-bound workload ran 13% slower and its value-only one 2% faster
-#: (2-vCPU Xeon, 2 MiB L2 a core)
+#: elements (panels x nodes) per integrand call; it sets the speed only,
+#: since no sum depends on it.  At 4,096 the gradient path's [f, chi f]
+#: stack and its node-sized temporaries (about 370 KB at peak) stay in L2.
+#: At 8,192 the benchmark's gradient-bound workload ran 13% slower and its
+#: value-only one 2% faster (2-vCPU Xeon, 2 MiB L2 a core)
 _CHUNK_NODES = 1 << 12
 #: relative tolerance of every refinement, both levels of the nested
 #: Casimir integral included (module docstring)
@@ -84,47 +85,38 @@ def _level(f, edges, columns, x, w):
     """Gauss-Legendre sums of f over each row's panels, shape (..., rows).
 
     Each panel's node sum is weighted by its half-width, sum_p h_p sum_n
-    w_n f.  Whole rows go into one call up to _CHUNK_NODES elements; a longer
-    row goes alone, in groups of panels whose sums are added in order.
+    w_n f; the panels of all rows go in order, whole panels a call.
     """
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    rows, panels = half.shape
-    row_step = max(1, _CHUNK_NODES // (panels * x.size))
-    panel_step = panels if panels * x.size <= _CHUNK_NODES \
-        else max(1, _CHUNK_NODES // x.size)
+    rows, panels = len(edges), edges.shape[1] - 1
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1]).ravel()
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:]).ravel()
+    columns = [np.repeat(c, panels)[:, None] for c in columns]
+    step = max(1, _CHUNK_NODES // x.size)
     sums = []
-    for i in range(0, rows, row_step):
-        cols = [c[i:i + row_step] for c in columns]
-        total = 0.0
-        for j in range(0, panels, panel_step):
-            h = half[i:i + row_step, j:j + panel_step]
-            nodes = h[..., None] * x
-            nodes += mid[i:i + row_step, j:j + panel_step, None]
-            vals = f(nodes.reshape(len(h), -1), *cols)
-            # einsum, not a matmul: no node-sized weight array, and no BLAS
-            panel_sums = np.einsum("...n,n->...",
-                                   vals.reshape(*vals.shape[:-2], *h.shape,
-                                                x.size), w)
-            total = total + (panel_sums * h).sum(axis=-1)
-        sums.append(total)
-    return np.concatenate(sums, axis=-1)
+    for i in range(0, half.size, step):
+        nodes = half[i:i + step, None] * x + mid[i:i + step, None]
+        vals = f(nodes, *(c[i:i + step] for c in columns))
+        # einsum, not a matmul: no node-sized weight array, and no BLAS
+        sums.append(np.einsum("...n,n->...", vals, w))
+    sums = np.concatenate(sums, axis=-1) * half
+    return sums.reshape(sums.shape[:-1] + (rows, panels)).sum(axis=-1)
 
 
 def integrate_rows(f, edges, *columns, rtol: float = RTOL):
     """Integrate f along each row of ``edges`` (rows x m, sorted per row).
 
-    f(x, *cols) gets the nodes x (r x n) of r rows and, of each of
-    ``columns`` (one value per row), the values of those rows as r x 1; it
-    returns (..., r, n).  All rows bisect together, and a row is frozen at
-    the first level where |I_k - I_{k-1}| <= rtol * |I_k| in every component.
+    f(x, *cols) gets the nodes x (p x n) of p panels, one row of Gauss
+    nodes per panel, and, of each of ``columns`` (one value per row of
+    edges), the value of each panel's row as p x 1; it returns (..., p, n).
+    All rows bisect together, and a row is frozen at the first level where
+    |I_k - I_{k-1}| <= rtol * |I_k| in every component.
     Returns (values, error estimates), each (..., rows); raises
     QuadratureError when _MAX_DOUBLINGS doublings do not converge, or once
     two successive sums of a row are not finite.
     """
     x, w = _gauss_nodes(_ORDER)
     edges = np.asarray(edges, dtype=float)
-    columns = [np.asarray(c)[:, None] for c in columns]
+    columns = [np.asarray(c) for c in columns]
     active = np.arange(len(edges))
     prev = _level(f, edges, columns, x, w)
     value, error = np.empty_like(prev), np.empty(prev.shape)
@@ -158,8 +150,7 @@ def integrate_refined(f, edges, rtol: float = RTOL):
     edges = np.array(sorted(set(map(float, edges))))
     if edges.size < 2:
         raise ValueError("need at least two distinct edges")
-    val, err = integrate_rows(lambda x: f(x[0])[..., None, :], edges[None],
-                              rtol=rtol)
+    val, err = integrate_rows(f, edges[None], rtol=rtol)
     return val[..., 0], err[..., 0]
 
 

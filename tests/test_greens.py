@@ -200,6 +200,12 @@ def test_non_finite_en_argument_is_a_numerics_error(call):
         call()
 
 
+@pytest.mark.parametrize("zb", [math.nan, math.inf, 0.0, -1.0])
+def test_real_kernel_rejects_bad_height(zb):
+    with pytest.raises(cs.NumericsError, match="zb"):
+        greens._trace_real_scaled(zb, complex(0.01, 1.0))
+
+
 @pytest.mark.parametrize("mu_frac, q_factor, z", [
     (0.8, 1e7, 40e-9), (0.8, 1e7, 18e-9), (0.6, 1e3, 18e-9),
     (0.0, 1e3, 8e-9)])
@@ -335,6 +341,20 @@ def test_imag_kernel_rows_match_one_row_calls(q_factor):
     rows = _trace_imag_scaled(zb, s, gradient=True)
     values = _trace_imag_scaled(zb, s)
     assert rows.shape == (2, 48) and values.shape == (48,)
+    # the (panels x nodes) layout of an outer call: the same rows, reshaped
+    grid = _trace_imag_scaled(zb.reshape(2, 24), s.reshape(2, 24),
+                              gradient=True)
+    assert np.array_equal(grid, rows.reshape(2, 2, 24))
+    assert np.array_equal(_trace_imag_scaled(zb.reshape(2, 24),
+                                             s.reshape(2, 24)),
+                          values.reshape(2, 24))
+    # a scalar gives a scalar, the value of its one-row call
+    scalar = _trace_imag_scaled(zb[0], s[0])
+    assert np.ndim(scalar) == 0
+    assert scalar == _trace_imag_scaled(zb[:1], s[:1])[0]
+    one_row = _trace_imag_scaled(zb[:1], s[:1], gradient=True)
+    assert np.array_equal(_trace_imag_scaled(zb[0], s[0], gradient=True),
+                          one_row[:, 0])
     for i in range(48):
         one = _trace_imag_scaled(zb[i], s[i], gradient=True)
         np.testing.assert_allclose(rows[:, i], one, rtol=1e-14, atol=0.0)
