@@ -6,21 +6,22 @@
 
 The package is imported from the ``src/`` of the tree this script lives in,
 so ``A/scripts/node_census.py`` counts tree A.  The grid is w0/gamma_g in
-{1e3, 1e7} x 13 Fermi energies (the Drude-knee values of the test suite) x
-16 distances from 1 nm to 100 um, 416 points, at the reference emitter; each
-point runs ``ground_shift`` with the gradient.  ``--points N`` keeps the
-first N points.  Nodes are counted by wrapping the module bindings through
-which the library calls the quadrature: ``interaction.integrate_refined``
-(the outer integral over frequency) and ``greens.integrate_rows`` (the inner
+{1e3, 1e7} x 13 Fermi energies (undoped to heavily doped, as in the
+node-count tests of tests/test_interaction.py) x 16 distances from 1 nm to
+100 um, 416 points, at the reference emitter; each point runs
+``ground_shift`` with the gradient.  ``--points N`` keeps the first N
+points.  Nodes are counted by wrapping the module bindings through which
+the library calls the quadrature: ``interaction.integrate_refined`` (the
+outer integral over frequency) and ``greens.integrate_rows`` (the inner
 imaginary-axis rows).  The JSON holds the node totals and, per point,
 ``mu`` (units of hbar w0), ``q`` (w0/gamma_g), ``d`` (m), the outer and
 inner node counts and ``value`` = [dw_g, d dw_g/dd]; a point whose
 quadrature fails carries ``error`` instead of ``value``.
 
 ``--compare`` prints both files' totals, how many points took more and
-fewer nodes at each level, and the largest relative move of dw_g and of its
-slope; it exits 1 if the two files do not cover the same grid or a point
-failed in one file only.
+fewer nodes at each level, the most nodes at one point at each level, and
+the largest relative move of dw_g and of its slope; it exits 1 if the two
+files do not cover the same grid or a point failed in one file only.
 """
 
 import argparse
@@ -110,8 +111,11 @@ def compare(old: dict, new: dict) -> int:
         fewer = sum(n[level] < o[level] for o, n in zip(old["rows"],
                                                         new["rows"]))
         change = f" ({b / a - 1.0:+.1%})" if a else ""
+        peak = [max((r[level] for r in f["rows"]), default=0)
+                for f in (old, new)]
         print(f"{level} nodes: {a:,} -> {b:,}{change}; "
-              f"{more} points more, {fewer} fewer")
+              f"{more} points more, {fewer} fewer; "
+              f"most at one point {peak[0]:,} -> {peak[1]:,}")
     worst = [(0.0, None), (0.0, None)]
     for o, n in zip(old["rows"], new["rows"]):
         if ("value" in o) != ("value" in n):

@@ -22,42 +22,15 @@ and du = w0 dtheta/cos^2(theta) combine to dw_g = Gamma0 Int t^3 T dtheta.
 Each outer level evaluates sigma(iu) and the inner kernel for all of its
 nodes at once, as the rows of one inner refinement; both levels stop at
 quadrature.RTOL.
-Its panel edges sit at the knees of the integrand: the interband edge 2 mu,
-the kernel's scales c/2d and 4c/d, the intraband loss gamma_g, and the
-frequency
-
-    u_k = pi alpha c / (2d)
-
-where r_p saturates.  Under the kernel's weight e^{-2 chi zb}, chi is of
-order 1/zb, so r_p = chi s/(chi s + 2) turns over where
-s = 2 zb = 2 u d/c: a sheet at its interband floor s = pi alpha (mu = 0,
-or u > 2 mu, where sigma(iu)/(eps0 c) lies within 14% of it) reflects like
-a mirror in r_p below u_k and fades above it.  u_k is an edge only where
-it lies above 2 mu, since below the interband edge the Drude term sets s.
-
-w0 is no knee: the weight t^3 is smooth through theta = pi/4.  It is an
-edge only where u_k lies above it, d < d* = alpha lambda0/4 (3.65 nm at
-lambda0 = 2 um), because there it splits the long panel that ends at u_k;
-above d* it falls inside a panel that needs no split.  Dropping it at every
-d costs nodes below d* (840 against 432 at mu = 1e-3 hbar w0, 2 nm).
-
-gamma_g, the width of the Drude term 4 alpha mu/(u + gamma_g) of s, is an
-edge only where the integrand can show that knee; an undoped sheet has no
-Drude term.  Below c/2d the integrand is flat in u up to the factor r_p,
-whose mean under the kernel's weight is 1 - 2 zb/s to first order, so the
-knee enters through 1/s.  Above the interband edge (gamma_g >= 2 mu) the
-Drude term is a bump on the floor, and s has a zero within about gamma_g
-of u = 0, close against the long panel above 2 mu: the edge stays.  Below
-it the Drude term makes 1/s ~ (u + gamma_g)/(4 alpha mu) smooth across the
-knee, and the zeros of s lie about mu away, as far as the panel [0, 2 mu]
-is long.  The knee then shows only where r_p itself bends: as
-s(i gamma_g) >= (1 + pi/2) alpha for every mu > 0 (equality at
-mu = gamma_g/2), its dip 2 zb/s there is at most
-2 gamma_g d/(c (1 + pi/2) alpha), and the edge stays where that bound
-exceeds 5% (gamma_g d/c > 4.7e-4: large d or a lossy sheet).  At the
-operating point (mu = 0.8 hbar w0, 18 nm, w0/gamma_g = 1e3) a gamma_g edge
-adds 72 outer nodes, each a full inner refinement row, on an integrand flat
-to 1e-5; without it and w0 the integral takes 288.
+Its panel edges read only d and w0: 0, and u_max = 40 c/d, past which
+the kernel's e^{-2 chi zb} leaves nothing, then u_max divided by
+_EDGE_RATIO again and again until it is at most _EDGE_FLOOR min(w0, c/2d),
+the smaller of the two scales the sheet does not set (t = 1 in the weight,
+zb = 1/2 in the kernel).  No edge names a scale of the sheet (2 mu,
+gamma_g, the r_p knee pi alpha c/(2d)): each panel is refined on its own
+(quadrature.integrate_refined), so a knee costs bisections only in the
+panel that holds it.  The operating point takes four panels and 288 outer
+nodes.
 
 The transition gradient g = d(delta_omega)/dd is analytic: d enters only
 through the exponentials of the Green's-function kernels, so each integrand
@@ -77,12 +50,12 @@ from .graphene import _sigma_ec, FrequencyAxis
 from .greens import _trace_imag_scaled, trace_green_real_parts
 from .params import EmitterParams, GrapheneParams, ScenarioParams
 # perfbench/workloads.py imports NumericsError from this module
-from .quadrature import (NumericsError, RTOL, clip_edges,  # noqa: F401
-                         integrate_refined)
+from .quadrature import NumericsError, RTOL, integrate_refined  # noqa: F401
 
-#: gamma_g d / c above which the Drude knee is an edge even below 2 mu:
-#: there r_p may dip by more than 5% at the knee (see the module docstring)
-_DRUDE_KNEE_ZB = 0.05 * (1.0 + 0.5 * math.pi) * CONSTANTS.alpha / 2.0
+#: ratio of successive outer panel edges in u (module docstring)
+_EDGE_RATIO = 64.0
+#: the lowest nonzero edge lies at or below this fraction of min(w0, c/2d)
+_EDGE_FLOOR = 0.03
 
 
 @dataclass(frozen=True)
@@ -127,22 +100,10 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
             out[1] *= u / c                           # d zb / dd = u / c
         return out
 
-    # knees of the integrand: interband edge, kernel, intraband loss where
-    # the kernel sees it, and where r_p saturates.  w0 is no knee; it is an
-    # edge only below d = alpha lambda0/4, where it splits the long panel
-    # ending at u_knee (module docstring).  288 nodes at the operating point
-    u_edges = [2.0 * g.mu, c / (2.0 * d), 4.0 * c / d]
-    if g.mu > 0.0 and (g.gamma_g >= 2.0 * g.mu
-                       or g.gamma_g * d / c > _DRUDE_KNEE_ZB):
-        u_edges.append(g.gamma_g)
-    u_knee = math.pi * CONSTANTS.alpha * c / (2.0 * d)
-    if u_knee > 2.0 * g.mu:
-        u_edges.append(u_knee)
-    if u_knee > w0:
-        u_edges.append(w0)
-    u_max = 40.0 * c / d
-    theta_edges = clip_edges([math.atan(u / w0) for u in u_edges if u > 0],
-                             0.0, math.atan(u_max / w0))
+    u_edges = [40.0 * c / d]
+    while u_edges[-1] > _EDGE_FLOOR * min(w0, c / (2.0 * d)):
+        u_edges.append(u_edges[-1] / _EDGE_RATIO)
+    theta_edges = [0.0, *(math.atan(u / w0) for u in reversed(u_edges))]
     val, err = integrate_refined(integrand, theta_edges, rtol=RTOL)
     if gradient:
         return e.gamma0 * val, e.gamma0 * err

@@ -1,24 +1,24 @@
 """Adaptive panel quadrature used by the Casimir integrals.
 
-Composite Gauss-Legendre rule over a list of panel edges; the panel set is
-refined by bisecting every panel until two successive refinements agree.
-An integrand gets a (panels x nodes) array, one row of Gauss nodes per
-panel, and returns that shape (real or complex values) or a stack of
-components (..., panels, nodes).  integrate_rows refines a family of such
-integrals at once, one per row of edges; integrate_refined is its one-row
-case.  Each level walks the panels of all rows in chunks of at most
-_CHUNK_NODES elements and sums a row's panels only once all are in, so no
-value depends on the chunk size.  The scheme is deliberately simple: the
-integrands here are smooth between well-understood breakpoints (the knees
-of the frequency integrand, the kernel scale 1/2z), which the caller
-supplies as initial edges; the imaginary-axis kernel is integrated over
-chi = sqrt(1 + x^2), so its edges are the chi of those breakpoints.
+Composite Gauss-Legendre rule over a list of panel edges, refined by
+bisection until two successive levels agree.  An integrand gets a
+(panels x nodes) array, one row of Gauss nodes per panel, and returns that
+shape (real or complex values) or a stack of components (..., panels,
+nodes).  integrate_rows refines a family of such integrals at once, one
+per row of edges, and freezes each row on its own; integrate_refined
+makes each panel of one set of edges such a row and sums them, so every
+panel stops as soon as it has converged.  Each level walks the panels of
+all rows in chunks of at most _CHUNK_NODES elements and sums a row's
+panels only once all are in, so no value depends on the chunk size.  The
+imaginary-axis kernel is integrated over chi = sqrt(1 + x^2), so its
+edges are the chi of its breakpoints.
 
-One tolerance, RTOL, serves both levels of the nested ground-shift integral:
-the outer integral over frequency and the inner imaginary-axis rows that
-its nodes evaluate.  An inner tolerance tighter than the outer one buys
-nothing, because no row can cancel against another.  For s >= 0 and
-chi >= 1 the inner integrand
+A relative test per row or per panel is sound for a sum whose terms have
+one sign in each component: if every term is within RTOL of its true
+value, so is their sum.  One tolerance, RTOL, therefore serves both
+levels of the nested ground-shift integral: the outer integral over
+frequency, refined per panel, and the inner imaginary-axis rows that its
+nodes evaluate.  For s >= 0 and chi >= 1 the inner integrand
 
     e^{-2 (chi - 1) zb} [chi s/(chi s + 2 chi^2)
                          + (2 chi^2 - 1) chi s/(chi s + 2)]
@@ -26,10 +26,12 @@ chi >= 1 the inner integrand
 is >= 0, and so is chi times it, its zb-slope up to the factor -2: every
 row has one sign, in value and in slope.  The outer Gauss weights, and
 the factors t^3 and u/c that the outer integrand puts on each row, are
-positive, so if every row is within RTOL of its true value, the outer sum
-of rows is within RTOL of its own.  The returned level is one bisection
-finer than the pair that was tested, so each row's true error lies far
-below RTOL.
+positive, so each outer panel, too, has one sign in each component, and
+neither rows nor panels cancel against each other.  An inner tolerance
+tighter than the outer one buys nothing.  The returned level is one
+bisection finer than the pair that was tested, so each true error lies
+far below RTOL.  For an integrand whose panels cancel, the per-panel test
+bounds the error by RTOL times the sum of the panels' magnitudes.
 """
 
 from __future__ import annotations
@@ -142,19 +144,17 @@ def integrate_rows(f, edges, *columns, rtol: float = RTOL):
 
 
 def integrate_refined(f, edges, rtol: float = RTOL):
-    """Integrate f over one set of edges: integrate_rows on a single row.
+    """Integrate f over one set of edges, each panel refined on its own.
 
-    Returns (value, error_estimate), per component of a stacked f.
+    Each panel is a row of integrate_rows, so it stops once its bisection
+    agrees with it to rtol (sound where every component of f has one sign;
+    module docstring).  Returns (value, error_estimate), the sums over the
+    panels, per component of a stacked f.
     """
     # a sorted set, because np.unique imports numpy.ma (over a megabyte)
     edges = np.array(sorted(set(map(float, edges))))
     if edges.size < 2:
         raise ValueError("need at least two distinct edges")
-    val, err = integrate_rows(f, edges[None], rtol=rtol)
-    return val[..., 0], err[..., 0]
-
-
-def clip_edges(candidates, lo: float, hi: float):
-    """Sorted unique edge list restricted to [lo, hi], endpoints included."""
-    return np.array(sorted({lo, hi, *(p for p in candidates if lo < p < hi)}),
-                    dtype=float)
+    val, err = integrate_rows(f, np.stack((edges[:-1], edges[1:]), axis=1),
+                              rtol=rtol)
+    return val.sum(axis=-1), err.sum(axis=-1)

@@ -17,11 +17,17 @@ import numpy as np
 
 import casimir_sense as cs
 from casimir_sense.graphene import FrequencyAxis, _sigma_ec
-from casimir_sense.quadrature import clip_edges, integrate_refined
+from casimir_sense.quadrature import integrate_refined
 
 RTOL = 1e-10
 #: e^{-2 q zb} tail cutoff: exp(-2*(EXP_CUT)) ~ 1e-44 relative to the peak.
 EXP_CUT = 50.0
+
+
+def clip_edges(candidates, lo, hi):
+    """Sorted unique edge list restricted to [lo, hi], endpoints included."""
+    return np.array(sorted({lo, hi, *(p for p in candidates if lo < p < hi)}),
+                    dtype=float)
 
 
 def graded_edges(poles):

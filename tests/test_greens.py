@@ -246,7 +246,7 @@ def test_scaled_e1_agrees_with_scipy():
 @pytest.mark.parametrize("mu_frac", [0.0, 0.3, 0.5, 0.6, 0.8, 1.0])
 def test_imag_kernel_node_count_is_bounded(monkeypatch, mu_frac):
     # the inner integrals of one interaction_and_gradient call at 18 nm take
-    # 119,520 nodes over mu in [0, 1] and w0/gamma_g 1e3 and 1e7; rows
+    # 106,560 nodes over mu in [0, 1] and w0/gamma_g 1e3 and 1e7; rows
     # refined past the outer tolerance (1e-10) took 137,280-138,240
     nodes = [0]
     rows = greens.integrate_rows

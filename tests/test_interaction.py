@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ import casimir_sense as cs
 from casimir_sense import greens, interaction
 
 from gradient_oracle import richardson_gradient
+from mu0_oracle import DPS, ground_shift_mu0, perfect_mirror_moment
 
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6
 GAMMA0 = 2 * math.pi * 240e6
@@ -229,8 +231,9 @@ def test_scattering_map_contrast_drops_at_short_distance():
     assert vals[-1] < 1.0
 
 
-#: mu/hbar w0 from undoped to heavily doped, where the knee of r_p lies
-#: above, near and below the interband edge 2 mu
+#: mu/hbar w0 from undoped to heavily doped: the sheet's knees (2 mu,
+#: gamma_g and where r_p saturates, pi alpha c/(2d)) pass through every
+#: outer panel as d runs from 1 nm to 100 um
 KNEE_MU = [0.0, 1e-4, 1e-3, 5e-3, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8,
            1.0]
 
@@ -250,11 +253,10 @@ def _count_outer_nodes(monkeypatch):
 
 
 def test_ground_shift_outer_node_count_is_bounded(monkeypatch):
-    # the knee where r_p saturates, pi alpha c/(2d), is a panel edge above
-    # the interband edge; without it undoped and lightly doped sheets
-    # bisect the whole outer integral (9,072 nodes at mu = 1e-4, 1 um).
-    # w0 is an edge only below alpha lambda0/4: with it everywhere the grid
-    # takes 113,832 nodes
+    # the edges name no scale of the sheet, so a knee of sigma or r_p may
+    # fall anywhere inside a panel; refining each panel on its own keeps
+    # the cost of a knee to its panel (90,576 nodes, at most 696 at one
+    # point; whole-level refinement of the same edges takes 113,616)
     nodes = _count_outer_nodes(monkeypatch)
     total = 0
     for mu_frac in KNEE_MU:
@@ -269,14 +271,15 @@ def test_ground_shift_outer_node_count_is_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("mu_frac, d, nodes", [
-    (0.8, 18e-9, 288), (0.5, 18e-9, 288), (1e-4, 10e-9, 432),
-    (0.0, 3e-9, 360), (0.0, 4e-9, 288), (1e-3, 2e-9, 432)])
+    (0.8, 18e-9, 288), (0.5, 18e-9, 288), (1e-4, 10e-9, 288),
+    (0.0, 3e-9, 288), (0.0, 4e-9, 288), (1e-3, 2e-9, 288)])
 def test_ground_shift_outer_node_count_at_pinned_points(monkeypatch, mu_frac,
                                                         d, nodes):
-    # gamma_g < 2 mu with r_p flat at the Drude knee: no gamma_g edge (360
-    # nodes each with it); gamma_g > 2 mu keeps it (840 without it).  w0 is
-    # an edge only below d* = alpha lambda0/4 = 3.65 nm, which lies between
-    # 3 and 4 nm; at mu = 1e-3, 2 nm, 840 nodes without it
+    # the operating point and the interband edge mu = hbar w0/2 at 18 nm,
+    # a lightly doped sheet whose Drude knee gamma_g lies above 2 mu, and
+    # undoped and lightly doped sheets on either side of
+    # d* = alpha lambda0/4 = 3.65 nm, where the r_p knee pi alpha c/(2d)
+    # crosses w0: four panels, one bisection each
     count = _count_outer_nodes(monkeypatch)
     cs.ground_shift(d, EMITTER, graphene(mu_frac), gradient=True)
     assert count[0] == nodes
@@ -284,12 +287,14 @@ def test_ground_shift_outer_node_count_at_pinned_points(monkeypatch, mu_frac,
 
 # (mu/hbar w0, w0/gamma_g, d) of the tolerance checks
 _TOLERANCE_POINTS = [
+    # undoped and lightly doped sheets in the near field, where the r_p
+    # knee pi alpha c/(2d) bends the integrand: earlier layouts erred most
     (1e-4, 1e7, 8e-9), (1e-4, 1e7, 3e-9), (1e-3, 1e7, 20e-9),
     (0.0, 1e3, 8e-9), (0.02, 1e3, 1e-9),
-    (1e-3, 1e3, 20e-6),     # r_p dips at the Drude knee: gamma_g an edge
-    (0.8, 1e3, 18e-9),      # operating point: gamma_g no edge
-    (1e-3, 1e3, 1e-9),      # below alpha lambda0/4: w0 an edge
-    (0.0, 1e3, 4e-9)]       # above it: w0 no edge
+    (1e-3, 1e3, 20e-6),     # far out, where r_p dips at the Drude knee
+    (0.8, 1e3, 18e-9),      # operating point
+    (1e-3, 1e3, 1e-9),      # r_p knee above w0 (d < alpha lambda0/4)
+    (0.0, 1e3, 4e-9)]       # r_p knee just below w0
 
 
 @pytest.mark.parametrize("mu_frac, q_factor, d", _TOLERANCE_POINTS)
@@ -312,6 +317,26 @@ def test_imag_kernel_meets_a_tighter_inner_tolerance(monkeypatch, mu_frac,
     monkeypatch.setattr(greens, "RTOL", 1e-12)
     tight, _ = cs.ground_shift(d, EMITTER, g, gradient=True)
     np.testing.assert_allclose(value, tight, rtol=2e-12, atol=0.0)
+
+
+#: the 16 distances of scripts/node_census.py
+_CENSUS_DISTANCES = np.geomspace(1e-9, 1e-4, 16)
+
+
+@pytest.mark.parametrize("d", _CENSUS_DISTANCES)
+def test_ground_shift_matches_the_mu0_closed_form(d):
+    # an undoped sheet has s = pi alpha at every frequency, so the oracle
+    # takes the frequency integral first, in closed form, and checks the
+    # outer sum over frequency panels as a whole
+    value, _ = cs.ground_shift(d, EMITTER, graphene(0.0), gradient=True)
+    np.testing.assert_allclose(value, ground_shift_mu0(d, EMITTER),
+                               rtol=1e-9, atol=0.0)
+
+
+def test_perfect_mirror_moment_is_pi():
+    # the moment behind the -Gamma0/16 (k0 d)^-3 near field of a mirror
+    with mpmath.workdps(DPS):
+        assert abs(perfect_mirror_moment() - mpmath.pi) < 1e-20
 
 
 def _log_uniform(lo, hi):

@@ -31,3 +31,20 @@ def test_census_counts_and_compares_two_points(tmp_path):
     assert report.returncode == 0, report.stdout
     assert "0 points more, 0 fewer" in report.stdout
     assert "dw_g: largest relative move 0.000e+00" in report.stdout
+
+
+def test_compare_reports_the_most_nodes_at_one_point(tmp_path):
+    def record(outer):
+        rows = [{"mu": 0.0, "q": 1e3, "d": d, "outer": n, "inner": 10 * n,
+                 "value": [-1.0, 1.0]} for d, n in zip((1e-9, 2e-9), outer)]
+        return {"points": 2, "outer_nodes": sum(outer),
+                "inner_nodes": 10 * sum(outer), "rows": rows}
+
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(record([288, 1_800])))
+    new.write_text(json.dumps(record([432, 888])))
+    report = _run("--compare", str(old), str(new))
+    assert report.returncode == 0, report.stdout
+    assert ("outer nodes: 2,088 -> 1,320 (-36.8%); 1 points more, 1 fewer; "
+            "most at one point 1,800 -> 888") in report.stdout
+    assert "most at one point 18,000 -> 8,880" in report.stdout

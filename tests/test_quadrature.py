@@ -10,10 +10,11 @@ import pytest
 import casimir_sense as cs
 from casimir_sense import quadrature
 from casimir_sense.quadrature import (_CHUNK_NODES, QuadratureError,
-                                      _gauss_nodes, clip_edges,
-                                      integrate_refined, integrate_rows)
+                                      _gauss_nodes, integrate_refined,
+                                      integrate_rows)
 
 from conftest import fixed_panels
+from real_axis_oracle import clip_edges
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -132,12 +133,28 @@ def test_rows_match_one_row_calls():
     val, err = integrate_rows(_waves, edges, ks, rtol=1e-12)
     assert val.shape == err.shape == (2, ks.size)
     for i, k in enumerate(ks):
-        one, one_err = integrate_refined(lambda x: _waves(x, k),
-                                         [0.0, 0.3, 1.0], rtol=1e-12)
-        assert np.array_equal(val[:, i], one)
-        assert np.array_equal(err[:, i], one_err)
+        one, one_err = integrate_rows(_waves, edges[i:i + 1], ks[i:i + 1],
+                                      rtol=1e-12)
+        assert np.array_equal(val[:, i], one[:, 0])
+        assert np.array_equal(err[:, i], one_err[:, 0])
     exact = 0.5 - np.sin(2.0 * ks) / (4.0 * ks)
     np.testing.assert_allclose(val[0], exact, rtol=1e-11)
+
+
+def test_panels_refine_independently():
+    # integrate_refined makes each panel a row: the flat panel stops at its
+    # first bisection while the oscillating one goes deeper
+    easy = []
+
+    def f(x):
+        easy.append(np.count_nonzero(x > 1.0))
+        return np.where(x < 1.0, np.sin(60.0 * x) ** 2, 1.0)
+
+    val, err = integrate_refined(f, [0.0, 1.0, 2.0], rtol=1e-12)
+    assert sum(easy) == 24 + 48                # 360 if refined as one row
+    assert len(easy) > 2
+    assert val == pytest.approx(1.5 - math.sin(120.0) / 240.0, rel=1e-13)
+    assert err <= 1e-12 * val
 
 
 def test_row_needing_deeper_levels_leaves_other_rows_unchanged():
