@@ -74,10 +74,10 @@ The imaginary-axis kernel also takes arrays of (zb, s) of any one shape,
 each element one row, and refines the rows together
 (quadrature.integrate_rows), each on its own panel edges; the result has
 the shape of zb.  The ground shift hands over the (panels x nodes) array of
-each outer call as it is.  The rows stop at quadrature.RTOL, the tolerance
-of the outer frequency integral they feed: every row has one sign, so a
-tighter inner tolerance would not make the outer sum more accurate
-(quadrature module docstring).
+each outer pass as it is, its first two levels in one array.  The rows
+stop at quadrature.RTOL, the tolerance of the outer frequency integral
+they feed: every row has one sign, so a tighter inner tolerance would not
+make the outer sum more accurate (quadrature module docstring).
 """
 
 from __future__ import annotations

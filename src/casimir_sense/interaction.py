@@ -19,9 +19,11 @@ The semi-infinite u integral is evaluated with the substitution
 u = w0 tan(theta) and adaptive refinement.  With t = tan(theta) and
 Tr G(d, d, iu) = (u/c) T(d u/c), the weight u^2/(w0^2 + u^2) = sin^2(theta)
 and du = w0 dtheta/cos^2(theta) combine to dw_g = Gamma0 Int t^3 T dtheta.
-Each outer level evaluates sigma(iu) and the inner kernel for all of its
-nodes at once, as the rows of one inner refinement; both levels stop at
-quadrature.RTOL.
+Each pass of the outer refinement evaluates sigma(iu) and the inner
+kernel for all of its nodes at once, as the rows of one inner refinement;
+the first pass carries the first two outer levels (288 nodes at the
+operating point), and the inner rows, too, run their first two levels in
+one pass.  Both levels stop at quadrature.RTOL.
 Its panel edges read only d and w0: 0, and u_max = 40 c/d, past which
 the kernel's e^{-2 chi zb} leaves nothing, then u_max divided by
 _EDGE_RATIO again and again until it is at most _EDGE_FLOOR min(w0, c/2d),

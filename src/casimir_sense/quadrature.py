@@ -7,11 +7,14 @@ shape (real or complex values) or a stack of components (..., panels,
 nodes).  integrate_rows refines a family of such integrals at once, one
 per row of edges, and freezes each row on its own; integrate_refined
 makes each panel of one set of edges such a row and sums them, so every
-panel stops as soon as it has converged.  Each level walks the panels of
-all rows in chunks of at most _CHUNK_NODES elements and sums a row's
-panels only once all are in, so no value depends on the chunk size.  The
-imaginary-axis kernel is integrated over chi = sqrt(1 + x^2), so its
-edges are the chi of its breakpoints.
+panel stops as soon as it has converged.  Every row's first test needs
+level 0 and its bisection, so the first two levels share one pass of the
+integrand; each later level is a pass of its own.  A pass walks the panels
+of all its levels and rows in chunks of at most _CHUNK_NODES elements and
+sums a row's panels only once all are in, so no value depends on the
+chunk size or on which levels share a pass.  The imaginary-axis kernel is
+integrated over chi = sqrt(1 + x^2), so its edges are the chi of its
+breakpoints.
 
 A relative test per row or per panel is sound for a sum whose terms have
 one sign in each component: if every term is within RTOL of its true
@@ -43,10 +46,14 @@ import numpy as np
 #: Gauss-Legendre nodes per panel
 _ORDER = 24
 #: elements (panels x nodes) per integrand call; it sets the speed only,
-#: since no sum depends on it.  At 4,096 the gradient path's [f, chi f]
-#: stack and its node-sized temporaries (about 370 KB at peak) stay in L2.
-#: At 8,192 the benchmark's gradient-bound workload ran 13% slower and its
-#: value-only one 2% faster (2-vCPU Xeon, 2 MiB L2 a core)
+#: since no sum depends on it.  The heap, not a cache, bounds it: at 8,192
+#: an op's temporaries reach further up the heap (traced peak 975 against
+#: 629 KiB), glibc returns the free top after each op once it exceeds the
+#: trim threshold, and the next op faults it back in.  evaluate_coupling
+#: then took 785 against 100 minor faults and 2.17 against 1.76-1.79 ms an
+#: op, decay_rates 260 against 0 and 1.58 against 1.44 ms; with the trim
+#: threshold raised neither faulted, at 1.54 and 1.29 ms
+#: (scripts/fault_count.py; 2-vCPU Xeon, glibc 2.36)
 _CHUNK_NODES = 1 << 12
 #: relative tolerance of every refinement, both levels of the nested
 #: Casimir integral included (module docstring)
@@ -83,16 +90,21 @@ def _gauss_nodes(order: int):
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _level(f, edges, columns, x, w):
-    """Gauss-Legendre sums of f over each row's panels, shape (..., rows).
+def _level(f, layouts, columns, x, w):
+    """Gauss-Legendre sums of f over each row's panels, one (..., rows)
+    array per layout of edges (each rows x m_k, the same rows).
 
     Each panel's node sum is weighted by its half-width, sum_p h_p sum_n
-    w_n f; the panels of all rows go in order, whole panels a call.
+    w_n f; the panels of all layouts and rows go in order, whole panels a
+    call, and a row's panels are summed only once all of them are in.
     """
-    rows, panels = len(edges), edges.shape[1] - 1
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1]).ravel()
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:]).ravel()
-    columns = [np.repeat(c, panels)[:, None] for c in columns]
+    rows, counts = len(layouts[0]), [e.shape[1] - 1 for e in layouts]
+    half = np.concatenate([0.5 * (e[:, 1:] - e[:, :-1]).ravel()
+                           for e in layouts])
+    mid = np.concatenate([0.5 * (e[:, :-1] + e[:, 1:]).ravel()
+                          for e in layouts])
+    columns = [np.concatenate([np.repeat(c, n) for n in counts])[:, None]
+               for c in columns]
     step = max(1, _CHUNK_NODES // x.size)
     sums = []
     for i in range(0, half.size, step):
@@ -101,7 +113,18 @@ def _level(f, edges, columns, x, w):
         # einsum, not a matmul: no node-sized weight array, and no BLAS
         sums.append(np.einsum("...n,n->...", vals, w))
     sums = np.concatenate(sums, axis=-1) * half
-    return sums.reshape(sums.shape[:-1] + (rows, panels)).sum(axis=-1)
+    parts = np.split(sums, np.cumsum([rows * n for n in counts[:-1]]),
+                     axis=-1)
+    return [p.reshape(p.shape[:-1] + (rows, n)).sum(axis=-1)
+            for p, n in zip(parts, counts)]
+
+
+def _bisected(edges):
+    """Each row of edges with the midpoint of each of its panels added."""
+    halved = np.empty((len(edges), 2 * edges.shape[1] - 1))
+    halved[:, ::2] = edges
+    halved[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    return halved
 
 
 def integrate_rows(f, edges, *columns, rtol: float = RTOL):
@@ -117,17 +140,16 @@ def integrate_rows(f, edges, *columns, rtol: float = RTOL):
     two successive sums of a row are not finite.
     """
     x, w = _gauss_nodes(_ORDER)
-    edges = np.asarray(edges, dtype=float)
+    edges = _bisected(np.asarray(edges, dtype=float))
     columns = [np.asarray(c) for c in columns]
     active = np.arange(len(edges))
-    prev = _level(f, edges, columns, x, w)
+    # every row's first test needs level 0 and its bisection: one pass
+    prev, cur = _level(f, [edges[:, ::2], edges], columns, x, w)
     value, error = np.empty_like(prev), np.empty(prev.shape)
-    for _ in range(_MAX_DOUBLINGS):
-        halved = np.empty((len(edges), 2 * edges.shape[1] - 1))
-        halved[:, ::2] = edges
-        halved[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        edges = halved
-        cur = _level(f, edges, columns, x, w)
+    for doubling in range(_MAX_DOUBLINGS):
+        if doubling:
+            edges = _bisected(edges)
+            (cur,) = _level(f, [edges], columns, x, w)
         err = abs(cur - prev)
         n = active.size
         done = (err - rtol * abs(cur)).reshape(-1, n).max(axis=0) <= 0.0

@@ -183,4 +183,4 @@ def trace_imag(z, u, g):
 def fixed_panels(f, edges):
     """One quadrature level of f: 24-point Gauss-Legendre on each panel."""
     edges = np.asarray(edges, dtype=float)[None]
-    return _level(f, edges, [], *_gauss_nodes(24))[..., 0]
+    return _level(f, [edges], [], *_gauss_nodes(24))[0][..., 0]

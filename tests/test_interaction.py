@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casimir_sense as cs
-from casimir_sense import greens, interaction
+from casimir_sense import greens, interaction, quadrature
 
 from gradient_oracle import richardson_gradient
 from mu0_oracle import DPS, ground_shift_mu0, perfect_mirror_moment
+from rows_oracle import integrate_rows_level_by_level
 
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6
 GAMMA0 = 2 * math.pi * 240e6
@@ -331,6 +332,41 @@ def test_ground_shift_matches_the_mu0_closed_form(d):
     value, _ = cs.ground_shift(d, EMITTER, graphene(0.0), gradient=True)
     np.testing.assert_allclose(value, ground_shift_mu0(d, EMITTER),
                                rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("mu_frac, q_factor, d", [
+    (0.0, 1e3, _CENSUS_DISTANCES[0]), (1e-4, 1e7, _CENSUS_DISTANCES[3]),
+    (0.02, 1e3, _CENSUS_DISTANCES[6]), (0.3, 1e7, _CENSUS_DISTANCES[9]),
+    (0.8, 1e3, _CENSUS_DISTANCES[12]), (1.0, 1e7, _CENSUS_DISTANCES[15])])
+def test_ground_shift_matches_the_level_by_level_oracle(monkeypatch, mu_frac,
+                                                        q_factor, d):
+    # both levels of the nested integral, with level 0 and its bisection
+    # in one integrand pass, give the bits of one pass per level
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    got = cs.ground_shift(d, EMITTER, g, gradient=True)
+    monkeypatch.setattr(quadrature, "integrate_rows",
+                        integrate_rows_level_by_level)
+    monkeypatch.setattr(greens, "integrate_rows",
+                        integrate_rows_level_by_level)
+    want = cs.ground_shift(d, EMITTER, g, gradient=True)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_ground_shift_calls_the_kernel_once_at_the_operating_point(
+        monkeypatch, ref_scenario):
+    # the 96 level-0 and 192 level-1 outer nodes go to the kernel together
+    sizes = []
+    kernel = interaction._trace_imag_scaled
+
+    def counted(zb, s, **kwargs):
+        sizes.append(np.size(zb))
+        return kernel(zb, s, **kwargs)
+
+    monkeypatch.setattr(interaction, "_trace_imag_scaled", counted)
+    s = ref_scenario
+    cs.ground_shift(s.distance, s.emitter, s.graphene, gradient=True)
+    assert sizes == [288]
 
 
 def test_perfect_mirror_moment_is_pi():

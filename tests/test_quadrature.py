@@ -15,6 +15,7 @@ from casimir_sense.quadrature import (_CHUNK_NODES, QuadratureError,
 
 from conftest import fixed_panels
 from real_axis_oracle import clip_edges
+from rows_oracle import integrate_rows_level_by_level
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -206,8 +207,33 @@ def test_rows_are_evaluated_in_bounded_chunks():
     edges = np.tile(np.linspace(0.0, 3.0, 2001), (2, 1))        # 48,000 nodes
     integrate_rows(f, edges, [1.0, 2.0], rtol=1e-12)
     assert max(sizes) <= _CHUNK_NODES
-    calls = math.ceil(2 * 2000 / (_CHUNK_NODES // 24))
-    assert sum(sizes[:calls]) == 2 * 2000 * 24          # first level
+    # the first calls carry levels 0 and 1 of every row
+    calls = math.ceil(2 * (2000 + 4000) / (_CHUNK_NODES // 24))
+    assert sum(sizes[:calls]) == 2 * (2000 + 4000) * 24
+
+
+def test_joint_first_pass_matches_the_level_by_level_oracle():
+    # rows frozen at the first test, one level later and several later,
+    # stacked and scalar, over one and over several panels
+    ks = np.array([0.5, 1.0, 7.0, 60.0, 90.0])
+    for edges in (np.tile([0.0, 1.0], (ks.size, 1)),
+                  np.tile([0.0, 0.3, 1.0, 2.5], (ks.size, 1))):
+        for f in (_waves, lambda x, k: np.sin(k * x) ** 2):
+            got = integrate_rows(f, edges, ks, rtol=1e-12)
+            want = integrate_rows_level_by_level(f, edges, ks, rtol=1e-12)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def test_row_converged_at_its_first_test_takes_one_integrand_call():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.shape)
+        return np.exp(x)
+
+    integrate_rows(f, [[0.0, 1.0]], rtol=1e-12)
+    assert sizes == [(3, 24)]                   # levels 0 and 1: 72 nodes
 
 
 def test_chunk_size_moves_no_number(monkeypatch):
