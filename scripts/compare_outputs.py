@@ -3,8 +3,10 @@
 
     python scripts/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the four command-line examples of README.md and
-``scripts/survey_data.py --quick`` once per tree, each tree's package
+Runs the four command-line examples of README.md, an uncoupled
+``squeeze --sigma-zero`` (the only run that reaches the closed form of the
+unconditioned covariance) and ``scripts/survey_data.py --quick`` once per
+tree, each tree's package
 imported from its own ``src/``, in a temporary directory.  For each output
 file it prints whether the file is byte-identical, how many data cells moved
 and the largest relative difference, then, per moved column, how many cells
@@ -39,6 +41,8 @@ CLI_EXAMPLES = [
                          "sensitivity.csv"]),
     ("squeezing.csv", ["squeeze", "--damping", "momentum", "--t-end", "3e-6",
                        "--out", "squeezing.csv"]),
+    ("squeezing_uncoupled.csv", ["squeeze", "--sigma-zero", "--t-end", "3e-6",
+                                 "--out", "squeezing_uncoupled.csv"]),
 ]
 #: moved cells printed per column
 SHOWN = 5

@@ -90,6 +90,8 @@ from .quadrature import NumericsError
 _KINDS = ("symmetric", "momentum")
 #: record times per block of the closed-form evaluation
 _STAMP_BLOCK = 4096
+#: the most records one grid may hold; a default grid holds at most 4,000
+_MAX_RECORDS = 2**24
 #: Newton-Kleinman steps allowed, and the relative step that ends them: the
 #: iteration converges quadratically near V*, so the iterate that a step
 #: below the tolerance reaches is exact to rounding
@@ -402,9 +404,12 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     n_steps = round(t_end / tau), record k (from 0) is the covariance at
     t = (k + 1) (record_every tau), and the last one at n_steps tau.  Each
     record is the closed form of the module docstring at the time it is
-    labelled with, so tau sets no accuracy.  Aborts with PhysicalityError at
-    the first recorded covariance whose det is below 1 - _PHYSICAL_TOL or not
-    a number, and with RiccatiError if no stabilizing steady state is found.
+    labelled with, so tau sets no accuracy.  Raises ValueError naming t_end,
+    tau and record_every, before any array is built, if t_end / tau is not
+    finite or the grid would hold more than _MAX_RECORDS records.  Aborts
+    with PhysicalityError at the first recorded covariance whose det is
+    below 1 - _PHYSICAL_TOL or not a number, and with RiccatiError if no
+    stabilizing steady state is found.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -412,16 +417,25 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         raise ValueError("tau must be positive and finite")
     if not 0.0 <= n_th < math.inf:
         raise ValueError("n_th must be non-negative and finite")
+    if record_every is not None and record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    steps = float(t_end) / float(tau)
+    grid = (f"t_end = {float(t_end)!r}, tau = {float(tau)!r}, "
+            f"record_every = {record_every!r}")
+    if steps == math.inf:
+        raise ValueError(f"t_end / tau is not finite ({grid})")
+    n_steps = max(1, int(round(steps)))
+    if record_every is None:
+        record_every = max(1, n_steps // 2000)
+    n_records = -(-n_steps // record_every)
+    if n_records > _MAX_RECORDS:
+        raise ValueError(f"the record grid would hold more than "
+                         f"{_MAX_RECORDS} records ({grid})")
     cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
         else np.array(initial_cov, dtype=float)
     if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
         raise ValueError("initial_cov must be a finite 2x2 array")
-    n_steps = max(1, int(round(t_end / tau)))
-    if record_every is None:
-        record_every = max(1, n_steps // 2000)
-    elif record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    t = np.arange(1, -(-n_steps // record_every) + 1) * (record_every * tau)
+    t = np.arange(1, n_records + 1) * (record_every * tau)
     t[-1] = n_steps * tau
     covariance = _riccati(*_coefficients(cfg, n_th), cov, t[-1])
     vx, vp, vxp = np.empty_like(t), np.empty_like(t), np.empty_like(t)

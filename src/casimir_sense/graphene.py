@@ -39,57 +39,47 @@ class FrequencyAxis(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# sigma/sigma0 internals, vectorized over omega/u; all rates in rad/s
+# sigma/sigma0 internals, vectorized over omega/u; all rates in rad/s;
+# exact zeros for a sigma_zero sheet
 
-def _scale_complex(value, factor: float):
-    """Componentwise real scaling; full complex multiply would turn the
-    log-divergent (+-inf) imaginary part at the interband edge into nan."""
-    out = np.empty(np.shape(value), dtype=complex)
-    out.real = np.real(value) * factor
-    out.imag = np.imag(value) * factor
-    return out
-
-
-def _sigma_real(omega, mu: float, gamma_g: float):
-    """sigma(omega)/sigma0 on the real axis."""
+def _sigma_real(omega, g: GrapheneParams, scale: float):
+    """scale * sigma(omega)/sigma0 on the real axis."""
     omega = np.asarray(omega, dtype=float)
-    drude = (4.0 * mu / np.pi) * 1j / (omega + 1j * gamma_g)
+    if g.sigma_zero:
+        return np.zeros(omega.shape, dtype=complex)
+    mu = g.mu
+    drude = (4.0 * mu / np.pi) * 1j / (omega + 1j * g.gamma_g)
     # log diverges at the interband edge hbar*omega = 2mu; that is the
-    # physical T = 0 singularity, not a numerical defect.  Assembling real
-    # and imaginary parts separately keeps the -inf out of complex products
-    # that would turn it into nan.  At mu = 0 the log is exactly 0.
+    # physical T = 0 singularity, not a numerical defect.  Assembling and
+    # scaling real and imaginary parts separately keeps the -inf out of
+    # complex products that would turn it into nan.  At mu = 0 the log is
+    # exactly 0.
     with np.errstate(divide="ignore"):
         log_term = np.log(np.abs((omega - 2.0 * mu) / (omega + 2.0 * mu)))
     value = np.empty(omega.shape, dtype=complex)
-    value.real = drude.real + np.where(omega > 2.0 * mu, 1.0, 0.0)
-    value.imag = drude.imag + log_term / np.pi
+    value.real = (drude.real + np.where(omega > 2.0 * mu, 1.0, 0.0)) * scale
+    value.imag = (drude.imag + log_term / np.pi) * scale
     return value
 
 
-def _sigma_imag(u, mu: float, gamma_g: float):
+def _sigma_imag(u, g: GrapheneParams):
     """sigma(iu)/sigma0; real and positive for passive graphene."""
     u = np.asarray(u, dtype=float)
-    drude = (4.0 * mu / np.pi) / (u + gamma_g)
+    if g.sigma_zero:
+        return np.zeros(u.shape)
+    mu = g.mu
+    drude = (4.0 * mu / np.pi) / (u + g.gamma_g)
     inter = (2.0 / np.pi) * np.arctan(u / (2.0 * mu)) if mu > 0.0 \
         else np.ones_like(u)
     return drude + inter
-
-
-def _sigma(axis: FrequencyAxis, freq, g: GrapheneParams):
-    """sigma/sigma0 on ``axis``: complex on the real axis, real on the
-    imaginary one, exact zeros for a sigma_zero sheet."""
-    real = axis is FrequencyAxis.REAL
-    if g.sigma_zero:
-        return np.zeros(np.shape(freq), dtype=complex if real else float)
-    return (_sigma_real if real else _sigma_imag)(freq, g.mu, g.gamma_g)
 
 
 def _sigma_ec(axis: FrequencyAxis, freq, g: GrapheneParams):
     """sigma/(eps0 c), the dimensionless conductivity of the Fresnel pair."""
     pi_alpha = np.pi * CONSTANTS.alpha
     if axis is FrequencyAxis.REAL:
-        return _scale_complex(_sigma(axis, freq, g), pi_alpha)
-    return pi_alpha * _sigma(axis, freq, g)
+        return _sigma_real(freq, g, pi_alpha)
+    return pi_alpha * _sigma_imag(freq, g)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +95,7 @@ def sigma_real_axis(omega: float, g: GrapheneParams):
     """Complex sigma(omega)/sigma0, omega > 0 in rad/s."""
     if not _positive_finite(omega):
         raise ValueError("omega must be positive and finite")
-    value = _sigma(FrequencyAxis.REAL, omega, g)
+    value = _sigma_real(omega, g, 1.0)
     return complex(value) if np.isscalar(omega) else value
 
 
@@ -113,5 +103,5 @@ def sigma_imag_axis(u: float, g: GrapheneParams):
     """Real positive sigma(iu)/sigma0, u > 0 in rad/s."""
     if not _positive_finite(u):
         raise ValueError("u must be positive and finite")
-    value = _sigma(FrequencyAxis.IMAG, u, g)
+    value = _sigma_imag(u, g)
     return float(value) if np.isscalar(u) else value

@@ -1,8 +1,10 @@
-"""Closed-form oracle for the ground shift of an undoped sheet.
+"""Closed-form oracle for the ground shift of a sheet of constant s.
 
-At mu = 0 the sheet's s = sigma(iu)/(eps0 c) = pi alpha at every
-frequency, so the Fresnel coefficients do not depend on u and the two
-integrals of the ground shift can be swapped.  With u = w0 t,
+When the sheet's s = sigma(iu)/(eps0 c) is the same at every frequency,
+the Fresnel coefficients do not depend on u and the two integrals of the
+ground shift can be swapped.  An undoped sheet is one case, with
+s = pi alpha at every frequency (mu = 0); a large s approaches a perfect
+mirror.  With u = w0 t,
 zb = k0 d t (k0 = w0/c) and T = (1/4pi) Int_1^inf dchi e^{-2 chi zb} K(chi),
 
     dw_g = Gamma0 Int_0^inf dt t^3/(1 + t^2) T(k0 d t)
@@ -27,7 +29,9 @@ at 30 digits.
 
 A perfect mirror (r_p = 1, r_s = -1, so K = -2 chi^2) gives
 dw_g -> -(Gamma0/16) (k0 d)^-3 in the near field, because
-Int_0^inf y^2 h(y) dy = pi (perfect_mirror_moment).
+Int_0^inf y^2 h(y) dy = pi (perfect_mirror_moment); its kernel is
+T = -(1/2pi) Int_1^inf chi^2 e^{-a chi} dchi with a = 2 zb
+(mirror_trace).
 
 Everything is mpmath at 30 digits; the library gives only the constants.
 """
@@ -72,14 +76,16 @@ def _kernel(chi, s):
     return -s / (s + 2 * chi) - (2 * chi ** 2 - 1) * chi * s / (chi * s + 2)
 
 
-def ground_shift_mu0(d, e):
-    """(dw_g, d dw_g/dd) of an undoped sheet at distance d, as floats."""
+def ground_shift_constant_s(d, e, s):
+    """(dw_g, d dw_g/dd) at distance d of a sheet whose s = sigma/(eps0 c)
+    is ``s`` at every frequency, as floats."""
     with mp.workdps(DPS):
-        s = mp.pi * mp.mpf(cs.CONSTANTS.alpha)
+        s = mp.mpf(s)
         k0 = mp.mpf(e.omega0) / mp.mpf(cs.CONSTANTS.c)
         x = 2 * k0 * mp.mpf(d)          # h's argument is x chi
-        # breakpoints: the r_p knee chi s = 2, h's scale and its switch
-        cuts = sorted({mp.mpf(1), *(c for c in (2 / s, 1 / x,
+        # breakpoints: the r_p knee chi s = 2, the r_s knee 2 chi = s, h's
+        # scale and its switch
+        cuts = sorted({mp.mpf(1), *(c for c in (2 / s, s / 2, 1 / x,
                                                 ASYMPTOTIC_X / x) if c > 1)})
         path = [*cuts, mp.inf]
 
@@ -98,3 +104,14 @@ def perfect_mirror_moment():
     with mp.workdps(DPS):
         return mp.quad(lambda y: y ** 2 * h_pair(y)[0],
                        [0, 1, ASYMPTOTIC_X, mp.inf])
+
+
+def mirror_trace(zb):
+    """(T, dT/dzb) of a perfect mirror: -(1/2pi) e^{-a} (1/a + 2/a^2 + 2/a^3)
+    and (1/pi) e^{-a} (1/a + 3/a^2 + 6/a^3 + 6/a^4), a = 2 zb, as floats."""
+    with mp.workdps(DPS):
+        a = 2 * mp.mpf(zb)
+        value = -mp.exp(-a) * (1 / a + 2 / a ** 2 + 2 / a ** 3) / (2 * mp.pi)
+        slope = mp.exp(-a) * (1 / a + 3 / a ** 2 + 6 / a ** 3
+                               + 6 / a ** 4) / mp.pi
+        return float(value), float(slope)

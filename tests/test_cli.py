@@ -285,6 +285,23 @@ def test_squeeze_infinite_time_is_usage_error(tmp_path, capsys, flag):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["--t-end", "1e300"], "t_end / tau is not finite"),
+    (["--t-end", "1", "--tau", "1e-320"], "t_end / tau is not finite"),
+    (["--tau", "1e-18", "--record-every", "1"], "more than 16777216 records"),
+])
+def test_squeeze_out_of_range_record_grid_is_usage_error(tmp_path, capsys,
+                                                         args, reason):
+    # an OverflowError or a numpy MemoryError without the check
+    code, text = run_cli(["squeeze", *args], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and reason in err
+    assert "Traceback" not in err
+    assert all(f"{name} = " in err for name in ("t_end", "tau",
+                                               "record_every"))
+
+
 def test_squeeze_reports_subunity_minimum(tmp_path):
     # default scenario, momentum damping: conditional squeezing within 3 us
     code, text = run_cli(["squeeze", "--t-end", "3e-6", "--record-every",

@@ -439,6 +439,31 @@ def test_record_grid_validation():
             simulate_conditional(cfg, n_th=1.0, t_end=t_end, tau=1e-2)
 
 
+@pytest.mark.parametrize("t_end, tau, record_every", [
+    (1e300, 1e-10, None),       # t_end / tau overflows
+    (1.0, 1e-320, None),        # a subnormal tau overflows it too
+    (3e-6, 1e-18, 1),           # 3e12 records
+])
+def test_record_grid_out_of_range_is_named(t_end, tau, record_every):
+    # checked before any array is built: not an OverflowError in round()
+    # nor a MemoryError in arange()
+    with pytest.raises(ValueError) as exc:
+        simulate_conditional(config(), n_th=1.0, t_end=t_end, tau=tau,
+                             record_every=record_every)
+    for name in ("t_end", "tau", "record_every"):
+        assert f"{name} = " in str(exc.value)
+
+
+def test_record_grid_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cs.dynamics, "_MAX_RECORDS", 10)
+    traj = simulate_conditional(config(), n_th=1.0, t_end=1.0, tau=0.1,
+                                record_every=1)
+    assert len(traj.t) == 10
+    with pytest.raises(ValueError, match="more than 10 records"):
+        simulate_conditional(config(), n_th=1.0, t_end=1.0, tau=1.0 / 11,
+                             record_every=1)
+
+
 # ---------------------------------------------------------------------------
 # closed forms and frames
 

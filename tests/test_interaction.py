@@ -9,7 +9,8 @@ import casimir_sense as cs
 from casimir_sense import greens, interaction, quadrature
 
 from gradient_oracle import richardson_gradient
-from mu0_oracle import DPS, ground_shift_mu0, perfect_mirror_moment
+from mu0_oracle import (DPS, ground_shift_constant_s, mirror_trace,
+                        perfect_mirror_moment)
 from rows_oracle import integrate_rows_level_by_level
 
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6
@@ -330,8 +331,46 @@ def test_ground_shift_matches_the_mu0_closed_form(d):
     # takes the frequency integral first, in closed form, and checks the
     # outer sum over frequency panels as a whole
     value, _ = cs.ground_shift(d, EMITTER, graphene(0.0), gradient=True)
-    np.testing.assert_allclose(value, ground_shift_mu0(d, EMITTER),
+    pi_alpha = math.pi * cs.CONSTANTS.alpha
+    np.testing.assert_allclose(value,
+                               ground_shift_constant_s(d, EMITTER, pi_alpha),
                                rtol=1e-9, atol=0.0)
+
+
+def _constant_sheet(monkeypatch, s):
+    """Make every sigma(iu)/(eps0 c) that ground_shift reads equal s."""
+    monkeypatch.setattr(interaction, "_sigma_ec",
+                        lambda axis, u, g: np.full(np.shape(u), s))
+
+
+@pytest.mark.parametrize("s", [10 * math.pi * cs.CONSTANTS.alpha, 1e15])
+@pytest.mark.parametrize("d", _CENSUS_DISTANCES[:13])      # 1 nm to 10 um
+def test_ground_shift_matches_the_constant_s_closed_form(monkeypatch, s, d):
+    # a sheet ten times as conductive as an undoped one, and a near-perfect
+    # mirror: the swapped-integral oracle holds for any s constant in u
+    _constant_sheet(monkeypatch, s)
+    value, _ = cs.ground_shift(d, EMITTER, graphene(0.8), gradient=True)
+    np.testing.assert_allclose(value, ground_shift_constant_s(d, EMITTER, s),
+                               rtol=1e-9, atol=0.0)
+
+
+def test_near_perfect_mirror_gives_the_mirror_law(monkeypatch):
+    # -Gamma0/16 (k0 d)^-3 (Wylie & Sipe, PRA 30, 1185 (1984)), with a
+    # correction of order k0 d; it fixes the prefactor c Gamma0/w0^2
+    _constant_sheet(monkeypatch, 1e15)
+    d = 1e-9
+    k0d = W0 * d / cs.CONSTANTS.c
+    ratio = cs.ground_shift(d, EMITTER, graphene(0.8)) \
+        / (-GAMMA0 / 16.0 * k0d ** -3)
+    assert abs(ratio - 1.0) <= k0d
+
+
+@pytest.mark.parametrize("zb", np.geomspace(1e-4, 10.0, 6))
+def test_near_perfect_mirror_trace_matches_its_closed_form(zb):
+    value, slope = greens._trace_imag_scaled(zb, 1e15, gradient=True)
+    want = mirror_trace(zb)
+    assert abs(value / want[0] - 1.0) <= 1e-12
+    assert abs(slope / want[1] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("mu_frac, q_factor, d", [

@@ -10,7 +10,6 @@ from casimir_sense.interaction import CouplingGradient, InteractionResult
 
 def fake_interaction(gamma=2e9, rad_fraction=0.54):
     return InteractionResult(delta_g=-1e11, delta_e=2e11,
-                             delta_omega=3e11, gamma=gamma,
                              gamma_rad=rad_fraction * gamma,
                              gamma_nonrad=(1 - rad_fraction) * gamma)
 

@@ -11,8 +11,14 @@ def test_constants_identities():
     c = cs.CONSTANTS
     assert c.alpha == pytest.approx(
         c.e**2 / (4 * math.pi * c.eps0 * c.hbar * c.c), rel=1e-12)
-    assert c.c**2 * c.eps0 * c.mu0 == pytest.approx(1.0, rel=1e-12)
+    # CODATA 2018 alpha, and the identity the SI values must satisfy
+    assert abs(c.alpha / 7.2973525693e-3 - 1.0) <= 1e-9
+    assert abs(c.c**2 * c.eps0 * c.mu0 - 1.0) <= 1e-12
     assert c.sigma0 == pytest.approx(6.085e-5, rel=1e-3)
+    with pytest.raises(AttributeError):
+        c.c = 3e8                     # the one set is read-only
+    with pytest.raises(AttributeError):
+        c.hbar_over_c = 1.0
 
 
 def test_load_paper_operating_point(config_text):
