@@ -5,8 +5,9 @@
 
 Runs the four command-line examples of README.md, an uncoupled
 ``squeeze --sigma-zero`` (the only run that reaches the closed form of the
-unconditioned covariance) and ``scripts/survey_data.py --quick`` once per
-tree, each tree's package
+unconditioned covariance), a ``squeeze --damping symmetric`` (the only CLI
+run whose damping column reads ``symmetric``) and
+``scripts/survey_data.py --quick`` once per tree, each tree's package
 imported from its own ``src/``, in a temporary directory.  For each output
 file it prints whether the file is byte-identical, how many data cells moved
 and the largest relative difference, then, per moved column, how many cells
@@ -43,6 +44,9 @@ CLI_EXAMPLES = [
                        "--out", "squeezing.csv"]),
     ("squeezing_uncoupled.csv", ["squeeze", "--sigma-zero", "--t-end", "3e-6",
                                  "--out", "squeezing_uncoupled.csv"]),
+    ("squeezing_symmetric.csv", ["squeeze", "--damping", "symmetric",
+                                 "--t-end", "1e-6", "--out",
+                                 "squeezing_symmetric.csv"]),
 ]
 #: moved cells printed per column
 SHOWN = 5

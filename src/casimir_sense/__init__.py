@@ -8,8 +8,8 @@ Gaussian squeezing of the membrane under continuous homodyne monitoring.
 __version__ = "0.1.0"
 
 from .constants import CONSTANTS
-from .dynamics import (DampingModel, PhysicalityError, StepConfig, Trajectory,
-                       simulate, simulate_conditional)
+from .dynamics import (PhysicalityError, StepConfig, Trajectory, simulate,
+                       simulate_conditional)
 from .graphene import sigma_imag_axis, sigma_real_axis
 from .greens import trace_green_real_parts
 from .interaction import (CouplingGradient, InteractionResult, decay_rates,
@@ -22,9 +22,9 @@ from .params import (ConfigError, DriveParams, EmitterParams, GrapheneParams,
 from .quadrature import NumericsError, QuadratureError
 
 __all__ = [
-    "CONSTANTS", "DampingModel", "PhysicalityError", "StepConfig",
-    "Trajectory", "simulate", "simulate_conditional", "sigma_imag_axis",
-    "sigma_real_axis", "trace_green_real_parts", "CouplingGradient",
+    "CONSTANTS", "PhysicalityError", "StepConfig", "Trajectory", "simulate",
+    "simulate_conditional", "sigma_imag_axis", "sigma_real_axis",
+    "trace_green_real_parts", "CouplingGradient",
     "InteractionResult", "decay_rates", "ground_shift",
     "interaction_and_gradient", "scattering_rate_map", "transition_gradient",
     "CouplingResult", "evaluate_coupling", "kappa", "ConfigError",

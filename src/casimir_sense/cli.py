@@ -164,7 +164,7 @@ def cmd_squeeze(args, argv) -> int:
     t_min, v_min = traj.min_vx()
     summary = f"# summary: min_vx = {v_min:.6e} at t = {t_min:.6e} s"
     _write_csv(args, s, argv, ["t_s", "vx", "vp", "vxp", "frame", "damping"],
-               ((*row, "rotating", traj.damping)
+               ((*row, "rotating", args.damping)
                 for row in zip(traj.t, traj.vx, traj.vp, traj.vxp)),
                footer=summary)
     if args.out:

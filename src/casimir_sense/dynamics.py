@@ -123,38 +123,29 @@ class RiccatiError(NumericsError):
 
 
 @dataclass(frozen=True)
-class DampingModel:
-    """Mechanical damping: equal-rate on both quadratures or momentum only."""
-
-    kind: str
-    gamma: float            # rad/s
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"damping kind must be one of {_KINDS}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be non-negative and finite, "
-                             f"got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class StepConfig:
-    """Rates of the monitored-membrane dynamics.
+    """The inputs of the conditional Riccati equation.
 
-    kappa_det is the information rate of the detected scattering and
-    kappa_n the same rate of the undetected remainder, both in 1/sqrt(s)
-    per x_zpm; the back-action is kappa_det^2 + kappa_n^2.  A record that
-    conditions nothing has kappa_det = 0, with the whole back-action in
-    kappa_n.
+    damping is the kind, "symmetric" or "momentum", and gamma its rate in
+    rad/s; n_th is the bath occupation, which also sets the thermal initial
+    state.  kappa_det is the information rate of the detected scattering
+    and kappa_n the same rate of the undetected remainder, both in
+    1/sqrt(s) per x_zpm; the back-action is kappa_det^2 + kappa_n^2.  A
+    record that conditions nothing has kappa_det = 0, with the whole
+    back-action in kappa_n.
     """
 
     omega_m: float          # rad/s
-    damping: DampingModel
+    damping: str
+    gamma: float            # rad/s
+    n_th: float
     kappa_det: float
     kappa_n: float
 
     def __post_init__(self):
-        for name in ("omega_m", "kappa_det", "kappa_n"):
+        if self.damping not in _KINDS:
+            raise ValueError(f"damping kind must be one of {_KINDS}")
+        for name in ("omega_m", "gamma", "n_th", "kappa_det", "kappa_n"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, "
@@ -169,19 +160,18 @@ class Trajectory:
     vx: np.ndarray
     vp: np.ndarray
     vxp: np.ndarray
-    damping: str
 
     def min_vx(self):
         i = int(np.argmin(self.vx))
         return float(self.t[i]), float(self.vx[i])
 
 
-def _coefficients(cfg: StepConfig, n_th: float):
+def _coefficients(cfg: StepConfig):
     """Drift A, diffusion D = (d11, d12, d22) and conditioning strength
     c = kappa_det^2 of the lab-frame Riccati equation."""
-    gamma, omega = cfg.damping.gamma, cfg.omega_m
-    v_th = 2.0 * n_th + 1.0
-    if cfg.damping.kind == "symmetric":
+    gamma, omega = cfg.gamma, cfg.omega_m
+    v_th = 2.0 * cfg.n_th + 1.0
+    if cfg.damping == "symmetric":
         drift = ((-0.5 * gamma, omega), (-omega, -0.5 * gamma))
         d11 = d22 = gamma * v_th
     else:
@@ -395,8 +385,8 @@ def _co_rotating(phase: np.ndarray, v11, v12, v22, vx, vp, vxp):
     vxp[:] = cs * (v11 - v22) + (cc - ss) * v12
 
 
-def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
-                         tau: float, initial_cov: np.ndarray | None = None,
+def simulate_conditional(cfg: StepConfig, t_end: float, tau: float,
+                         initial_cov: np.ndarray | None = None,
                          record_every: int | None = None) -> Trajectory:
     """Propagate the conditional covariance from a thermal initial state.
 
@@ -415,8 +405,6 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         raise ValueError("t_end must be positive and finite")
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    if not 0.0 <= n_th < math.inf:
-        raise ValueError("n_th must be non-negative and finite")
     if record_every is not None and record_every < 1:
         raise ValueError("record_every must be >= 1")
     steps = float(t_end) / float(tau)
@@ -431,13 +419,13 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
     if n_records > _MAX_RECORDS:
         raise ValueError(f"the record grid would hold more than "
                          f"{_MAX_RECORDS} records ({grid})")
-    cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
+    cov = (2.0 * cfg.n_th + 1.0) * np.eye(2) if initial_cov is None \
         else np.array(initial_cov, dtype=float)
     if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
         raise ValueError("initial_cov must be a finite 2x2 array")
     t = np.arange(1, n_records + 1) * (record_every * tau)
     t[-1] = n_steps * tau
-    covariance = _riccati(*_coefficients(cfg, n_th), cov, t[-1])
+    covariance = _riccati(*_coefficients(cfg), cov, t[-1])
     vx, vp, vxp = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     for lo in range(0, len(t), _STAMP_BLOCK):
         hi = min(lo + _STAMP_BLOCK, len(t))
@@ -449,12 +437,12 @@ def simulate_conditional(cfg: StepConfig, n_th: float, t_end: float,
         _co_rotating(cfg.omega_m * t[lo:hi], v11, v12, v22, vx[lo:hi],
                      vp[lo:hi], vxp[lo:hi])
         del v11, v12, v22, det     # before the next block's temporaries
-    return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp, damping=cfg.damping.kind)
+    return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp)
 
 
 def step_config_for(s: ScenarioParams, damping: str,
-                    coupling=None) -> tuple[StepConfig, float]:
-    """Derive the step rates for a scenario; returns (config, n_th).
+                    coupling=None) -> StepConfig:
+    """Derive the inputs of the Riccati equation for a scenario.
 
     ``damping`` is the kind, "symmetric" or "momentum".  ``coupling`` may
     carry a precomputed (ir, cg, CouplingResult) triple to avoid re-running
@@ -463,17 +451,15 @@ def step_config_for(s: ScenarioParams, damping: str,
     ir, _, cr = coupling if coupling is not None else evaluate_coupling(s)
     kappa_n = _information_rate(cr.g_bar, s.drive.epsilon, 1.0 - cr.nu,
                                 ir.gamma)
-    cfg = StepConfig(omega_m=s.mechanics.omega_m,
-                     damping=DampingModel(kind=damping,
-                                          gamma=s.mechanics.gamma),
-                     kappa_det=cr.kappa, kappa_n=kappa_n)
-    return cfg, s.mechanics.n_th
+    return StepConfig(omega_m=s.mechanics.omega_m, damping=damping,
+                      gamma=s.mechanics.gamma, n_th=s.mechanics.n_th,
+                      kappa_det=cr.kappa, kappa_n=kappa_n)
 
 
-def default_tau(cfg: StepConfig, n_th: float) -> float:
+def default_tau(cfg: StepConfig) -> float:
     """Default record-grid unit: 5e-3 over the fastest rate of the
     dynamics."""
-    rate = max(cfg.omega_m, cfg.damping.gamma * (2.0 * n_th + 1.0),
+    rate = max(cfg.omega_m, cfg.gamma * (2.0 * cfg.n_th + 1.0),
                cfg.kappa_det**2 + cfg.kappa_n**2)
     return 5e-3 / rate
 
@@ -487,8 +473,7 @@ def simulate(s: ScenarioParams, damping: str, t_end: float,
     configuration and propagates the thermal initial state up to t_end,
     reporting it in the rotating frame.
     """
-    cfg, n_th = step_config_for(s, damping, coupling)
+    cfg = step_config_for(s, damping, coupling)
     if tau is None:
-        tau = default_tau(cfg, n_th)
-    return simulate_conditional(cfg, n_th, t_end, tau,
-                                record_every=record_every)
+        tau = default_tau(cfg)
+    return simulate_conditional(cfg, t_end, tau, record_every=record_every)

@@ -29,12 +29,12 @@ from casimir_sense.dynamics import PhysicalityError, Trajectory, build_step
 _MAX_EXPONENT = 1.0
 
 
-def _hamiltonian(cfg, n_th: float, measure: bool) -> np.ndarray:
+def _hamiltonian(cfg, measure: bool) -> np.ndarray:
     """[[A, D], [kappa_det^2 e_x e_x^T, -A^T]] of the lab-frame Riccati
     equation; ``measure=False`` drops the conditioning term."""
-    gamma, omega = cfg.damping.gamma, cfg.omega_m
-    v_th = 2.0 * n_th + 1.0
-    if cfg.damping.kind == "symmetric":
+    gamma, omega = cfg.gamma, cfg.omega_m
+    v_th = 2.0 * cfg.n_th + 1.0
+    if cfg.damping == "symmetric":
         drift = np.array([[-0.5 * gamma, omega], [-omega, -0.5 * gamma]])
         diffusion = np.diag([gamma * v_th, gamma * v_th])
     else:
@@ -86,17 +86,16 @@ def _mobius(phi: np.ndarray, cov: tuple[float, float, float], records: int,
     return vx, vxp, vp
 
 
-def simulate_mobius(cfg, n_th: float, t_end: float, tau: float,
-                    initial_cov=None, record_every: int | None = None,
-                    measure: bool = True,
+def simulate_mobius(cfg, t_end: float, tau: float, initial_cov=None,
+                    record_every: int | None = None, measure: bool = True,
                     physical_tol: float = 1e-9) -> Trajectory:
     """``simulate_conditional`` by the record-by-record Mobius map."""
     n_steps = max(1, int(round(t_end / tau)))
     if record_every is None:
         record_every = max(1, n_steps // 2000)
-    cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
+    cov = (2.0 * cfg.n_th + 1.0) * np.eye(2) if initial_cov is None \
         else np.array(initial_cov, dtype=float)
-    ham = _hamiltonian(cfg, n_th, measure)
+    ham = _hamiltonian(cfg, measure)
     rate = _growth_bound(ham)
     n_full, rest = divmod(n_steps, record_every)
     state = (float(cov[0, 0]), 0.5 * float(cov[0, 1] + cov[1, 0]),
@@ -121,5 +120,4 @@ def simulate_mobius(cfg, n_th: float, t_end: float, tau: float,
     cc, ss, cs = c * c, s * s, c * s
     return Trajectory(t=t_prop, vx=cc * vx - 2.0 * cs * vxp + ss * vp,
                       vp=ss * vx + 2.0 * cs * vxp + cc * vp,
-                      vxp=cs * (vx - vp) + (cc - ss) * vxp,
-                      damping=cfg.damping.kind)
+                      vxp=cs * (vx - vp) + (cc - ss) * vxp)

@@ -45,8 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from casimir_sense.dynamics import (DampingModel, PhysicalityError,
-                                    StepConfig, Trajectory)
+from casimir_sense.dynamics import PhysicalityError, StepConfig, Trajectory
 
 HOMODYNE_R = 1e12
 #: max allowed tau * rate product (step preconditions)
@@ -83,13 +82,13 @@ class NoiseSpec:
     cov_in: np.ndarray
 
     @classmethod
-    def for_damping(cls, damping: DampingModel, n_th: float) -> "NoiseSpec":
+    def for_damping(cls, cfg: StepConfig) -> "NoiseSpec":
         cov = np.eye(6)
-        if damping.kind == "symmetric":
-            cov[4, 4] = cov[5, 5] = 2.0 * n_th + 1.0
+        if cfg.damping == "symmetric":
+            cov[4, 4] = cov[5, 5] = 2.0 * cfg.n_th + 1.0
         else:
-            cov[4, 4] = 1.0 / (2.0 * n_th + 1.0)
-            cov[5, 5] = 2.0 * n_th + 1.0
+            cov[4, 4] = 1.0 / (2.0 * cfg.n_th + 1.0)
+            cov[5, 5] = 2.0 * cfg.n_th + 1.0
         return cls(cov_in=cov)
 
 
@@ -102,27 +101,27 @@ class StepOperator:
     t: float
 
 
-def _rotating_damping(damping: DampingModel, t: float, omega_m: float) -> np.ndarray:
-    if damping.kind == "symmetric":
-        return -0.5 * damping.gamma * np.eye(2)
-    c, s = math.cos(omega_m * t), math.sin(omega_m * t)
-    return damping.gamma * np.array([[-s * s, c * s], [c * s, -c * c]])
+def _rotating_damping(cfg: StepConfig, t: float) -> np.ndarray:
+    if cfg.damping == "symmetric":
+        return -0.5 * cfg.gamma * np.eye(2)
+    c, s = math.cos(cfg.omega_m * t), math.sin(cfg.omega_m * t)
+    return cfg.gamma * np.array([[-s * s, c * s], [c * s, -c * c]])
 
 
 def build_step(t: float, tau: float, cfg: StepConfig) -> StepOperator:
     """One-step matrix at time t; raises if tau violates its preconditions."""
     kd, kn = cfg.kappa_det, cfg.kappa_n
     back_action = kd * kd + kn * kn
-    for rate in (cfg.omega_m, back_action, cfg.damping.gamma):
+    for rate in (cfg.omega_m, back_action, cfg.gamma):
         if tau * rate >= _TAU_MARGIN:
             raise ValueError(
                 f"tau = {tau:.3e} too large: tau * rate = {tau * rate:.3e} "
                 f">= {_TAU_MARGIN}")
     c, s = math.cos(cfg.omega_m * t), math.sin(cfg.omega_m * t)
     st = math.sqrt(tau)
-    sg = math.sqrt(cfg.damping.gamma * tau)
+    sg = math.sqrt(cfg.gamma * tau)
     S = np.eye(8)
-    S[:2, :2] += tau * _rotating_damping(cfg.damping, t, cfg.omega_m)
+    S[:2, :2] += tau * _rotating_damping(cfg, t)
     # back-action on the mechanics from the p quadratures of both channels
     S[0, 3], S[1, 3] = -kd * st * s, kd * st * c
     S[0, 5], S[1, 5] = -kn * st * s, kn * st * c
@@ -164,7 +163,7 @@ def measurement_update(state: ConditionalState, joint: np.ndarray,
     return replace(state, cov_m=updated)
 
 
-def simulate_stepper(cfg: StepConfig, n_th: float, t_end: float, tau: float,
+def simulate_stepper(cfg: StepConfig, t_end: float, tau: float,
                      initial_cov: np.ndarray | None = None,
                      r: float = HOMODYNE_R, record_every: int | None = None,
                      measure: bool = True,
@@ -178,15 +177,15 @@ def simulate_stepper(cfg: StepConfig, n_th: float, t_end: float, tau: float,
     back-action still present).  Aborts with PhysicalityError if a recorded
     covariance violates det >= 1 - physical_tol.
     """
-    rate = max(cfg.omega_m, cfg.damping.gamma * (2.0 * n_th + 1.0),
+    rate = max(cfg.omega_m, cfg.gamma * (2.0 * cfg.n_th + 1.0),
                cfg.kappa_det**2 + cfg.kappa_n**2)
     if tau * rate >= _TAU_MARGIN:
         raise ValueError(f"tau = {tau:.3e} violates tau * rate < {_TAU_MARGIN}")
     n_steps = max(1, int(round(t_end / tau)))
     if record_every is None:
         record_every = max(1, n_steps // 2000)
-    noise = NoiseSpec.for_damping(cfg.damping, n_th).cov_in
-    cov = (2.0 * n_th + 1.0) * np.eye(2) if initial_cov is None \
+    noise = NoiseSpec.for_damping(cfg).cov_in
+    cov = (2.0 * cfg.n_th + 1.0) * np.eye(2) if initial_cov is None \
         else np.array(initial_cov, dtype=float)
     proj = np.array([[1.0 / r, 0.0], [0.0, r]])
     full = np.zeros((8, 8))
@@ -218,4 +217,4 @@ def simulate_stepper(cfg: StepConfig, n_th: float, t_end: float, tau: float,
             vps.append(cov[1, 1])
             vxps.append(cov[0, 1])
     return Trajectory(t=np.array(ts), vx=np.array(vxs), vp=np.array(vps),
-                      vxp=np.array(vxps), damping=cfg.damping.kind)
+                      vxp=np.array(vxps))

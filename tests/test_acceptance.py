@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import casimir_sense as cs
-from casimir_sense.dynamics import DampingModel, StepConfig, simulate_conditional
+from casimir_sense.dynamics import StepConfig, simulate_conditional
 
 from conftest import kk_sigma_imag_oracle
 from shorttime_oracle import analytic_shorttime
@@ -131,12 +131,12 @@ def test_criterion_6_kramers_kronig_oracle(ref_scenario):
 def test_criterion_7_short_time_squeezing_oracle():
     t0 = time.monotonic()
     kappa2 = 1.0
-    cfg = StepConfig(omega_m=kappa2 / 1e7,
-                     damping=DampingModel("momentum", 0.0),
-                     kappa_det=math.sqrt(kappa2), kappa_n=0.0)  # nu = 1
     v0 = 2 * 2.084e4 + 1.0
-    traj = simulate_conditional(cfg, n_th=(v0 - 1) / 2, t_end=50.0,
-                                tau=0.999e-2, record_every=100)
+    cfg = StepConfig(omega_m=kappa2 / 1e7, damping="momentum", gamma=0.0,
+                     n_th=(v0 - 1) / 2, kappa_det=math.sqrt(kappa2),
+                     kappa_n=0.0)  # nu = 1
+    traj = simulate_conditional(cfg, t_end=50.0, tau=0.999e-2,
+                                record_every=100)
     ref = np.array([analytic_shorttime(v0, v0, 1.0, t)[0]
                     for t in traj.t])
     worst = np.max(np.abs(traj.vx / ref - 1.0))
@@ -202,10 +202,9 @@ def test_criterion_10_micro_oracle(ref_scenario):
     kappa_det = math.sqrt(kappa_ideal_sq * nu)
     kappa_n = math.sqrt(kappa_ideal_sq * (1 - nu))
     ref = hilbert_oracle(omega_m, kappa_det, kappa_n, t_end, tau)
-    cfg = StepConfig(omega_m=omega_m, damping=DampingModel("momentum", 0.0),
-                     kappa_det=kappa_det, kappa_n=kappa_n)
-    traj = simulate_conditional(cfg, n_th=0.0, t_end=t_end, tau=tau,
-                                record_every=25)
+    cfg = StepConfig(omega_m=omega_m, damping="momentum", gamma=0.0,
+                     n_th=0.0, kappa_det=kappa_det, kappa_n=kappa_n)
+    traj = simulate_conditional(cfg, t_end=t_end, tau=tau, record_every=25)
     vx = np.interp(ref[:, 0], traj.t, traj.vx)
     worst = np.max(np.abs(ref[:, 1] / vx - 1.0))
     elapsed = time.monotonic() - t0

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casimir_sense as cs
-from casimir_sense.dynamics import (DampingModel, RiccatiError, StepConfig,
-                                    default_tau, simulate_conditional,
-                                    step_config_for)
+from casimir_sense.dynamics import (RiccatiError, StepConfig, default_tau,
+                                    simulate_conditional, step_config_for)
 
 from mobius_oracle import _hamiltonian, simulate_mobius
 from shorttime_oracle import analytic_shorttime
@@ -18,11 +17,11 @@ from stepper_oracle import (ConditionalState, NoiseSpec, build_step,
 from test_interaction import _log_uniform
 
 
-def config(omega_m=1.0, gamma=0.0, kind="momentum", kappa2=1.0, nu=1.0):
+def config(omega_m=1.0, gamma=0.0, kind="momentum", kappa2=1.0, nu=1.0,
+           n_th=0.0):
     """StepConfig with back-action rate kappa2 = kd^2 + kn^2, of which the
     detected share nu conditions the record."""
-    return StepConfig(omega_m=omega_m,
-                      damping=DampingModel(kind=kind, gamma=gamma),
+    return StepConfig(omega_m=omega_m, damping=kind, gamma=gamma, n_th=n_th,
                       kappa_det=math.sqrt(kappa2 * nu),
                       kappa_n=math.sqrt(kappa2 * (1.0 - nu)))
 
@@ -41,27 +40,32 @@ def test_step_config_rates(ref_scenario, ref_coupling):
                            drive=replace(ref_scenario.drive, eta_det=0.0))
     for s in (ref_scenario, no_detection):
         cr = cs.kappa(s, ir, cg)
-        cfg, n_th = step_config_for(s, "momentum", coupling=(ir, cg, cr))
+        cfg = step_config_for(s, "momentum", coupling=(ir, cg, cr))
         assert cfg.kappa_det == cr.kappa
         assert cfg.kappa_det**2 + cfg.kappa_n**2 == pytest.approx(
             s.mechanics.omega_m * cr.merit_ideal, rel=1e-12, abs=0)
-        assert n_th == s.mechanics.n_th
+        assert (cfg.damping, cfg.gamma, cfg.n_th) \
+            == ("momentum", s.mechanics.gamma, s.mechanics.n_th)
     assert cfg.kappa_det == 0.0 < cfg.kappa_n
 
 
-@pytest.mark.parametrize("field", ["omega_m", "kappa_det", "kappa_n"])
+@pytest.mark.parametrize("field", ["omega_m", "kappa_det", "kappa_n",
+                                   "gamma", "n_th"])
 @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
 def test_step_config_rejects_a_bad_rate_by_name(field, value):
-    with pytest.raises(ValueError, match=field):
+    # checked before any work, so a nan names its field instead of failing
+    # later as another fault
+    with pytest.raises(ValueError,
+                       match=f"{field} must be non-negative and finite"):
         replace(config(), **{field: value})
 
 
-def test_damping_model_validation():
-    with pytest.raises(ValueError):
-        DampingModel("critical", 1.0)
-    for gamma in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="gamma"):
-            DampingModel("symmetric", gamma)
+def test_step_config_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="damping kind must be one of") \
+            as exc:
+        config(kind="critical")
+    assert "'symmetric'" in str(exc.value)
+    assert "'momentum'" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +74,11 @@ def test_damping_model_validation():
 def test_ideal_limit_matches_analytic_shorttime():
     # gamma = 0, nu = 1, rotation negligible: V_x = 1/(1/V0 + kappa^2 t)
     kappa2 = 1.0
-    cfg = config(omega_m=kappa2 / 1e7, kappa2=kappa2, nu=1.0)
     for v0 in (1.0, 2 * 2.084e4 + 1):
-        traj = simulate_conditional(cfg, n_th=(v0 - 1) / 2, t_end=50.0,
-                                    tau=0.999e-2, record_every=500)
+        cfg = config(omega_m=kappa2 / 1e7, kappa2=kappa2, nu=1.0,
+                     n_th=(v0 - 1) / 2)
+        traj = simulate_conditional(cfg, t_end=50.0, tau=0.999e-2,
+                                    record_every=500)
         vx_ref, vp_ref = analytic_shorttime(v0, v0, math.sqrt(kappa2),
                                             traj.t[-1])
         assert traj.vx[-1] == pytest.approx(vx_ref, rel=1e-2)
@@ -83,9 +88,9 @@ def test_ideal_limit_matches_analytic_shorttime():
 def test_no_measurement_keeps_thermal_state_symmetric():
     # symmetric damping: the thermal state is the exact fixed point
     v0 = 2 * 5.0 + 1
-    cfg = config(omega_m=1.0, gamma=0.05, kind="symmetric", kappa2=0.0)
-    traj = simulate_conditional(cfg, n_th=5.0, t_end=20.0, tau=5e-3,
-                                record_every=100)
+    cfg = config(omega_m=1.0, gamma=0.05, kind="symmetric", kappa2=0.0,
+                 n_th=5.0)
+    traj = simulate_conditional(cfg, t_end=20.0, tau=5e-3, record_every=100)
     assert np.all(np.abs(traj.vx / v0 - 1) < 1e-3)
     assert np.all(np.abs(traj.vp / v0 - 1) < 1e-3)
 
@@ -96,19 +101,19 @@ def test_no_measurement_momentum_damping_relaxes_not_grows():
     # the thermal covariance; an unmeasured thermal state must relax toward
     # it, never grow, and barely move on the gamma*t << 1 scales simulated
     v0 = 2 * 5.0 + 1
-    cfg = config(omega_m=1.0, gamma=0.05, kind="momentum", kappa2=0.0)
-    traj = simulate_conditional(cfg, n_th=5.0, t_end=40.0, tau=5e-3,
-                                record_every=100)
+    cfg = config(omega_m=1.0, gamma=0.05, kind="momentum", kappa2=0.0,
+                 n_th=5.0)
+    traj = simulate_conditional(cfg, t_end=40.0, tau=5e-3, record_every=100)
     assert np.all(traj.vx <= v0 * (1 + 1e-9))
     assert np.all(traj.vx >= v0 / 2 * 0.98)
-    short = simulate_conditional(cfg, n_th=5.0, t_end=0.02, tau=5e-4,
-                                 record_every=5)
+    short = simulate_conditional(cfg, t_end=0.02, tau=5e-4, record_every=5)
     assert np.all(np.abs(short.vx / v0 - 1) < 2e-3)
 
 
 def test_conditioning_never_exceeds_unconditional_variance():
-    cfg = config(omega_m=1.0, gamma=0.02, kind="momentum", kappa2=0.5, nu=0.6)
-    kw = dict(n_th=8.0, t_end=12.0, tau=2e-3, record_every=50)
+    cfg = config(omega_m=1.0, gamma=0.02, kind="momentum", kappa2=0.5, nu=0.6,
+                 n_th=8.0)
+    kw = dict(t_end=12.0, tau=2e-3, record_every=50)
     cond = simulate_conditional(cfg, **kw)
     uncond = simulate_conditional(unmeasured(cfg), **kw)
     assert np.all(cond.vx <= uncond.vx * (1 + 1e-12))
@@ -117,12 +122,14 @@ def test_conditioning_never_exceeds_unconditional_variance():
 def test_momentum_damping_beats_symmetric_at_short_times():
     # momentum damping cannot feed thermal noise into x faster than the
     # phase-space rotation allows, so early conditioning goes much deeper
-    kw = dict(n_th=1000.0, t_end=0.05, tau=1e-5, record_every=5000)
+    kw = dict(t_end=0.05, tau=1e-5, record_every=5000)
     v_mom = simulate_conditional(config(omega_m=1.0, gamma=0.3,
-                                        kind="momentum", kappa2=600.0),
+                                        kind="momentum", kappa2=600.0,
+                                        n_th=1000.0),
                                  **kw).vx[-1]
     v_sym = simulate_conditional(config(omega_m=1.0, gamma=0.3,
-                                        kind="symmetric", kappa2=600.0),
+                                        kind="symmetric", kappa2=600.0,
+                                        n_th=1000.0),
                                  **kw).vx[-1]
     assert v_mom < v_sym
 
@@ -130,14 +137,14 @@ def test_momentum_damping_beats_symmetric_at_short_times():
 def test_physicality_abort():
     cfg = config(omega_m=1.0, kappa2=0.0)
     with pytest.raises(cs.PhysicalityError):
-        simulate_conditional(cfg, n_th=0.0, t_end=0.1, tau=1e-3,
+        simulate_conditional(cfg, t_end=0.1, tau=1e-3,
                              initial_cov=0.5 * np.eye(2), record_every=1)
 
 
 def test_physicality_held_along_squeezing_run():
-    cfg = config(omega_m=1.0, gamma=0.01, kind="momentum", kappa2=5.0, nu=0.7)
-    traj = simulate_conditional(cfg, n_th=50.0, t_end=10.0, tau=1e-3,
-                                record_every=20)
+    cfg = config(omega_m=1.0, gamma=0.01, kind="momentum", kappa2=5.0, nu=0.7,
+                 n_th=50.0)
+    traj = simulate_conditional(cfg, t_end=10.0, tau=1e-3, record_every=20)
     dets = traj.vx * traj.vp - traj.vxp**2
     assert np.all(dets >= 1.0 - 1e-9)
     assert np.all(traj.vx * traj.vp >= 1.0 - 1e-9)
@@ -146,9 +153,9 @@ def test_physicality_held_along_squeezing_run():
 def test_closed_system_stays_stationary():
     # kappa = 0 and gamma = 0: the lab-frame covariance only rotates, which
     # the co-rotating frame undoes, for isotropic and squeezed states alike
-    cfg = config(omega_m=1.0, gamma=0.0, kappa2=0.0)
+    cfg = config(omega_m=1.0, gamma=0.0, kappa2=0.0, n_th=7.0)
     for cov in (15.0 * np.eye(2), np.array([[3.0, 0.4], [0.4, 0.5]])):
-        traj = simulate_conditional(cfg, n_th=7.0, t_end=30.0, tau=5e-3,
+        traj = simulate_conditional(cfg, t_end=30.0, tau=5e-3,
                                     initial_cov=cov)
         assert np.allclose(traj.vx, cov[0, 0], rtol=1e-12, atol=0)
         assert np.allclose(traj.vp, cov[1, 1], rtol=1e-12, atol=0)
@@ -160,10 +167,10 @@ def test_engine_matches_exponential_from_t_zero():
     from scipy.linalg import expm
 
     for kind in ("momentum", "symmetric"):
-        cfg = config(omega_m=1.0, gamma=0.05, kind=kind, kappa2=2.0, nu=0.7)
-        traj = simulate_conditional(cfg, n_th=3.0, t_end=4.0, tau=1e-3,
-                                    record_every=97)
-        ham = _hamiltonian(cfg, 3.0, measure=True)
+        cfg = config(omega_m=1.0, gamma=0.05, kind=kind, kappa2=2.0, nu=0.7,
+                     n_th=3.0)
+        traj = simulate_conditional(cfg, t_end=4.0, tau=1e-3, record_every=97)
+        ham = _hamiltonian(cfg, measure=True)
         v0 = 7.0 * np.eye(2)
         for t, vx, vp, vxp in zip(traj.t, traj.vx, traj.vp, traj.vxp):
             phi = expm(ham * t)
@@ -179,8 +186,8 @@ def test_engine_matches_exponential_from_t_zero():
 def test_propagator_matches_scipy_expm(ref_scenario, ref_coupling):
     from scipy.linalg import expm
 
-    cfg, n_th = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
-    ham = _hamiltonian(cfg, n_th, measure=True)
+    cfg = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    ham = _hamiltonian(cfg, measure=True)
     for dt in (0.0, 1e-10, 1e-9, 1e-7):    # 0 to 6 squarings
         ref = expm(ham * dt)
         assert np.abs(cs.dynamics.build_step(ham, dt) - ref).max() \
@@ -207,12 +214,13 @@ def test_closed_form_matches_mobius_oracle(kind, gamma, kappa2, nu, measure):
     # gamma = 0, kappa2 = 2 with nu = 0 or unmeasured has D != 0 but no
     # conditioning, so no steady state.  Unmeasured, the engine runs the
     # unmeasured config and the oracle drops its conditioning term itself.
-    cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=nu)
+    cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=nu,
+                 n_th=3.0)
     engine_cfg = cfg if measure else unmeasured(cfg)
     covs = (None, np.diag([0.25, 4.0]), np.array([[3.0, 0.4], [0.4, 0.5]]))
     for cov in covs:
         for record_every in (1, 7):       # 7 leaves a remainder record
-            kw = dict(n_th=3.0, t_end=6.0, tau=1e-2, initial_cov=cov,
+            kw = dict(t_end=6.0, tau=1e-2, initial_cov=cov,
                       record_every=record_every)
             _assert_matches_oracle(simulate_conditional(engine_cfg, **kw),
                                    simulate_mobius(cfg, measure=measure,
@@ -227,10 +235,11 @@ def test_vanishing_conditioning_gives_the_unconditioned_covariance(kind,
                                                                    kappa2,
                                                                    nu):
     # the conditioning moves V by less than a rounding unit over the run
-    cfg = config(omega_m=1.0, gamma=0.0, kind=kind, kappa2=kappa2, nu=nu)
-    assert 0.0 < cfg.kappa_det**2 < 1e-40
     for n_th, t_end, v_0 in ((0.0, 30.0, 1.0), (3.0, 6.0, 10.0)):
-        kw = dict(n_th=n_th, t_end=t_end, tau=default_tau(cfg, n_th),
+        cfg = config(omega_m=1.0, gamma=0.0, kind=kind, kappa2=kappa2, nu=nu,
+                     n_th=n_th)
+        assert 0.0 < cfg.kappa_det**2 < 1e-40
+        kw = dict(t_end=t_end, tau=default_tau(cfg),
                   initial_cov=v_0 * np.eye(2))
         traj = simulate_conditional(cfg, **kw)
         rows = np.array([traj.t, traj.vx, traj.vp, traj.vxp])
@@ -248,8 +257,9 @@ def test_weak_conditioning_matches_mobius_oracle(kind, kappa2, nu, n_th,
                                                  t_end):
     # kappa_det^2 from 2e-27 to 3e-18 omega_m: V* + E D0 (I + W D0)^-1 E^T
     # would cancel to a few digits, or to a negative det
-    cfg = config(omega_m=1.0, gamma=0.0, kind=kind, kappa2=kappa2, nu=nu)
-    kw = dict(n_th=n_th, t_end=t_end, tau=default_tau(cfg, n_th))
+    cfg = config(omega_m=1.0, gamma=0.0, kind=kind, kappa2=kappa2, nu=nu,
+                 n_th=n_th)
+    kw = dict(t_end=t_end, tau=default_tau(cfg))
     _assert_matches_oracle(simulate_conditional(cfg, **kw),
                            simulate_mobius(cfg, **kw))
 
@@ -258,10 +268,10 @@ def test_closed_form_matches_mobius_oracle_at_operating_point(ref_scenario,
                                                              ref_coupling):
     # n_th = 2.08e4, conditioned from 4e4 to below vacuum within 3 us
     for kind in ("momentum", "symmetric"):
-        cfg, n_th = step_config_for(ref_scenario, kind, coupling=ref_coupling)
-        tau = default_tau(cfg, n_th)
+        cfg = step_config_for(ref_scenario, kind, coupling=ref_coupling)
+        tau = default_tau(cfg)
         for t_end in (0.3e-6, 3e-6):
-            kw = dict(n_th=n_th, t_end=t_end, tau=tau)
+            kw = dict(t_end=t_end, tau=tau)
             _assert_matches_oracle(simulate_conditional(cfg, **kw),
                                    simulate_mobius(cfg, **kw))
 
@@ -270,8 +280,8 @@ def test_closed_form_matches_mobius_oracle_at_operating_point(ref_scenario,
 def test_memory_bounded_beyond_output(records):
     # record times are evaluated in blocks, so the working set beyond the
     # returned arrays does not grow with the number of records
-    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7)
-    kw = dict(n_th=3.0, t_end=records * 1e-3, tau=1e-3, record_every=1)
+    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7, n_th=3.0)
+    kw = dict(t_end=records * 1e-3, tau=1e-3, record_every=1)
     simulate_conditional(cfg, **kw)
     tracemalloc.start()
     try:
@@ -289,10 +299,10 @@ def test_records_are_labelled_with_their_evaluation_times(monkeypatch):
     # one at n_steps tau, across blocks of 7 records, with and without a
     # remainder record
     monkeypatch.setattr(cs.dynamics, "_STAMP_BLOCK", 7)
-    cfg = config(omega_m=1.0, gamma=0.01, kappa2=1.0, nu=0.5)
+    cfg = config(omega_m=1.0, gamma=0.01, kappa2=1.0, nu=0.5, n_th=2.0)
     tau = 1.3e-3
     for record_every in (1, 3, 7, 10, 50):
-        traj = simulate_conditional(cfg, n_th=2.0, t_end=40 * tau, tau=tau,
+        traj = simulate_conditional(cfg, t_end=40 * tau, tau=tau,
                                     record_every=record_every)
         assert len(traj.t) == -(-40 // record_every)
         assert [traj.t[k] for k in range(len(traj.t) - 1)] \
@@ -300,21 +310,20 @@ def test_records_are_labelled_with_their_evaluation_times(monkeypatch):
         assert traj.t[-1] == 40 * tau
         # a single record at the label reproduces the recorded covariance
         for k in (0, len(traj.t) // 2, len(traj.t) - 1):
-            one = simulate_conditional(cfg, n_th=2.0, t_end=traj.t[k],
-                                       tau=traj.t[k])
+            one = simulate_conditional(cfg, t_end=traj.t[k], tau=traj.t[k])
             assert one.t[0] == traj.t[k]
             assert one.vx[0] == pytest.approx(traj.vx[k], rel=1e-14)
             assert one.vp[0] == pytest.approx(traj.vp[k], rel=1e-14)
 
 
-def _mpmath_trajectory(cfg, n_th, cov, times, dps=40):
+def _mpmath_trajectory(cfg, cov, times, dps=40):
     """Co-rotating E V0 E^T + int_0^t E D E^T ds without conditioning, at
     ``dps`` digits.  The integral is Van Loan's (IEEE TAC 23, 395 (1978)):
     exp([[-A, D], [0, A^T]] t) = [[., F12], [0, F22]] gives
     int_0^t E D E^T ds = F22^T F12, with A and D from the Mobius oracle."""
     import mpmath as mp
 
-    ham = _hamiltonian(cfg, n_th, measure=False)
+    ham = _hamiltonian(cfg, measure=False)
     rows = []
     with mp.workdps(dps):
         block = mp.zeros(4, 4)
@@ -337,8 +346,7 @@ def _mpmath_trajectory(cfg, n_th, cov, times, dps=40):
                          float(c * s * (v[0, 0] - v[1, 1])
                                + (c * c - s * s) * v[0, 1])])
     vx, vp, vxp = np.array(rows).T
-    return cs.Trajectory(t=np.asarray(times), vx=vx, vp=vp, vxp=vxp,
-                         damping=cfg.damping.kind)
+    return cs.Trajectory(t=np.asarray(times), vx=vx, vp=vp, vxp=vxp)
 
 
 @pytest.mark.parametrize("kind, gamma, kappa2", [
@@ -354,13 +362,13 @@ def test_unconditioned_solution_matches_mpmath(kind, gamma, kappa2):
     # the momentum model, at times on both sides of the Taylor radius
     cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=0.0)
     cov = np.array([[3.0, 0.4], [0.4, 0.5]])
-    traj = simulate_conditional(cfg, n_th=0.0, t_end=6.0, tau=1e-2,
-                                initial_cov=cov, record_every=1)
+    traj = simulate_conditional(cfg, t_end=6.0, tau=1e-2, initial_cov=cov,
+                                record_every=1)
     picked = [0, 1, 4, 12, 24, 25, 49, 50, 99, 299, 599]
-    ref = _mpmath_trajectory(cfg, 0.0, cov, traj.t[picked])
+    ref = _mpmath_trajectory(cfg, cov, traj.t[picked])
     _assert_matches_oracle(cs.Trajectory(
         t=traj.t[picked], vx=traj.vx[picked], vp=traj.vp[picked],
-        vxp=traj.vxp[picked], damping=kind), ref)
+        vxp=traj.vxp[picked]), ref)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -376,15 +384,15 @@ def test_dynamics_corner_of_the_parameter_box(kind, gamma, kappa2, nu,
     # in units of omega_m: any damping up to gamma = 10 omega_m (critical
     # damping of the momentum model included), back-action up to 1e6
     # omega_m, with or without conditioning, from a random physical state
-    cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=nu)
+    cfg = config(omega_m=1.0, gamma=gamma, kind=kind, kappa2=kappa2, nu=nu,
+                 n_th=n_th)
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     cov = v_0 * rot @ np.diag([math.exp(2 * squeeze),
                                math.exp(-2 * squeeze)]) @ rot.T
     try:
         traj = simulate_conditional(cfg if measure else unmeasured(cfg),
-                                    n_th=n_th, t_end=t_end,
-                                    tau=default_tau(cfg, n_th),
+                                    t_end=t_end, tau=default_tau(cfg),
                                     initial_cov=cov)
     except (RiccatiError, cs.PhysicalityError, ValueError):
         return
@@ -394,12 +402,12 @@ def test_dynamics_corner_of_the_parameter_box(kind, gamma, kappa2, nu,
 
 
 def test_steady_state_failure_is_typed(monkeypatch):
-    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7)
+    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7, n_th=3.0)
     with pytest.raises(RiccatiError, match="not stable"):
         cs.dynamics._lyapunov(((0.1, 1.0), (-1.0, 0.0)), (1.0, 0.0, 1.0))
     monkeypatch.setattr(cs.dynamics, "_NEWTON_STEPS", 2)
     with pytest.raises(RiccatiError, match="did not converge in 2 steps"):
-        simulate_conditional(cfg, n_th=3.0, t_end=1.0, tau=1e-2)
+        simulate_conditional(cfg, t_end=1.0, tau=1e-2)
 
 
 def test_riccati_failure_is_a_typed_benchmark_error():
@@ -414,29 +422,24 @@ def test_riccati_failure_is_a_typed_benchmark_error():
 
 
 def test_bad_initial_state_is_named():
-    # n_th and initial_cov are checked before any work, so a nan or a wrong
-    # shape names its argument instead of failing later as another fault
-    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7)
-    for n_th in (math.nan, math.inf, -1.0):
-        with pytest.raises(ValueError, match="n_th must be non-negative"):
-            simulate_conditional(cfg, n_th=n_th, t_end=1.0, tau=1e-2)
+    # initial_cov is checked before any work, so a nan or a wrong shape
+    # names its argument instead of failing later as another fault
+    cfg = config(omega_m=1.0, gamma=0.02, kappa2=2.0, nu=0.7, n_th=1.0)
     for cov in (np.full((2, 2), math.nan), np.eye(3),
                 [[1.0, math.inf], [math.inf, 1.0]]):
         with pytest.raises(ValueError, match="initial_cov must be a finite"):
-            simulate_conditional(cfg, n_th=1.0, t_end=1.0, tau=1e-2,
-                                 initial_cov=cov)
+            simulate_conditional(cfg, t_end=1.0, tau=1e-2, initial_cov=cov)
 
 
 def test_record_grid_validation():
-    cfg = config()
+    cfg = config(n_th=1.0)
     with pytest.raises(ValueError, match="tau"):
-        simulate_conditional(cfg, n_th=1.0, t_end=1.0, tau=0.0)
+        simulate_conditional(cfg, t_end=1.0, tau=0.0)
     with pytest.raises(ValueError, match="record_every"):
-        simulate_conditional(cfg, n_th=1.0, t_end=1.0, tau=1e-2,
-                             record_every=0)
+        simulate_conditional(cfg, t_end=1.0, tau=1e-2, record_every=0)
     for t_end in (0.0, -1e-6, math.nan):
         with pytest.raises(ValueError, match="t_end must be positive"):
-            simulate_conditional(cfg, n_th=1.0, t_end=t_end, tau=1e-2)
+            simulate_conditional(cfg, t_end=t_end, tau=1e-2)
 
 
 @pytest.mark.parametrize("t_end, tau, record_every", [
@@ -448,7 +451,7 @@ def test_record_grid_out_of_range_is_named(t_end, tau, record_every):
     # checked before any array is built: not an OverflowError in round()
     # nor a MemoryError in arange()
     with pytest.raises(ValueError) as exc:
-        simulate_conditional(config(), n_th=1.0, t_end=t_end, tau=tau,
+        simulate_conditional(config(n_th=1.0), t_end=t_end, tau=tau,
                              record_every=record_every)
     for name in ("t_end", "tau", "record_every"):
         assert f"{name} = " in str(exc.value)
@@ -456,11 +459,11 @@ def test_record_grid_out_of_range_is_named(t_end, tau, record_every):
 
 def test_record_grid_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(cs.dynamics, "_MAX_RECORDS", 10)
-    traj = simulate_conditional(config(), n_th=1.0, t_end=1.0, tau=0.1,
+    traj = simulate_conditional(config(n_th=1.0), t_end=1.0, tau=0.1,
                                 record_every=1)
     assert len(traj.t) == 10
     with pytest.raises(ValueError, match="more than 10 records"):
-        simulate_conditional(config(), n_th=1.0, t_end=1.0, tau=1.0 / 11,
+        simulate_conditional(config(n_th=1.0), t_end=1.0, tau=1.0 / 11,
                              record_every=1)
 
 
@@ -571,10 +574,12 @@ def test_step_rejects_large_tau():
 
 def test_noise_spec_blocks():
     n_th = 3.0
-    sym = NoiseSpec.for_damping(DampingModel("symmetric", 1.0), n_th).cov_in
+    sym = NoiseSpec.for_damping(config(gamma=1.0, kind="symmetric",
+                                       n_th=n_th)).cov_in
     assert np.allclose(sym[:4, :4], np.eye(4))
     assert np.allclose(sym[4:, 4:], (2 * n_th + 1) * np.eye(2))
-    mom = NoiseSpec.for_damping(DampingModel("momentum", 1.0), n_th).cov_in
+    mom = NoiseSpec.for_damping(config(gamma=1.0, kind="momentum",
+                                       n_th=n_th)).cov_in
     assert mom[4, 4] == pytest.approx(1.0 / (2 * n_th + 1))
     assert mom[5, 5] == pytest.approx(2 * n_th + 1)
 
@@ -601,9 +606,8 @@ def test_one_step_riccati_expansion():
     v0 = 9.0
     kappa2 = 1.0
     tau = 1e-3
-    cfg = config(omega_m=1e-6, kappa2=kappa2, nu=1.0)
-    traj = simulate_stepper(cfg, n_th=(v0 - 1) / 2, t_end=tau, tau=tau,
-                            record_every=1)
+    cfg = config(omega_m=1e-6, kappa2=kappa2, nu=1.0, n_th=(v0 - 1) / 2)
+    traj = simulate_stepper(cfg, t_end=tau, tau=tau, record_every=1)
     vx_exact = v0 / (1.0 + kappa2 * tau * v0)
     assert traj.vx[0] == pytest.approx(vx_exact, rel=1e-9)
     assert traj.vp[0] == pytest.approx(v0 + kappa2 * tau, rel=1e-9)
@@ -613,11 +617,11 @@ def test_one_step_riccati_expansion():
 
 
 def test_homodyne_limit_stable_in_r():
-    cfg = config(kappa2=1.0, nu=1.0)
+    cfg = config(kappa2=1.0, nu=1.0, n_th=10.0)
     outs = []
     for r in (1e10, 1e12, 1e14):
-        traj = simulate_stepper(cfg, n_th=10.0, t_end=0.05, tau=1e-3,
-                                r=r, record_every=10)
+        traj = simulate_stepper(cfg, t_end=0.05, tau=1e-3, r=r,
+                                record_every=10)
         outs.append(traj.vx[-1])
     assert outs[0] == pytest.approx(outs[1], rel=1e-6)
     assert outs[2] == pytest.approx(outs[1], rel=1e-6)
@@ -626,17 +630,17 @@ def test_homodyne_limit_stable_in_r():
 def test_closed_system_is_exactly_stationary():
     # kappa = 0 and gamma = 0: nothing moves in the rotating frame
     v0 = 2 * 7.0 + 1
-    cfg = config(omega_m=1.0, gamma=0.0, kappa2=0.0)
-    traj = simulate_stepper(cfg, n_th=7.0, t_end=30.0, tau=5e-3,
-                            record_every=200)
+    cfg = config(omega_m=1.0, gamma=0.0, kappa2=0.0, n_th=7.0)
+    traj = simulate_stepper(cfg, t_end=30.0, tau=5e-3, record_every=200)
     assert np.all(traj.vx == v0)
     assert np.all(traj.vp == v0)
     assert np.all(traj.vxp == 0.0)
 
 
 def test_tau_convergence():
-    cfg = config(omega_m=1.0, gamma=0.02, kind="momentum", kappa2=2.0, nu=0.5)
-    kw = dict(n_th=20.0, t_end=6.0)
+    cfg = config(omega_m=1.0, gamma=0.02, kind="momentum", kappa2=2.0, nu=0.5,
+                 n_th=20.0)
+    kw = dict(t_end=6.0)
     v1 = simulate_stepper(cfg, tau=2e-3, record_every=3000, **kw).vx[-1]
     v2 = simulate_stepper(cfg, tau=1e-3, record_every=6000, **kw).vx[-1]
     assert abs(v2 / v1 - 1) < 1e-3
@@ -645,11 +649,11 @@ def test_tau_convergence():
 def test_tau_convergence_at_operating_point(ref_scenario, ref_coupling):
     # halving the step changes the recorded variance by < 0.1% for the
     # Q = 5e4, T = 1 K squeezing scenario
-    cfg, n_th = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
-    tau = default_tau(cfg, n_th)
+    cfg = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    tau = default_tau(cfg)
     big = 10**9   # record final step only
-    v1 = simulate_stepper(cfg, n_th, 1e-6, tau, record_every=big).vx[-1]
-    v2 = simulate_stepper(cfg, n_th, 1e-6, tau / 2, record_every=big).vx[-1]
+    v1 = simulate_stepper(cfg, 1e-6, tau, record_every=big).vx[-1]
+    v2 = simulate_stepper(cfg, 1e-6, tau / 2, record_every=big).vx[-1]
     assert abs(v2 / v1 - 1) < 1e-3
 
 
@@ -658,13 +662,13 @@ def test_oracle_converges_to_exact_engine_at_operating_point(ref_scenario,
     # the stepper is first order in tau: its worst deviation along 0.5 us of
     # the Q = 5e4, T = 1 K squeezing run falls ~4x when tau falls 4x, on
     # record times identical to the exact engine's
-    cfg, n_th = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
-    tau = default_tau(cfg, n_th)
+    cfg = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    tau = default_tau(cfg)
     devs = []
     for fac in (1, 4):
         kw = dict(t_end=0.5e-6, tau=tau / fac, record_every=50 * fac)
-        exact = simulate_conditional(cfg, n_th, **kw)
-        oracle = simulate_stepper(cfg, n_th, **kw)
+        exact = simulate_conditional(cfg, **kw)
+        oracle = simulate_stepper(cfg, **kw)
         assert np.array_equal(oracle.t, exact.t)
         devs.append(np.abs(oracle.vx / exact.vx - 1.0).max())
     assert devs[0] < 2e-2

@@ -337,6 +337,19 @@ def test_ground_shift_matches_the_mu0_closed_form(d):
                                rtol=1e-9, atol=0.0)
 
 
+def test_mu0_ground_shift_steepens_to_the_retarded_law():
+    # the local slope of |dw_g| on an undoped sheet steepens from -3.21 over
+    # 1-2 nm to the retarded d^-4 law far out: no power law holds over the
+    # 5-20 nm window of acceptance criterion 4
+    g = graphene(0.0)
+    slopes = [math.log(cs.ground_shift(b, EMITTER, g)
+                       / cs.ground_shift(a, EMITTER, g)) / math.log(b / a)
+              for a, b in ((1e-9, 2e-9), (5e-9, 20e-9), (0.3e-6, 1e-6),
+                           (30e-6, 100e-6))]
+    assert np.all(np.diff(slopes) < 0)
+    assert abs(slopes[-1] + 4.0) <= 1e-3
+
+
 def _constant_sheet(monkeypatch, s):
     """Make every sigma(iu)/(eps0 c) that ground_shift reads equal s."""
     monkeypatch.setattr(interaction, "_sigma_ec",

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from casimir_sense.dynamics import DampingModel, StepConfig, simulate_conditional
+from casimir_sense.dynamics import StepConfig, simulate_conditional
 
 DIM = 30
 
@@ -75,11 +75,9 @@ def test_gaussian_engine_matches_hilbert_space_oracle():
 
     ref = hilbert_oracle(omega_m, kappa_det, kappa_n, t_end, tau)
 
-    cfg = StepConfig(omega_m=omega_m,
-                     damping=DampingModel("momentum", 0.0),
-                     kappa_det=kappa_det, kappa_n=kappa_n)
-    traj = simulate_conditional(cfg, n_th=0.0, t_end=t_end, tau=tau,
-                                record_every=25)
+    cfg = StepConfig(omega_m=omega_m, damping="momentum", gamma=0.0,
+                     n_th=0.0, kappa_det=kappa_det, kappa_n=kappa_n)
+    traj = simulate_conditional(cfg, t_end=t_end, tau=tau, record_every=25)
 
     vx_gauss = np.interp(ref[:, 0], traj.t, traj.vx)
     rel = np.abs(ref[:, 1] / vx_gauss - 1.0)

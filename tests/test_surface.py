@@ -28,7 +28,7 @@ def _parameters(fn):
 #: the exported names, sorted; a change to the public surface edits this list
 PUBLIC = [
     "CONSTANTS", "ConfigError", "CouplingGradient", "CouplingResult",
-    "DampingModel", "DriveParams", "EmitterParams", "GrapheneParams",
+    "DriveParams", "EmitterParams", "GrapheneParams",
     "InteractionResult", "MechanicalParams", "NumericsError",
     "PhysicalityError", "QuadratureError", "ScenarioParams", "StepConfig",
     "Trajectory", "decay_rates", "evaluate_coupling", "ground_shift",
