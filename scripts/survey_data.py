@@ -77,7 +77,8 @@ def sensitivity(scenario, outdir, n):
 def gradient(scenario, outdir, n):
     rows = []
     for d in np.geomspace(8e-9, 60e-9, n):
-        cg = cs.transition_gradient(d, scenario.emitter, scenario.graphene)
+        _, cg = cs.interaction_and_gradient(d, scenario.emitter,
+                                            scenario.graphene)
         rows.append((d, abs(cg.g_value)))
     write_csv(outdir / "gradient_vs_distance.csv", ["d_m", "g_abs_rad_s_per_m"], rows)
 
@@ -87,10 +88,9 @@ def squeezing(scenario, outdir, quick):
     for quality, t_end in ((5e3, 0.3e-6), (5e4, 3e-6)):
         s = replace(scenario, mechanics=replace(scenario.mechanics,
                                                 quality=quality))
-        coupling = cs.evaluate_coupling(s)
         for kind in ("momentum", "symmetric"):
             traj = cs.simulate(s, kind, t_end=t_end / (10 if quick else 1),
-                               coupling=coupling, record_every=20)
+                               record_every=20)
             rows += [(quality, kind, t, vx, vp, vxp) for t, vx, vp, vxp in
                      zip(traj.t, traj.vx, traj.vp, traj.vxp)]
     write_csv(outdir / "squeezing_trajectories.csv",

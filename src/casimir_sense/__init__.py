@@ -14,7 +14,7 @@ from .graphene import sigma_imag_axis, sigma_real_axis
 from .greens import trace_green_real_parts
 from .interaction import (CouplingGradient, InteractionResult, decay_rates,
                           ground_shift, interaction_and_gradient,
-                          scattering_rate_map, transition_gradient)
+                          scattering_rate_map)
 from .measurement import CouplingResult, evaluate_coupling, kappa
 from .params import (ConfigError, DriveParams, EmitterParams, GrapheneParams,
                      MechanicalParams, ScenarioParams, load_scenario,
@@ -26,7 +26,7 @@ __all__ = [
     "simulate_conditional", "sigma_imag_axis", "sigma_real_axis",
     "trace_green_real_parts", "CouplingGradient",
     "InteractionResult", "decay_rates", "ground_shift",
-    "interaction_and_gradient", "scattering_rate_map", "transition_gradient",
+    "interaction_and_gradient", "scattering_rate_map",
     "CouplingResult", "evaluate_coupling", "kappa", "ConfigError",
     "DriveParams", "EmitterParams", "GrapheneParams", "MechanicalParams",
     "ScenarioParams", "load_scenario", "reference_scenario",

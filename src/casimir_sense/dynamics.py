@@ -440,15 +440,10 @@ def simulate_conditional(cfg: StepConfig, t_end: float, tau: float,
     return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp)
 
 
-def step_config_for(s: ScenarioParams, damping: str,
-                    coupling=None) -> StepConfig:
-    """Derive the inputs of the Riccati equation for a scenario.
-
-    ``damping`` is the kind, "symmetric" or "momentum".  ``coupling`` may
-    carry a precomputed (ir, cg, CouplingResult) triple to avoid re-running
-    the Casimir integrals.
-    """
-    ir, _, cr = coupling if coupling is not None else evaluate_coupling(s)
+def step_config_for(s: ScenarioParams, damping: str) -> StepConfig:
+    """The inputs of the Riccati equation for a scenario, its two rates
+    from evaluate_coupling(s); ``damping`` is "symmetric" or "momentum"."""
+    ir, _, cr = evaluate_coupling(s)
     kappa_n = _information_rate(cr.g_bar, s.drive.epsilon, 1.0 - cr.nu,
                                 ir.gamma)
     return StepConfig(omega_m=s.mechanics.omega_m, damping=damping,
@@ -465,7 +460,7 @@ def default_tau(cfg: StepConfig) -> float:
 
 
 def simulate(s: ScenarioParams, damping: str, t_end: float,
-             tau: float | None = None, coupling=None,
+             tau: float | None = None,
              record_every: int | None = None) -> Trajectory:
     """End-to-end conditional-squeezing run for a scenario.
 
@@ -473,7 +468,7 @@ def simulate(s: ScenarioParams, damping: str, t_end: float,
     configuration and propagates the thermal initial state up to t_end,
     reporting it in the rotating frame.
     """
-    cfg = step_config_for(s, damping, coupling)
+    cfg = step_config_for(s, damping)
     if tau is None:
         tau = default_tau(cfg)
     return simulate_conditional(cfg, t_end, tau, record_every=record_every)

@@ -125,7 +125,9 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
 
 def _result(e: EmitterParams, dg: float, prop: complex,
             evan: complex) -> InteractionResult:
-    """Shifts and rates from dw_g and the two real-axis trace parts."""
+    """Shifts and rates from dw_g and the two real-axis trace parts, as
+    Python floats whichever scalar type the parts come in."""
+    dg, prop, evan = float(dg), complex(prop), complex(evan)
     scale = 2.0 * e.gamma0 * math.pi * CONSTANTS.c / e.omega0
     gamma_rad = e.gamma0 + scale * prop.imag
     gamma_nonrad = scale * evan.imag
@@ -156,9 +158,9 @@ def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams):
     (dg, dg_slope), (_, err) = ground_shift(d, e, g, gradient=True)
     prop, evan = trace_green_real_parts(d, e.omega0, g)
     resonant = e.gamma0 * math.pi * CONSTANTS.c / e.omega0
-    slope = -2.0 * dg_slope - resonant * (prop[1] + evan[1]).real
+    slope = float(-2.0 * dg_slope - resonant * (prop[1] + evan[1]).real)
     return (_result(e, dg, prop[0], evan[0]),
-            CouplingGradient(g_value=slope, error_estimate=2.0 * err))
+            CouplingGradient(g_value=slope, error_estimate=2.0 * float(err)))
 
 
 def excited_shift(d: float, e: EmitterParams, g: GrapheneParams) -> float:

@@ -124,8 +124,9 @@ class MechanicalParams:
     t_bath: float       # K
 
     def __post_init__(self):
-        if not (self.omega_m > 0 and self.mass > 0 and self.quality > 0):
-            raise ConfigError("mechanics parameters must be positive")
+        for name in ("omega_m", "mass", "quality"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"mechanics.{name} must be positive")
         if not self.t_bath >= 0:
             raise ConfigError("mechanics.t_bath must be non-negative")
         _require_finite(self, "mechanics.")

@@ -37,19 +37,15 @@ def timed_rates(ref_scenario):
 @pytest.fixture(scope="module")
 def timed_gradient(ref_scenario):
     t0 = time.monotonic()
-    cg = cs.transition_gradient(ref_scenario.distance, ref_scenario.emitter, ref_scenario.graphene)
+    s = ref_scenario
+    cg = cs.interaction_and_gradient(s.distance, s.emitter, s.graphene)[1]
     return cg, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def squeezing_run(ref_scenario):
     """Long-window squeezing scenario: Q = 5e4, T = 1 K, momentum damping."""
-    ir = cs.decay_rates(ref_scenario.distance, ref_scenario.emitter, ref_scenario.graphene)
-    cg = cs.transition_gradient(ref_scenario.distance, ref_scenario.emitter, ref_scenario.graphene)
-    cr = cs.kappa(ref_scenario, ir, cg)
-    traj = cs.simulate(ref_scenario, "momentum", t_end=3e-6,
-                       coupling=(ir, cg, cr), record_every=10)
-    return traj, (ir, cg, cr)
+    return cs.simulate(ref_scenario, "momentum", t_end=3e-6, record_every=10)
 
 
 def test_criterion_1_radiative_branching(timed_rates):
@@ -149,7 +145,7 @@ def test_criterion_7_short_time_squeezing_oracle():
 
 
 def test_criterion_8_squeezing_reproduction(ref_scenario, squeezing_run):
-    traj, coupling = squeezing_run
+    traj = squeezing_run
     t_min, v_min = traj.min_vx()
     ok_b = v_min < 1.0 and t_min <= 3e-6
 
@@ -163,7 +159,6 @@ def test_criterion_8_squeezing_reproduction(ref_scenario, squeezing_run):
     vx = {}
     for kind in ("momentum", "symmetric"):
         vx[kind] = cs.simulate(q5e3, kind, t_end=t_short,
-                               coupling=coupling,
                                record_every=10**9).vx[-1]
     ok_a = vx["momentum"] < vx["symmetric"]
     ok = ok_a and ok_b
@@ -175,7 +170,7 @@ def test_criterion_8_squeezing_reproduction(ref_scenario, squeezing_run):
 
 
 def test_criterion_9_physicality_suite(ref_scenario, squeezing_run, timed_rates):
-    traj, _ = squeezing_run
+    traj = squeezing_run
     dets = traj.vx * traj.vp - traj.vxp**2
     det_ok = bool(np.all(dets >= 1.0 - 1e-9))
 

@@ -80,6 +80,17 @@ def test_bad_config_path_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_directory_path_is_usage_error(tmp_path, capsys, flag):
+    # an IsADirectoryError is an OSError, like the missing config above
+    args = ["interaction", "--d-min", "18e-9", "--d-max", "18e-9",
+            "--d-count", "1", "--sigma-zero"]
+    code = main([*args, flag, str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_invalid_config_value_is_usage_error(tmp_path, config_text):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(config_text.replace("distance_m = 18e-9",

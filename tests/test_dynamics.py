@@ -40,7 +40,7 @@ def test_step_config_rates(ref_scenario, ref_coupling):
                            drive=replace(ref_scenario.drive, eta_det=0.0))
     for s in (ref_scenario, no_detection):
         cr = cs.kappa(s, ir, cg)
-        cfg = step_config_for(s, "momentum", coupling=(ir, cg, cr))
+        cfg = step_config_for(s, "momentum")
         assert cfg.kappa_det == cr.kappa
         assert cfg.kappa_det**2 + cfg.kappa_n**2 == pytest.approx(
             s.mechanics.omega_m * cr.merit_ideal, rel=1e-12, abs=0)
@@ -183,10 +183,10 @@ def test_engine_matches_exponential_from_t_zero():
                                atol=1e-12)
 
 
-def test_propagator_matches_scipy_expm(ref_scenario, ref_coupling):
+def test_propagator_matches_scipy_expm(ref_scenario):
     from scipy.linalg import expm
 
-    cfg = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    cfg = step_config_for(ref_scenario, "momentum")
     ham = _hamiltonian(cfg, measure=True)
     for dt in (0.0, 1e-10, 1e-9, 1e-7):    # 0 to 6 squarings
         ref = expm(ham * dt)
@@ -264,11 +264,10 @@ def test_weak_conditioning_matches_mobius_oracle(kind, kappa2, nu, n_th,
                            simulate_mobius(cfg, **kw))
 
 
-def test_closed_form_matches_mobius_oracle_at_operating_point(ref_scenario,
-                                                             ref_coupling):
+def test_closed_form_matches_mobius_oracle_at_operating_point(ref_scenario):
     # n_th = 2.08e4, conditioned from 4e4 to below vacuum within 3 us
     for kind in ("momentum", "symmetric"):
-        cfg = step_config_for(ref_scenario, kind, coupling=ref_coupling)
+        cfg = step_config_for(ref_scenario, kind)
         tau = default_tau(cfg)
         for t_end in (0.3e-6, 3e-6):
             kw = dict(t_end=t_end, tau=tau)
@@ -646,10 +645,10 @@ def test_tau_convergence():
     assert abs(v2 / v1 - 1) < 1e-3
 
 
-def test_tau_convergence_at_operating_point(ref_scenario, ref_coupling):
+def test_tau_convergence_at_operating_point(ref_scenario):
     # halving the step changes the recorded variance by < 0.1% for the
     # Q = 5e4, T = 1 K squeezing scenario
-    cfg = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    cfg = step_config_for(ref_scenario, "momentum")
     tau = default_tau(cfg)
     big = 10**9   # record final step only
     v1 = simulate_stepper(cfg, 1e-6, tau, record_every=big).vx[-1]
@@ -657,12 +656,11 @@ def test_tau_convergence_at_operating_point(ref_scenario, ref_coupling):
     assert abs(v2 / v1 - 1) < 1e-3
 
 
-def test_oracle_converges_to_exact_engine_at_operating_point(ref_scenario,
-                                                            ref_coupling):
+def test_oracle_converges_to_exact_engine_at_operating_point(ref_scenario):
     # the stepper is first order in tau: its worst deviation along 0.5 us of
     # the Q = 5e4, T = 1 K squeezing run falls ~4x when tau falls 4x, on
     # record times identical to the exact engine's
-    cfg = step_config_for(ref_scenario, "momentum", coupling=ref_coupling)
+    cfg = step_config_for(ref_scenario, "momentum")
     tau = default_tau(cfg)
     devs = []
     for fac in (1, 4):
@@ -697,7 +695,7 @@ def test_whole_parameter_box_end_to_end(mu_frac, q_factor, d, epsilon,
         drive=cs.DriveParams(epsilon, eta_det), distance=d)
     try:
         coupling = cs.evaluate_coupling(s)
-        traj = cs.simulate(s, kind, 1e-7, coupling=coupling)
+        traj = cs.simulate(s, kind, 1e-7)
     except cs.NumericsError:
         return
     ir, cg, cr = coupling

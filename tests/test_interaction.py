@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -31,7 +32,7 @@ def test_transparent_sheet_gives_free_space_result():
     assert ir.gamma == pytest.approx(GAMMA0, rel=1e-12)
     assert ir.gamma_rad == pytest.approx(GAMMA0, rel=1e-12)
     assert ir.gamma_nonrad == 0.0
-    cg = cs.transition_gradient(18e-9, EMITTER, g)
+    cg = interaction.transition_gradient(18e-9, EMITTER, g)
     assert cg.g_value == 0.0
 
 
@@ -114,14 +115,14 @@ def test_quenching_dominates_in_absorptive_regime():
 
 
 def test_gradient_error_estimate_is_small():
-    cg = cs.transition_gradient(18e-9, EMITTER, graphene(0.8))
+    cg = interaction.transition_gradient(18e-9, EMITTER, graphene(0.8))
     assert cg.error_estimate < 0.01 * abs(cg.g_value)
 
 
 def test_gradient_sign_and_consistency():
     # delta_omega shrinks with distance at the operating point
     g = graphene(0.8)
-    cg = cs.transition_gradient(18e-9, EMITTER, g)
+    cg = interaction.transition_gradient(18e-9, EMITTER, g)
     assert cg.g_value < 0
     d1 = cs.decay_rates(17.9e-9, EMITTER, g).delta_omega
     d2 = cs.decay_rates(18.1e-9, EMITTER, g).delta_omega
@@ -132,7 +133,7 @@ def test_gradient_sign_and_consistency():
 @pytest.mark.parametrize("mu_frac", [0.0, 0.3, 0.6, 0.8])
 def test_gradient_matches_richardson_oracle(mu_frac, d):
     g = graphene(mu_frac)
-    cg = cs.transition_gradient(d, EMITTER, g)
+    cg = interaction.transition_gradient(d, EMITTER, g)
     value, _, _ = richardson_gradient(d, EMITTER, g)
     assert cg.g_value == pytest.approx(value, rel=1e-2)
 
@@ -145,7 +146,7 @@ def test_gradient_matches_central_difference_of_transition_shift(mu_frac, d):
     h = 1e-3 * d
     slope = (interaction.transition_shift(d + h, EMITTER, g)
              - interaction.transition_shift(d - h, EMITTER, g)) / (2.0 * h)
-    assert cs.transition_gradient(d, EMITTER, g).g_value \
+    assert interaction.transition_gradient(d, EMITTER, g).g_value \
         == pytest.approx(slope, rel=5e-5)
 
 
@@ -158,12 +159,31 @@ def test_one_pass_shifts_match_decay_rates(mu_frac, d):
                   "gamma_nonrad"):
         assert getattr(ir, field) == pytest.approx(getattr(ref, field),
                                                    rel=1e-9)
-    assert cg == cs.transition_gradient(d, EMITTER, g)
+    assert cg == interaction.transition_gradient(d, EMITTER, g)
+
+
+@pytest.mark.parametrize("d", [18e-9, 10e-6])
+@pytest.mark.parametrize("q_factor", [1e3, 1e7])
+@pytest.mark.parametrize("mu_frac", [0.0, 0.8])
+def test_both_paths_return_the_same_record(mu_frac, q_factor, d):
+    # plain floats on both paths; the rates are the same closed forms, and
+    # delta_g differs only by where each refinement stops (<= 5.5e-11 at
+    # mu = 0.8, 10 um)
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
+    ir, cg = cs.interaction_and_gradient(d, EMITTER, g)
+    ref = cs.decay_rates(d, EMITTER, g)
+    cr = cs.kappa(make_scenario(mu_frac, d), ir, cg)
+    for record in (ir, cg, ref, cr):
+        for field in fields(record):
+            assert type(getattr(record, field.name)) is float, field.name
+    assert (ir.gamma_rad, ir.gamma_nonrad) \
+        == (ref.gamma_rad, ref.gamma_nonrad)
+    assert abs(ir.delta_g / ref.delta_g - 1.0) <= 1e-10
 
 
 def test_gradient_rejects_bad_distance():
     with pytest.raises(ValueError):
-        cs.transition_gradient(0.0, EMITTER, graphene(0.8))
+        interaction.transition_gradient(0.0, EMITTER, graphene(0.8))
 
 
 def make_scenario(mu_frac, d, sigma_zero=False):

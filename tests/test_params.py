@@ -61,6 +61,23 @@ def test_load_rejects_an_infinite_value_by_field(config_text, key, field):
         cs.load_scenario("\n".join(lines))
 
 
+@pytest.mark.parametrize("key, field", [
+    ("omega_m_rad_s", "omega_m"), ("mass_kg", "mass"),
+    ("quality_factor", "quality")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_mechanics_names_the_nonpositive_field(config_text, key, field,
+                                               value):
+    message = rf"^mechanics\.{field} must be positive$"
+    ref = cs.reference_scenario().mechanics
+    with pytest.raises(ConfigError, match=message):
+        replace(ref, **{field: float(value)})
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in config_text.splitlines()]
+    assert f"{key} = {value}" in lines
+    with pytest.raises(ConfigError, match=message):
+        cs.load_scenario("\n".join(lines))
+
+
 def test_load_reports_missing_key(config_text):
     bad = config_text.replace("mass_kg = 2.81e-18\n", "")
     with pytest.raises(ConfigError, match="mechanics.mass_kg"):

@@ -35,7 +35,7 @@ PUBLIC = [
     "interaction_and_gradient", "kappa", "load_scenario", "reference_scenario",
     "scattering_rate_map", "scenario_to_config", "sigma_imag_axis",
     "sigma_real_axis", "simulate", "simulate_conditional",
-    "trace_green_real_parts", "transition_gradient",
+    "trace_green_real_parts",
 ]
 
 
