@@ -36,7 +36,7 @@ from .quadrature import NumericsError
 USAGE_ERROR, NUMERICAL_ERROR, PHYSICALITY_ERROR = 2, 3, 4
 
 
-def _with_mu(s: ScenarioParams, mu: float) -> ScenarioParams:
+def with_mu(s: ScenarioParams, mu: float) -> ScenarioParams:
     """s at Fermi energy mu (units of hbar*omega0), its loss rate and
     sigma_zero kept."""
     return replace(s, graphene=replace(s.graphene, mu=mu * s.emitter.omega0))
@@ -53,7 +53,7 @@ def _resolve_scenario(args) -> ScenarioParams:
     if args.distance is not None:
         s = replace(s, distance=args.distance)
     if args.mu is not None:
-        s = _with_mu(s, args.mu)
+        s = with_mu(s, args.mu)
     if args.epsilon is not None:
         s = replace(s, drive=replace(s.drive, epsilon=args.epsilon))
     if args.eta_det is not None:
@@ -95,12 +95,13 @@ def _fmt(x) -> str:
     return f"{x:.12e}"
 
 
-def _write_csv(args, s: ScenarioParams, argv: list[str], columns: list[str],
-               rows, footer: str | None = None) -> None:
-    """Write the '#' header echoing the scenario, the column names, each row
-    as it is drawn from ``rows`` and a closing footer line to --out or
-    stdout.  A row that raises ends the file after the rows before it."""
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+def write_csv(out, s: ScenarioParams, argv: list[str], columns: list[str],
+              rows, footer: str | None = None) -> None:
+    """Write the '#' header echoing the command line ``argv`` and the
+    scenario, the column names, each row as it is drawn from ``rows`` and a
+    closing footer line to the path ``out``, or stdout if it is None.  A row
+    that raises ends the file after the rows before it."""
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         fh.write(f"# casimir-sense {__version__}\n")
         fh.write(f"# command: {' '.join(argv)}\n")
         for line in scenario_to_config(s).splitlines():
@@ -112,64 +113,86 @@ def _write_csv(args, s: ScenarioParams, argv: list[str], columns: list[str],
             fh.write(footer + "\n")
 
 
+def conductivity_table(s: ScenarioParams, mus, omega: float):
+    """Columns and rows of sigma(omega)/sigma0, omega in rad/s, at each Fermi
+    energy of ``mus`` (units of hbar*omega0).  The values are computed here,
+    so a bad omega fails before a file is opened."""
+    vals = [sigma_real_axis(omega, with_mu(s, mu).graphene) for mu in mus]
+    return (["mu_over_hbar_omega0", "re_sigma_sigma0", "im_sigma_sigma0"],
+            [(mu, v.real, v.imag) for mu, v in zip(mus, vals)])
+
+
+def sensitivity_table(s: ScenarioParams, ds, mus):
+    """Columns and lazy rows of kappa^-1 and the merit at each distance of
+    ``ds`` (m) and Fermi energy of ``mus``, row-major with d outer."""
+    at_mu = [(mu, with_mu(s, mu)) for mu in mus]
+    points = ((d, mu, evaluate_coupling(replace(s_mu, distance=d))[2])
+              for d in ds for mu, s_mu in at_mu)
+    return (["d_m", "mu_over_hbar_omega0", "kappa_inv_m_rthz", "merit",
+             "quantum_regime"],
+            ((d, mu, cr.kappa_inv_si, cr.merit,
+              "true" if cr.merit > 1.0 else "false")
+             for d, mu, cr in points))
+
+
+def report(call, where: str) -> int:
+    """Run call(): 0 if it returns, else the exit code of the error it raises,
+    which goes to stderr after ``where``."""
+    try:
+        call()
+    except (ConfigError, OSError, ValueError) as exc:
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except NumericsError as exc:
+        print(f"numerical failure: {where}{exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except PhysicalityError as exc:
+        print(f"physicality violation: {where}{exc}", file=sys.stderr)
+        return PHYSICALITY_ERROR
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_conductivity(args, argv) -> int:
+def cmd_conductivity(args, argv) -> None:
     s = _resolve_scenario(args)
-    mus = _axis(args, "mu")
-    omega = args.omega * s.emitter.omega0
-    vals = [sigma_real_axis(omega, _with_mu(s, mu).graphene) for mu in mus]
-    _write_csv(args, s, argv, ["mu_over_hbar_omega0", "re_sigma_sigma0",
-                               "im_sigma_sigma0"],
-               [(mu, v.real, v.imag) for mu, v in zip(mus, vals)])
-    return 0
+    write_csv(args.out, s, argv, *conductivity_table(
+        s, _axis(args, "mu"), args.omega * s.emitter.omega0))
 
 
-def cmd_interaction(args, argv) -> int:
+def cmd_interaction(args, argv) -> None:
     s = _resolve_scenario(args)
-    ds = _axis(args, "d")
-    # lazy, so a failed point keeps the rows written before it
     points = ((d, *interaction_and_gradient(d, s.emitter, s.graphene))
-              for d in ds)
-    _write_csv(args, s, argv,
-               ["d_m", "delta_g_rad_s", "delta_e_rad_s", "delta_omega_rad_s",
-                "gamma_rad_s", "gamma_rad_rad_s", "gamma_nonrad_rad_s",
-                "g_abs_rad_s_per_m"],
-               ((d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
-                 ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value))
-                for d, ir, cg in points))
-    return 0
+              for d in _axis(args, "d"))
+    write_csv(args.out, s, argv,
+              ["d_m", "delta_g_rad_s", "delta_e_rad_s", "delta_omega_rad_s",
+               "gamma_rad_s", "gamma_rad_rad_s", "gamma_nonrad_rad_s",
+               "g_abs_rad_s_per_m"],
+              ((d, ir.delta_g, ir.delta_e, ir.delta_omega, ir.gamma,
+                ir.gamma_rad, ir.gamma_nonrad, abs(cg.g_value))
+               for d, ir, cg in points))
 
 
-def cmd_sensitivity(args, argv) -> int:
+def cmd_sensitivity(args, argv) -> None:
     s = _resolve_scenario(args)
-    ds = _axis(args, "d")
-    mus = _axis(args, "mu")
-    at_mu = [(mu, _with_mu(s, mu)) for mu in mus]
-    points = ((d, mu, evaluate_coupling(replace(s_mu, distance=d))[2])
-              for d in ds for mu, s_mu in at_mu)  # row-major: d outer
-    _write_csv(args, s, argv, ["d_m", "mu_over_hbar_omega0",
-                               "kappa_inv_m_rthz", "merit", "quantum_regime"],
-               ((d, mu, cr.kappa_inv_si, cr.merit,
-                 "true" if cr.merit > 1.0 else "false")
-                for d, mu, cr in points))
-    return 0
+    write_csv(args.out, s, argv,
+              *sensitivity_table(s, _axis(args, "d"), _axis(args, "mu")))
 
 
-def cmd_squeeze(args, argv) -> int:
+def cmd_squeeze(args, argv) -> None:
     s = _resolve_scenario(args)
     traj = simulate(s, args.damping, args.t_end, tau=args.tau,
                     record_every=args.record_every)
     t_min, v_min = traj.min_vx()
     summary = f"# summary: min_vx = {v_min:.6e} at t = {t_min:.6e} s"
-    _write_csv(args, s, argv, ["t_s", "vx", "vp", "vxp", "frame", "damping"],
-               ((*row, "rotating", args.damping)
-                for row in zip(traj.t, traj.vx, traj.vp, traj.vxp)),
-               footer=summary)
+    write_csv(args.out, s, argv, ["t_s", "vx", "vp", "vxp", "frame",
+                                  "damping"],
+              ((*row, "rotating", args.damping)
+               for row in zip(traj.t, traj.vx, traj.vp, traj.vxp)),
+              footer=summary)
     if args.out:
         print(summary.lstrip("# "), file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args, ["casimir-sense", *argv])
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except PhysicalityError as exc:
-        print(f"physicality violation: {exc}", file=sys.stderr)
-        return PHYSICALITY_ERROR
+    args = build_parser().parse_args(argv)
+    return report(lambda: args.func(args, ["casimir-sense", *argv]), "")
 
 
 if __name__ == "__main__":

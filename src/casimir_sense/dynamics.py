@@ -88,7 +88,8 @@ from .params import ScenarioParams
 from .quadrature import NumericsError
 
 _KINDS = ("symmetric", "momentum")
-#: record times per block of the closed-form evaluation
+#: record times per block of the closed-form evaluation; a block's arrays are
+#: locals of the helpers that build them, so few are alive at once
 _STAMP_BLOCK = 4096
 #: the most records one grid may hold; a default grid holds at most 4,000
 _MAX_RECORDS = 2**24
@@ -262,6 +263,14 @@ def _exp_coeffs(m, t: np.ndarray):
     return slow - 0.5 * gap * slow, slow * gap / (2.0 * b)
 
 
+def _exp_matrix(m, t: np.ndarray):
+    """Entries (e11, e12, e21, e22) of exp(m t) at times t (_exp_coeffs)."""
+    (m11, m12), (m21, m22) = m
+    f, g = _exp_coeffs(m, t)
+    k11 = 0.5 * (m11 - m22)         # m - a I = [[k11, m12], [m21, -k11]]
+    return f + k11 * g, m12 * g, m21 * g, f - k11 * g
+
+
 def _sandwich(e11, e12, e21, e22, x11, x12, x22):
     """(y11, y12, y22) of Y = E X E^T for a symmetric X.  Each entry,
     (row i of E X) . (row j of E), is built in place, so that besides E, X
@@ -310,6 +319,8 @@ def _unconditioned(drift, diffusion, x):
 
     def covariance(t: np.ndarray):
         f, g = _exp_coeffs(drift, t)
+        v11, v12, v22 = _sandwich(f + k11 * g, a12 * g, a21 * g, f - k11 * g,
+                                  *x)
         phi = t if a == 0.0 else np.expm1(2.0 * a * t) / (2.0 * a)
         g2 = (phi + a * g * g - f * g) / (2.0 * det)
         near = radius * t <= _TAYLOR_RADIUS
@@ -317,14 +328,9 @@ def _unconditioned(drift, diffusion, x):
             g2[near] = _g2_taylor(a, det, t[near])
         fg = 0.5 * g * g - a * g2
         f2 = phi + b2 * g2
-        e11, e12, e21, e22 = f + k11 * g, a12 * g, a21 * g, f - k11 * g
-        del f, g
-        v11, v12, v22 = _sandwich(e11, e12, e21, e22, *x)
-        del e11, e12, e21, e22
-        v11 += f2 * d11 + fg * s11 + g2 * q11
-        v12 += f2 * d12 + fg * s12 + g2 * q12
-        v22 += f2 * d22 + fg * s22 + g2 * q22
-        return v11, v12, v22
+        return (v11 + (f2 * d11 + fg * s11 + g2 * q11),
+                v12 + (f2 * d12 + fg * s12 + g2 * q12),
+                v22 + (f2 * d22 + fg * s22 + g2 * q22))
 
     return covariance
 
@@ -349,37 +355,41 @@ def _riccati(drift, diffusion, c: float, cov: np.ndarray, t_end: float):
     w_inf = _lyapunov(((a11, a21), (a12, a22)), (c, 0.0, 0.0))
     d11, d12, d22 = x[0] - v_inf[0], x[1] - v_inf[1], x[2] - v_inf[2]
     det0 = d11 * d22 - d12 * d12
-    k11 = 0.5 * (a11 - a22)             # Abar - a I = [[k11, a12], [a21, -k11]]
+    abar = ((a11, a12), (a21, a22))
 
-    def covariance(t: np.ndarray):
-        # each array is dropped once spent, so few are alive at once
-        f, g = _exp_coeffs(((a11, a12), (a21, a22)), t)
-        e11, e12, e21, e22 = f + k11 * g, a12 * g, a21 * g, f - k11 * g
-        del f, g
+    def gain(e11, e12, e21, e22):
+        """D0 (I + W D0)^-1 = (D0 + det(D0) adj(W)) / det(I + W D0)."""
         w11, w12, w22 = _sandwich(e11, e21, e12, e22, *w_inf)
         w11, w12, w22 = w_inf[0] - w11, w_inf[1] - w12, w_inf[2] - w22
-        # D0 (I + W D0)^-1 = (D0 + det(D0) adj(W)) / det(I + W D0)
         den = 1.0 + d11 * w11 + 2.0 * d12 * w12 + d22 * w22 \
             + det0 * (w11 * w22 - w12 * w12)
-        m11, m12, m22 = ((d11 + det0 * w22) / den, (d12 - det0 * w12) / den,
-                         (d22 + det0 * w11) / den)
-        del w11, w12, w22, den
-        v11, v12, v22 = _sandwich(e11, e12, e21, e22, m11, m12, m22)
-        del e11, e12, e21, e22, m11, m12, m22
-        v11 += v_inf[0]
-        v12 += v_inf[1]
-        v22 += v_inf[2]
-        return v11, v12, v22
+        return ((d11 + det0 * w22) / den, (d12 - det0 * w12) / den,
+                (d22 + det0 * w11) / den)
+
+    def covariance(t: np.ndarray):
+        e = _exp_matrix(abar, t)
+        v11, v12, v22 = _sandwich(*e, *gain(*e))
+        return v11 + v_inf[0], v12 + v_inf[1], v22 + v_inf[2]
 
     return covariance
 
 
-def _co_rotating(phase: np.ndarray, v11, v12, v22, vx, vp, vxp):
-    """Write R V R^T, R = [[cos, -sin], [sin, cos]](phase), into the
-    V_x, V_p and V_xp arrays vx, vp and vxp."""
+def _rotation(phase: np.ndarray):
+    """cos^2, sin^2 and cos sin of phase."""
     c, s = np.cos(phase), np.sin(phase)
-    cc, ss, cs = c * c, s * s, c * s
-    del c, s
+    return c * c, s * s, c * s
+
+
+def _record(t: np.ndarray, omega_m: float, v, vx, vp, vxp):
+    """Check that V = (v11, v12, v22) at times t is physical, and write
+    R V R^T, R = [[cos, -sin], [sin, cos]](omega_m t), into the V_x, V_p and
+    V_xp arrays vx, vp and vxp."""
+    v11, v12, v22 = v
+    det = v11 * v22 - v12 * v12
+    bad = np.flatnonzero(~(det >= 1.0 - _PHYSICAL_TOL))
+    if bad.size:
+        raise PhysicalityError(float(t[bad[0]]), float(det[bad[0]]))
+    cc, ss, cs = _rotation(omega_m * t)
     vx[:] = cc * v11 - 2.0 * cs * v12 + ss * v22
     vp[:] = ss * v11 + 2.0 * cs * v12 + cc * v22
     vxp[:] = cs * (v11 - v22) + (cc - ss) * v12
@@ -428,15 +438,9 @@ def simulate_conditional(cfg: StepConfig, t_end: float, tau: float,
     covariance = _riccati(*_coefficients(cfg), cov, t[-1])
     vx, vp, vxp = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     for lo in range(0, len(t), _STAMP_BLOCK):
-        hi = min(lo + _STAMP_BLOCK, len(t))
-        v11, v12, v22 = covariance(t[lo:hi])
-        det = v11 * v22 - v12 * v12
-        bad = np.flatnonzero(~(det >= 1.0 - _PHYSICAL_TOL))
-        if bad.size:
-            raise PhysicalityError(float(t[lo + bad[0]]), float(det[bad[0]]))
-        _co_rotating(cfg.omega_m * t[lo:hi], v11, v12, v22, vx[lo:hi],
-                     vp[lo:hi], vxp[lo:hi])
-        del v11, v12, v22, det     # before the next block's temporaries
+        block = slice(lo, lo + _STAMP_BLOCK)
+        _record(t[block], cfg.omega_m, covariance(t[block]), vx[block],
+                vp[block], vxp[block])
     return Trajectory(t=t, vx=vx, vp=vp, vxp=vxp)
 
 

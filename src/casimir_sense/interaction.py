@@ -55,7 +55,8 @@ from .graphene import _sigma_ec, FrequencyAxis
 from .greens import _trace_imag_scaled, trace_green_real_parts
 from .params import EmitterParams, GrapheneParams, ScenarioParams
 # perfbench/workloads.py imports NumericsError from this module
-from .quadrature import NumericsError, RTOL, integrate_refined  # noqa: F401
+from .quadrature import (NumericsError, QuadratureError, RTOL,  # noqa: F401
+                         integrate_refined)
 
 #: ratio of successive outer panel edges in u (module docstring)
 _EDGE_RATIO = 64.0
@@ -96,6 +97,8 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     """Ground-state Casimir-Polder shift dw_g(d) in rad/s (negative).
 
     With gradient: (value, error estimate), each the array [dw_g, d dw_g/dd].
+    A refinement that fails raises QuadratureError naming its integral and
+    the point (d, mu/hbar w0, w0/gamma_g).
     """
     if not 0.0 < d < math.inf:
         raise ValueError("d must be positive and finite")
@@ -103,12 +106,16 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
         return (np.zeros(2), np.zeros(2)) if gradient else 0.0
     w0 = e.omega0
     c = CONSTANTS.c
+    part = "outer frequency integral"   # where a QuadratureError comes from
 
     def integrand(theta):
+        nonlocal part
         t = np.tan(theta)
         u = w0 * t
         s = _sigma_ec(FrequencyAxis.IMAG, u, g)
+        part = "inner imaginary-axis rows"
         out = t * t * t * _trace_imag_scaled(d * u / c, s, gradient=gradient)
+        part = "outer frequency integral"
         if gradient:
             out[1] *= u / c                           # d zb / dd = u / c
         return out
@@ -117,7 +124,13 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     while u_edges[-1] > _EDGE_FLOOR * min(w0, c / (2.0 * d)):
         u_edges.append(u_edges[-1] / _EDGE_RATIO)
     theta_edges = [0.0, *(math.atan(u / w0) for u in reversed(u_edges))]
-    val, err = integrate_refined(integrand, theta_edges, rtol=RTOL)
+    try:
+        val, err = integrate_refined(integrand, theta_edges, rtol=RTOL)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"{exc.reason} in the {part} of the ground shift at d = {d:.6g} m,"
+            f" mu = {g.mu / w0:.6g} hbar*omega0, omega0/gamma_g = "
+            f"{w0 / g.gamma_g:.6g}", exc.residual) from exc
     if gradient:
         return e.gamma0 * val, e.gamma0 * err
     return e.gamma0 * float(val)

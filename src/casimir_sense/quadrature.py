@@ -67,11 +67,12 @@ class NumericsError(RuntimeError):
 
 
 class QuadratureError(NumericsError):
-    """Adaptive refinement failed to converge; carries the residual estimate."""
+    """Adaptive refinement failed to converge; carries the reason and the
+    residual estimate."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
+    def __init__(self, reason: str, residual: float):
+        super().__init__(f"{reason} (residual estimate {residual:.3e})")
+        self.reason, self.residual = reason, residual
 
 
 @lru_cache(maxsize=8)

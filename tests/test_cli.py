@@ -190,6 +190,21 @@ def test_interaction_keeps_the_rows_before_a_failed_point(tmp_path,
     assert [float(r[0]) for r in rows] == [10e-9, 20e-9]
 
 
+def test_quadrature_failure_names_the_integral_and_the_point(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(cs.quadrature, "_MAX_DOUBLINGS", 1)
+    code, text = run_cli(["interaction", "--d-min", "18e-9", "--d-max",
+                          "18e-9", "--d-count", "1"], tmp_path)
+    err = capsys.readouterr().err
+    header, rows = parse_rows(text)
+    assert code == 3 and header[0] == "d_m" and rows == []
+    assert err.startswith("numerical failure: quadrature did not converge in "
+                          "the ")
+    assert " of the ground shift at d = 1.8e-08 m, mu = 0.8 hbar*omega0, " \
+           "omega0/gamma_g = 1000 (residual estimate " in err
+
+
 def test_sensitivity_keeps_the_rows_before_a_failed_point(tmp_path,
                                                           monkeypatch):
     monkeypatch.setattr(cli, "evaluate_coupling",

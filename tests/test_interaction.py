@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import mpmath
@@ -226,6 +227,41 @@ def test_non_finite_argument_fails_by_name(name, call, value):
     with pytest.raises(ValueError, match=rf"^{name} must be positive and "
                                          "finite$"):
         call(value)
+
+
+_AT_THE_OPERATING_POINT = (r" of the ground shift at d = 1\.8e-08 m, mu = "
+                           r"0\.8 hbar\*omega0, omega0/gamma_g = 1000 "
+                           r"\(residual estimate ")
+
+
+@pytest.mark.parametrize("call", [cs.decay_rates, cs.interaction_and_gradient])
+def test_quadrature_failure_names_the_integral_and_the_point(monkeypatch,
+                                                             call):
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(cs.QuadratureError) as failure:
+        call(18e-9, EMITTER, graphene(0.8))
+    exc = failure.value
+    assert type(exc) is cs.QuadratureError
+    assert exc.residual == exc.__cause__.residual
+    assert re.fullmatch(r"quadrature did not converge in the (outer frequency "
+                        r"integral|inner imaginary-axis rows)"
+                        + _AT_THE_OPERATING_POINT + r"\S+\)", str(exc))
+
+
+@pytest.mark.parametrize("name, part", [
+    ("_trace_imag_scaled", "inner imaginary-axis rows"),
+    ("integrate_refined", "outer frequency integral")])
+def test_quadrature_failure_names_the_integral_it_comes_from(monkeypatch,
+                                                             name, part):
+    def failing(*args, **kwargs):
+        raise cs.QuadratureError("injected failure", 2.0)
+
+    monkeypatch.setattr(interaction, name, failing)
+    with pytest.raises(cs.QuadratureError, match=(
+            f"^injected failure in the {part}" + _AT_THE_OPERATING_POINT
+            + r"2\.000e\+00\)$")) as failure:
+        cs.ground_shift(18e-9, EMITTER, graphene(0.8))
+    assert failure.value.residual == 2.0
 
 
 def test_scattering_map_free_space_normalization():
