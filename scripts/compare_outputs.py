@@ -3,17 +3,19 @@
 
     python scripts/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the four command-line examples of README.md, an uncoupled
-``squeeze --sigma-zero`` (the only run that reaches the closed form of the
-unconditioned covariance), a ``squeeze --damping symmetric`` (the only CLI
-run whose damping column reads ``symmetric``) and
+Runs the four command-line examples of README.md, an undetected
+``squeeze --eta-det 0`` (nu = 0 makes kappa_det = 0: the only run that
+reaches the closed form of the unconditioned covariance), a
+``squeeze --damping symmetric`` (the only CLI run whose damping column reads
+``symmetric``) and
 ``scripts/survey_data.py --quick`` once per tree, each tree's package
 imported from its own ``src/``, in a temporary directory.  For each output
 file it prints whether the file is byte-identical, how many data cells moved
 and the largest relative difference, then, per moved column, how many cells
 moved, the largest relative difference and the first few cells.  Lines
-starting with ``#`` are compared as text.  Exits 1 if a run exits non-zero
-in either tree, a file is missing from one tree or changes shape, or a data
+starting with ``#`` are compared as text, by a line diff, so one removed
+header line reads as one removed line.  Exits 1 if a run exits non-zero in
+either tree, a file is missing from one tree or changes shape, or a data
 cell moves by more than TOLERANCE (1e-12) of the largest magnitude in its
 column of the old tree: the bound within which two trees count as giving
 the same numbers.  A column whose moved cells are not all numbers fails.
@@ -21,6 +23,7 @@ the same numbers.  A column whose moved cells are not all numbers fails.
 
 import argparse
 import csv
+import difflib
 import os
 import subprocess
 import sys
@@ -42,8 +45,9 @@ CLI_EXAMPLES = [
                          "sensitivity.csv"]),
     ("squeezing.csv", ["squeeze", "--damping", "momentum", "--t-end", "3e-6",
                        "--out", "squeezing.csv"]),
-    ("squeezing_uncoupled.csv", ["squeeze", "--sigma-zero", "--t-end", "3e-6",
-                                 "--out", "squeezing_uncoupled.csv"]),
+    ("squeezing_undetected.csv", ["squeeze", "--eta-det", "0", "--t-end",
+                                  "3e-6", "--out",
+                                  "squeezing_undetected.csv"]),
     ("squeezing_symmetric.csv", ["squeeze", "--damping", "symmetric",
                                  "--t-end", "1e-6", "--out",
                                  "squeezing_symmetric.csv"]),
@@ -142,10 +146,13 @@ def compare_file(old: Path, new: Path, label: str) -> bool:
                 moved.setdefault(j, []).append((i, a, b, _relative(a, b)))
     cells = sum(len(v) for v in moved.values())
     worst = max((c[3] for v in moved.values() for c in v), default=0.0)
-    comments = sum(a != b for a, b in zip(old_comments, new_comments)) \
-        + abs(len(old_comments) - len(new_comments))
+    comments = [line.rstrip() for line in difflib.ndiff(old_comments,
+                                                         new_comments)
+                if line.startswith(("- ", "+ "))]
+    removed = sum(line.startswith("-") for line in comments)
     print(f"{label}: {cells} of {sum(map(len, old_rows))} data cells moved, "
-          f"max relative difference {worst:.3e}; {comments} '#' lines differ")
+          f"max relative difference {worst:.3e}; '#' lines: {removed} "
+          f"removed, {len(comments) - removed} added")
     same = True
     for j, cells_j in sorted(moved.items()):
         name = header[j] if j < len(header) else f"column {j}"
@@ -161,9 +168,8 @@ def compare_file(old: Path, new: Path, label: str) -> bool:
             print(f"        row {i}: {a} -> {b} ({rel:.2e})")
         if len(cells_j) > SHOWN:
             print(f"        ... {len(cells_j) - SHOWN} more")
-    for a, b in zip(old_comments, new_comments):
-        if a != b:
-            print(f"    # old: {a.rstrip()}\n    # new: {b.rstrip()}")
+    for line in comments:
+        print(f"    {line}")
     return same
 
 

@@ -37,8 +37,7 @@ USAGE_ERROR, NUMERICAL_ERROR, PHYSICALITY_ERROR = 2, 3, 4
 
 
 def with_mu(s: ScenarioParams, mu: float) -> ScenarioParams:
-    """s at Fermi energy mu (units of hbar*omega0), its loss rate and
-    sigma_zero kept."""
+    """s at Fermi energy mu (units of hbar*omega0), its loss rate kept."""
     return replace(s, graphene=replace(s.graphene, mu=mu * s.emitter.omega0))
 
 
@@ -58,8 +57,6 @@ def _resolve_scenario(args) -> ScenarioParams:
         s = replace(s, drive=replace(s.drive, epsilon=args.epsilon))
     if args.eta_det is not None:
         s = replace(s, drive=replace(s.drive, eta_det=args.eta_det))
-    if args.sigma_zero:
-        s = replace(s, graphene=replace(s.graphene, sigma_zero=True))
     return s
 
 
@@ -206,8 +203,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--epsilon", type=float, help="override drive epsilon")
     p.add_argument("--eta-det", dest="eta_det", type=float,
                    help="override collection efficiency")
-    p.add_argument("--sigma-zero", action="store_true",
-                   help="force sigma = 0 (transparent sheet, test override)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -405,7 +405,7 @@ def simulate_conditional(cfg: StepConfig, t_end: float, tau: float,
     t = (k + 1) (record_every tau), and the last one at n_steps tau.  Each
     record is the closed form of the module docstring at the time it is
     labelled with, so tau sets no accuracy.  Raises ValueError naming t_end,
-    tau and record_every, before any array is built, if t_end / tau is not
+    tau and record_every, before any array is built, if n_steps is 0 or not
     finite or the grid would hold more than _MAX_RECORDS records.  Aborts
     with PhysicalityError at the first recorded covariance whose det is
     below 1 - _PHYSICAL_TOL or not a number, and with RiccatiError if no
@@ -420,9 +420,10 @@ def simulate_conditional(cfg: StepConfig, t_end: float, tau: float,
     steps = float(t_end) / float(tau)
     grid = (f"t_end = {float(t_end)!r}, tau = {float(tau)!r}, "
             f"record_every = {record_every!r}")
-    if steps == math.inf:
-        raise ValueError(f"t_end / tau is not finite ({grid})")
-    n_steps = max(1, int(round(steps)))
+    if steps == math.inf or round(steps) == 0:
+        why = "is not finite" if steps == math.inf else "rounds to 0 steps"
+        raise ValueError(f"t_end / tau {why} ({grid})")
+    n_steps = int(round(steps))
     if record_every is None:
         record_every = max(1, n_steps // 2000)
     n_records = -(-n_steps // record_every)

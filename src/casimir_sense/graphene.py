@@ -39,14 +39,11 @@ class FrequencyAxis(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# sigma/sigma0 internals, vectorized over omega/u; all rates in rad/s;
-# exact zeros for a sigma_zero sheet
+# sigma/sigma0 internals, vectorized over omega/u; all rates in rad/s
 
 def _sigma_real(omega, g: GrapheneParams, scale: float):
     """scale * sigma(omega)/sigma0 on the real axis."""
     omega = np.asarray(omega, dtype=float)
-    if g.sigma_zero:
-        return np.zeros(omega.shape, dtype=complex)
     mu = g.mu
     drude = (4.0 * mu / np.pi) * 1j / (omega + 1j * g.gamma_g)
     # log diverges at the interband edge hbar*omega = 2mu; that is the
@@ -65,8 +62,6 @@ def _sigma_real(omega, g: GrapheneParams, scale: float):
 def _sigma_imag(u, g: GrapheneParams):
     """sigma(iu)/sigma0; real and positive for passive graphene."""
     u = np.asarray(u, dtype=float)
-    if g.sigma_zero:
-        return np.zeros(u.shape)
     mu = g.mu
     drude = (4.0 * mu / np.pi) / (u + g.gamma_g)
     inter = (2.0 / np.pi) * np.arctan(u / (2.0 * mu)) if mu > 0.0 \

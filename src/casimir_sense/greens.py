@@ -272,8 +272,6 @@ def _trace_real_scaled(zb: float, s: complex):
     if not 0.0 < zb < math.inf:
         raise NumericsError(f"real-axis kernel height zb = {zb!r} not in "
                             "(0, inf)")
-    if s == 0.0:
-        return (np.zeros(2, complex),) * 2
 
     # Python's complex division works on the parts (Smith's method), so the
     # interband edge s = x - i inf gives zeta = 0 rather than nan

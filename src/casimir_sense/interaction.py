@@ -102,8 +102,6 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
     """
     if not 0.0 < d < math.inf:
         raise ValueError("d must be positive and finite")
-    if g.sigma_zero:
-        return (np.zeros(2), np.zeros(2)) if gradient else 0.0
     w0 = e.omega0
     c = CONSTANTS.c
     part = "outer frequency integral"   # where a QuadratureError comes from

@@ -88,13 +88,11 @@ class GrapheneParams:
     """Doped graphene sheet.
 
     ``mu`` is the Fermi energy divided by hbar (rad/s); config files express
-    it as a fraction of hbar*omega0.  ``sigma_zero`` forces sigma = 0
-    everywhere (transparent-sheet test override, exposed as --sigma-zero).
+    it as a fraction of hbar*omega0.
     """
 
     mu: float           # Fermi energy / hbar, rad/s
     gamma_g: float      # intraband loss rate, rad/s
-    sigma_zero: bool = False
 
     def __post_init__(self):
         if not self.mu >= 0:
@@ -105,13 +103,11 @@ class GrapheneParams:
 
     @classmethod
     def from_fractions(cls, mu_frac: float, omega0: float,
-                       omega0_over_gamma_g: float = 1e3,
-                       sigma_zero: bool = False) -> "GrapheneParams":
+                       omega0_over_gamma_g: float = 1e3) -> "GrapheneParams":
         if not 0 < omega0_over_gamma_g < math.inf:
             raise ConfigError("graphene.omega0_over_gamma_g must be positive "
                               "and finite")
-        return cls(mu=mu_frac * omega0, gamma_g=omega0 / omega0_over_gamma_g,
-                   sigma_zero=sigma_zero)
+        return cls(mu=mu_frac * omega0, gamma_g=omega0 / omega0_over_gamma_g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +186,6 @@ _FORMAT = (
      lambda s: s.graphene.mu / s.emitter.omega0),
     ("graphene", "omega0_over_gamma_g", 1e3,
      lambda s: s.emitter.omega0 / s.graphene.gamma_g),
-    ("graphene", "sigma_zero", False, lambda s: s.graphene.sigma_zero),
     ("mechanics", "omega_m_rad_s", None, lambda s: s.mechanics.omega_m),
     ("mechanics", "mass_kg", None, lambda s: s.mechanics.mass),
     ("mechanics", "quality_factor", None, lambda s: s.mechanics.quality),
@@ -202,7 +197,7 @@ _FORMAT = (
 
 
 def _read(cp: configparser.ConfigParser, section: str, key: str, default):
-    """One value of the config, typed like its default (float if none)."""
+    """One float value of the config, ``default`` if the key is absent."""
     if not cp.has_section(section):
         raise ConfigError(f"missing section [{section}]")
     if not cp.has_option(section, key):
@@ -210,12 +205,11 @@ def _read(cp: configparser.ConfigParser, section: str, key: str, default):
             raise ConfigError(f"missing key {section}.{key}")
         return default
     raw = cp.get(section, key)
-    boolean = isinstance(default, bool)
     try:
-        return cp.getboolean(section, key) if boolean else float(raw)
+        return float(raw)
     except ValueError as exc:
-        kind = "non-boolean" if boolean else "non-numeric"
-        raise ConfigError(f"{kind} value for {section}.{key}: {raw!r}") from exc
+        raise ConfigError(f"non-numeric value for {section}.{key}: "
+                          f"{raw!r}") from exc
 
 
 def _unknown(cp: configparser.ConfigParser) -> list[str]:
@@ -245,8 +239,8 @@ def load_scenario(config_text: str) -> ScenarioParams:
         cp.read_string(config_text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
-    (lambda0, gamma0, mu_frac, omega0_over_gamma_g, sigma_zero, omega_m, mass,
-     quality, t_bath, epsilon, eta_det, distance) = [
+    (lambda0, gamma0, mu_frac, omega0_over_gamma_g, omega_m, mass, quality,
+     t_bath, epsilon, eta_det, distance) = [
         _read(cp, section, key, default) for section, key, default, _ in _FORMAT]
     unknown = _unknown(cp)
     if unknown:
@@ -255,9 +249,8 @@ def load_scenario(config_text: str) -> ScenarioParams:
     emitter = EmitterParams.from_wavelength(lambda0, gamma0)
     return ScenarioParams(
         emitter=emitter,
-        graphene=GrapheneParams.from_fractions(
-            mu_frac, emitter.omega0, omega0_over_gamma_g,
-            sigma_zero=sigma_zero),
+        graphene=GrapheneParams.from_fractions(mu_frac, emitter.omega0,
+                                               omega0_over_gamma_g),
         mechanics=MechanicalParams(omega_m, mass, quality, t_bath),
         drive=DriveParams(epsilon, eta_det),
         distance=distance)

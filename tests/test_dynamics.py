@@ -445,6 +445,7 @@ def test_record_grid_validation():
     (1e300, 1e-10, None),       # t_end / tau overflows
     (1.0, 1e-320, None),        # a subnormal tau overflows it too
     (3e-6, 1e-18, 1),           # 3e12 records
+    (1e-3, 1e-2, None),         # round(t_end / tau) = 0: no record
 ])
 def test_record_grid_out_of_range_is_named(t_end, tau, record_every):
     # checked before any array is built: not an OverflowError in round()
@@ -454,6 +455,17 @@ def test_record_grid_out_of_range_is_named(t_end, tau, record_every):
                              record_every=record_every)
     for name in ("t_end", "tau", "record_every"):
         assert f"{name} = " in str(exc.value)
+
+
+def test_record_grid_of_zero_steps_is_refused():
+    # the last record lies at the multiple of tau nearest t_end; when that
+    # is 0 there is no record to return.  round() takes half to even, so
+    # t_end = tau / 2 is refused and a t_end above it gives one record
+    cfg = config(n_th=1.0)
+    with pytest.raises(ValueError, match="rounds to 0 steps"):
+        simulate_conditional(cfg, t_end=5e-3, tau=1e-2)
+    traj = simulate_conditional(cfg, t_end=6e-3, tau=1e-2)
+    assert traj.t.tolist() == [1e-2]
 
 
 def test_record_grid_cap_is_inclusive(monkeypatch):

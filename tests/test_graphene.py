@@ -11,9 +11,8 @@ from conftest import kk_sigma_imag_oracle
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6     # reference frequency, rad/s
 
 
-def graphene(mu_frac, ratio=1e3, sigma_zero=False):
-    return cs.GrapheneParams.from_fractions(mu_frac, W0, ratio,
-                                            sigma_zero=sigma_zero)
+def graphene(mu_frac, ratio=1e3):
+    return cs.GrapheneParams.from_fractions(mu_frac, W0, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +52,14 @@ def test_passivity_on_real_axis():
 
 def test_sigma_returns_plain_values_in_sigma0_units():
     # a scalar frequency gives a plain number, an array an ndarray; the
-    # undoped sheet is exactly sigma0, a sigma_zero sheet exactly 0, and the
-    # interband edge hbar w = 2 mu keeps Im sigma = -inf, never nan
+    # undoped sheet is exactly sigma0, and the interband edge hbar w = 2 mu
+    # keeps Im sigma = -inf, never nan
     assert type(cs.sigma_real_axis(W0, graphene(0.8))) is complex
     assert type(cs.sigma_imag_axis(W0, graphene(0.8))) is float
     w = np.array([0.5, 1.0]) * W0
     assert isinstance(cs.sigma_real_axis(w, graphene(0.8)), np.ndarray)
     assert isinstance(cs.sigma_imag_axis(w, graphene(0.8)), np.ndarray)
     assert cs.sigma_real_axis(W0, graphene(0.0)) == 1.0
-    assert cs.sigma_real_axis(W0, graphene(0.8, sigma_zero=True)) == 0.0
-    assert cs.sigma_imag_axis(W0, graphene(0.8, sigma_zero=True)) == 0.0
     edge = cs.sigma_real_axis(W0, graphene(0.5))
     assert math.isfinite(edge.real) and edge.imag == -math.inf
 

@@ -17,15 +17,8 @@ from conftest import (brute_trace_imag, brute_trace_real, quad_trace_real,
 W0 = 2 * math.pi * cs.CONSTANTS.c / 2e-6
 
 
-def graphene(mu_frac, sigma_zero=False):
-    return cs.GrapheneParams.from_fractions(mu_frac, W0, 1e3,
-                                            sigma_zero=sigma_zero)
-
-
-def test_transparent_sheet_gives_zero_trace():
-    g = graphene(0.8, sigma_zero=True)
-    assert trace_imag(18e-9, W0, g) == 0.0
-    assert np.all(sum(cs.trace_green_real_parts(18e-9, W0, g)) == 0.0)
+def graphene(mu_frac):
+    return cs.GrapheneParams.from_fractions(mu_frac, W0, 1e3)
 
 
 def test_imag_axis_trace_is_negative_and_decays_with_distance():

@@ -20,21 +20,8 @@ GAMMA0 = 2 * math.pi * 240e6
 EMITTER = cs.EmitterParams(omega0=W0, gamma0=GAMMA0)
 
 
-def graphene(mu_frac, sigma_zero=False):
-    return cs.GrapheneParams.from_fractions(mu_frac, W0, 1e3,
-                                            sigma_zero=sigma_zero)
-
-
-def test_transparent_sheet_gives_free_space_result():
-    g = graphene(0.8, sigma_zero=True)
-    assert cs.ground_shift(18e-9, EMITTER, g) == 0.0
-    assert interaction.excited_shift(18e-9, EMITTER, g) == 0.0
-    ir = cs.decay_rates(18e-9, EMITTER, g)
-    assert ir.gamma == pytest.approx(GAMMA0, rel=1e-12)
-    assert ir.gamma_rad == pytest.approx(GAMMA0, rel=1e-12)
-    assert ir.gamma_nonrad == 0.0
-    cg = interaction.transition_gradient(18e-9, EMITTER, g)
-    assert cg.g_value == 0.0
+def graphene(mu_frac):
+    return cs.GrapheneParams.from_fractions(mu_frac, W0, 1e3)
 
 
 @pytest.mark.parametrize("mu_frac", [0.0, 0.8])
@@ -187,9 +174,9 @@ def test_gradient_rejects_bad_distance():
         interaction.transition_gradient(0.0, EMITTER, graphene(0.8))
 
 
-def make_scenario(mu_frac, d, sigma_zero=False):
+def make_scenario(mu_frac, d):
     return cs.ScenarioParams(
-        emitter=EMITTER, graphene=graphene(mu_frac, sigma_zero=sigma_zero),
+        emitter=EMITTER, graphene=graphene(mu_frac),
         mechanics=cs.MechanicalParams(omega_m=2 * math.pi * 1e6,
                                       mass=2.81e-18, quality=5e4, t_bath=1.0),
         drive=cs.DriveParams(epsilon=0.3, eta_det=0.75),
@@ -201,8 +188,7 @@ _FREE_ARGUMENTS = [
     ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.8))),
     ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.8),
                                     gradient=True)),
-    ("d", lambda x: cs.ground_shift(x, EMITTER,
-                                    graphene(0.8, sigma_zero=True))),
+    ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.0))),
     ("d", lambda x: cs.decay_rates(x, EMITTER, graphene(0.8))),
     ("d", lambda x: cs.interaction_and_gradient(x, EMITTER, graphene(0.8))),
     ("d", lambda x: cs.scattering_rate_map(x, W0, make_scenario(0.8, 18e-9))),
@@ -265,11 +251,8 @@ def test_quadrature_failure_names_the_integral_it_comes_from(monkeypatch,
 
 
 def test_scattering_map_free_space_normalization():
-    s = make_scenario(0.8, 18e-9, sigma_zero=True)
-    assert cs.scattering_rate_map(18e-9, W0, s) == pytest.approx(1.0, rel=1e-12)
-    s_far = make_scenario(0.8, 10e-6)
-    assert cs.scattering_rate_map(10e-6, W0, s_far) == pytest.approx(1.0,
-                                                                     rel=2e-2)
+    s = make_scenario(0.8, 10e-6)
+    assert cs.scattering_rate_map(10e-6, W0, s) == pytest.approx(1.0, rel=2e-2)
 
 
 def test_scattering_map_line_center_identity():
@@ -505,3 +488,19 @@ def test_casimir_corner_of_the_parameter_box(mu_frac, q_factor, d):
             result.gamma_rad + result.gamma_nonrad, rel=1e-12)
         assert result.gamma_nonrad >= 0.0
     assert math.isfinite(cg.g_value) and math.isfinite(cg.error_estimate)
+
+
+@pytest.mark.parametrize("call", [cs.decay_rates, cs.interaction_and_gradient])
+@pytest.mark.parametrize("mu_frac, d", [(5e-6, 50e-6), (2e-6, 100e-6)])
+def test_lossy_corner_fails_by_name(call, mu_frac, d):
+    # a very lossy sheet (omega0/gamma_g = 1, mu of a few 1e-6 hbar*omega0)
+    # at tens of um, below the q_factor range of the box test above: the
+    # outer integral does not converge there yet.  This pins that the
+    # failure is typed and names the point; once a locally adaptive outer
+    # rule makes the corner converge, it becomes a check of finite values.
+    g = cs.GrapheneParams.from_fractions(mu_frac, W0, 1.0)
+    with pytest.raises(cs.QuadratureError, match=(
+            r"^quadrature did not converge in the outer frequency integral "
+            rf"of the ground shift at d = {d:.6g} m, mu = {mu_frac:.6g} "
+            r"hbar\*omega0, omega0/gamma_g = 1 \(residual estimate ")):
+        call(d, EMITTER, g)

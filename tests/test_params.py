@@ -114,16 +114,21 @@ def test_load_rejects_unknown_sections_and_keys(config_text):
     with pytest.raises(ConfigError, match=r"graphene\.omega0_over_gamma, "
                                           r"graphene\.sigma_zer0$"):
         cs.load_scenario(bad)
+    # the transparent-sheet key of earlier versions is no longer known
+    with pytest.raises(ConfigError, match=r": graphene\.sigma_zero$"):
+        cs.load_scenario(config_text.replace(
+            "mu_over_hbar_omega0 = 0.8",
+            "mu_over_hbar_omega0 = 0.8\nsigma_zero = false"))
     with pytest.raises(ConfigError, match=r"\[DEFAULT\], \[drives\]$"):
         cs.load_scenario("[DEFAULT]\nepsilon = 0.3\n" + config_text
                          + "\n[drives]\neta_det = 0.5\n")
 
 
 def test_config_round_trip(ref_scenario):
-    clean_transparent = replace(ref_scenario, graphene=cs.GrapheneParams(
-        mu=ref_scenario.graphene.mu, sigma_zero=True,
+    clean = replace(ref_scenario, graphene=cs.GrapheneParams(
+        mu=ref_scenario.graphene.mu,
         gamma_g=ref_scenario.emitter.omega0 / 1e7))
-    for scenario in (ref_scenario, clean_transparent):
+    for scenario in (ref_scenario, clean):
         text = cs.scenario_to_config(scenario)
         assert cs.load_scenario(text) == scenario
 
@@ -136,7 +141,6 @@ gamma0_rad_s = 1507964473.7231007
 [graphene]
 mu_over_hbar_omega0 = 0.8
 omega0_over_gamma_g = 1000.0
-sigma_zero = False
 
 [mechanics]
 omega_m_rad_s = 6283185.307179586
