@@ -7,8 +7,9 @@ Runs the four command-line examples of README.md, an undetected
 ``squeeze --eta-det 0`` (nu = 0 makes kappa_det = 0: the only run that
 reaches the closed form of the unconditioned covariance), a
 ``squeeze --damping symmetric`` (the only CLI run whose damping column reads
-``symmetric``) and
-``scripts/survey_data.py --quick`` once per tree, each tree's package
+``symmetric``), an ``interaction --mu 0.6`` and a one-point
+``sensitivity --epsilon 0.2 --eta-det 0.5`` (the override flags of the two
+sweeps) and ``scripts/survey_data.py --quick`` once per tree, each tree's package
 imported from its own ``src/``, in a temporary directory.  For each output
 file it prints whether the file is byte-identical, how many data cells moved
 and the largest relative difference, then, per moved column, how many cells
@@ -51,6 +52,13 @@ CLI_EXAMPLES = [
     ("squeezing_symmetric.csv", ["squeeze", "--damping", "symmetric",
                                  "--t-end", "1e-6", "--out",
                                  "squeezing_symmetric.csv"]),
+    ("interaction_mu.csv", ["interaction", "--d-min", "10e-9", "--d-max",
+                            "20e-9", "--d-count", "3", "--mu", "0.6"]),
+    ("sensitivity_point.csv", ["sensitivity", "--d-min", "18e-9", "--d-max",
+                               "18e-9", "--d-count", "1", "--mu-min", "0.8",
+                               "--mu-max", "0.8", "--mu-count", "1",
+                               "--epsilon", "0.2", "--eta-det", "0.5",
+                               "--out", "sensitivity_point.csv"]),
 ]
 #: moved cells printed per column
 SHOWN = 5

@@ -83,7 +83,9 @@ def main(argv=None):
     ap.add_argument("--quick", action="store_true")
     args = ap.parse_args(argv)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    code = cli.report(lambda: outdir.mkdir(parents=True, exist_ok=True), "")
+    if code:
+        return code
     command = ["survey_data.py", *argv]
     for name, s, columns, rows in tables(cs.reference_scenario(), args.quick):
         path = outdir / name

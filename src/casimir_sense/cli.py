@@ -1,17 +1,18 @@
 """Command-line front end: single-point computations and grid sweeps to CSV.
 
-Subcommands
+Subcommands, with the scenario overrides each takes (those its rows read)
     conductivity   sigma(omega)/sigma0 versus Fermi energy at fixed omega
-    interaction    shifts, decay channels and gradient versus distance
-    sensitivity    kappa^-1 and figure of merit on a (distance, mu) grid
-    squeeze        conditional-variance trajectory under homodyne monitoring
+    interaction    shifts, decay channels and gradient versus distance; --mu
+    sensitivity    kappa^-1 and merit on a (d, mu) grid; --epsilon, --eta-det
+    squeeze        conditional variance under homodyne monitoring; all four:
+                   --distance, --mu, --epsilon, --eta-det
 
-Scenario resolution precedence: command-line flags > CASIMIR_SENSE_CONFIG
-environment variable > built-in reference operating point.  Every CSV starts
-with a '#' header echoing the resolved scenario, so an output file is
-reproducible from itself.  Exit codes: 0 ok, 2 usage/config, 3 numerical
-failure, 4 physicality violation; a sweep that fails at one point keeps the
-rows before it.
+Each also takes --config and --out.  Scenario resolution precedence: flags >
+CASIMIR_SENSE_CONFIG environment variable > built-in reference operating
+point.  Every CSV starts with a '#' header echoing the resolved scenario, so
+an output file is reproducible from itself.  Exit codes: 0 ok, 2 usage or
+config, 3 numerical failure, 4 physicality violation; a sweep that fails at
+one point keeps the rows before it.
 """
 
 from __future__ import annotations
@@ -41,30 +42,36 @@ def with_mu(s: ScenarioParams, mu: float) -> ScenarioParams:
     return replace(s, graphene=replace(s.graphene, mu=mu * s.emitter.omega0))
 
 
+#: scenario override flags: help text, how the value enters the scenario s
+_OVERRIDES = {
+    "--distance": ("override distance, m",
+                   lambda s, v: replace(s, distance=v)),
+    "--mu": ("override Fermi energy, units of hbar*omega0", with_mu),
+    "--epsilon": ("override drive epsilon",
+                  lambda s, v: replace(s, drive=replace(s.drive, epsilon=v))),
+    "--eta-det": ("override collection efficiency",
+                  lambda s, v: replace(s, drive=replace(s.drive, eta_det=v))),
+}
+
+
 def _resolve_scenario(args) -> ScenarioParams:
     path = args.config if args.config is not None \
         else os.environ.get(ENV_CONFIG) or None
-    if path is None:
-        s = reference_scenario()
-    else:
+    s = reference_scenario()
+    if path is not None:
         with open(path) as fh:
             s = load_scenario(fh.read())
-    if args.distance is not None:
-        s = replace(s, distance=args.distance)
-    if args.mu is not None:
-        s = with_mu(s, args.mu)
-    if args.epsilon is not None:
-        s = replace(s, drive=replace(s.drive, epsilon=args.epsilon))
-    if args.eta_det is not None:
-        s = replace(s, drive=replace(s.drive, eta_det=args.eta_det))
+    for flag, (_, apply) in _OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            s = apply(s, value)
     return s
 
 
 def _axis(args, name: str) -> np.ndarray:
     """The --<name>-min/-max/-count grid, log-spaced under --log-<name>."""
-    lo = getattr(args, f"{name}_min")
-    hi = getattr(args, f"{name}_max")
-    count = getattr(args, f"{name}_count")
+    lo, hi, count = (getattr(args, f"{name}_{end}")
+                     for end in ("min", "max", "count"))
     for end, value in (("min", lo), ("max", hi)):
         if not np.isfinite(value):
             raise ConfigError(f"--{name}-{end} must be finite, got {value}")
@@ -87,9 +94,7 @@ def _fmt(x) -> str:
     """A CSV cell: text as is, a number to 13 digits, empty if not finite."""
     if isinstance(x, str):
         return x
-    if x != x or x in (float("inf"), float("-inf")):
-        return ""
-    return f"{x:.12e}"
+    return f"{x:.12e}" if np.isfinite(x) else ""
 
 
 def write_csv(out, s: ScenarioParams, argv: list[str], columns: list[str],
@@ -152,14 +157,12 @@ def report(call, where: str) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_conductivity(args, argv) -> None:
-    s = _resolve_scenario(args)
+def cmd_conductivity(args, s, argv) -> None:
     write_csv(args.out, s, argv, *conductivity_table(
         s, _axis(args, "mu"), args.omega * s.emitter.omega0))
 
 
-def cmd_interaction(args, argv) -> None:
-    s = _resolve_scenario(args)
+def cmd_interaction(args, s, argv) -> None:
     points = ((d, *interaction_and_gradient(d, s.emitter, s.graphene))
               for d in _axis(args, "d"))
     write_csv(args.out, s, argv,
@@ -171,14 +174,12 @@ def cmd_interaction(args, argv) -> None:
                for d, ir, cg in points))
 
 
-def cmd_sensitivity(args, argv) -> None:
-    s = _resolve_scenario(args)
+def cmd_sensitivity(args, s, argv) -> None:
     write_csv(args.out, s, argv,
               *sensitivity_table(s, _axis(args, "d"), _axis(args, "mu")))
 
 
-def cmd_squeeze(args, argv) -> None:
-    s = _resolve_scenario(args)
+def cmd_squeeze(args, s, argv) -> None:
     traj = simulate(s, args.damping, args.t_end, tau=args.tau,
                     record_every=args.record_every)
     t_min, v_min = traj.min_vx()
@@ -194,15 +195,21 @@ def cmd_squeeze(args, argv) -> None:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p, *overrides: str):
+    """--config, --out and the scenario override flags ``overrides``."""
     p.add_argument("--config", help="scenario config file (INI)")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--distance", type=float, help="override distance, m")
-    p.add_argument("--mu", type=float,
-                   help="override Fermi energy, units of hbar*omega0")
-    p.add_argument("--epsilon", type=float, help="override drive epsilon")
-    p.add_argument("--eta-det", dest="eta_det", type=float,
-                   help="override collection efficiency")
+    for flag in overrides:
+        p.add_argument(flag, type=float, help=_OVERRIDES[flag][0])
+
+
+def _add_axis(p, name: str, lo: float, hi: float, count: int, *, log: bool):
+    """The --<name>-min/-max/-count flags, and --log-<name> if ``log``."""
+    p.add_argument(f"--{name}-min", type=float, default=lo)
+    p.add_argument(f"--{name}-max", type=float, default=hi)
+    p.add_argument(f"--{name}-count", type=int, default=count)
+    if log:
+        p.add_argument(f"--log-{name}", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,32 +221,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--omega", type=float, default=1.0,
                    help="evaluation frequency, units of omega0")
-    p.add_argument("--mu-min", type=float, default=0.0)
-    p.add_argument("--mu-max", type=float, default=1.2)
-    p.add_argument("--mu-count", type=int, default=121)
+    _add_axis(p, "mu", 0.0, 1.2, 121, log=False)
     p.set_defaults(func=cmd_conductivity)
 
     p = sub.add_parser("interaction", help="shifts and rates versus distance")
-    _add_common(p)
-    p.add_argument("--d-min", type=float, default=5e-9)
-    p.add_argument("--d-max", type=float, default=50e-9)
-    p.add_argument("--d-count", type=int, default=10)
-    p.add_argument("--log-d", action="store_true")
+    _add_common(p, "--mu")
+    _add_axis(p, "d", 5e-9, 50e-9, 10, log=True)
     p.set_defaults(func=cmd_interaction)
 
     p = sub.add_parser("sensitivity", help="kappa^-1 on a (d, mu) grid")
-    _add_common(p)
-    p.add_argument("--d-min", type=float, default=10e-9)
-    p.add_argument("--d-max", type=float, default=40e-9)
-    p.add_argument("--d-count", type=int, default=4)
-    p.add_argument("--log-d", action="store_true")
-    p.add_argument("--mu-min", type=float, default=0.2)
-    p.add_argument("--mu-max", type=float, default=1.0)
-    p.add_argument("--mu-count", type=int, default=5)
+    _add_common(p, "--epsilon", "--eta-det")
+    _add_axis(p, "d", 10e-9, 40e-9, 4, log=True)
+    _add_axis(p, "mu", 0.2, 1.0, 5, log=False)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("squeeze", help="conditional squeezing trajectory")
-    _add_common(p)
+    _add_common(p, *_OVERRIDES)
     p.add_argument("--damping", choices=("symmetric", "momentum"),
                    default="momentum")
     p.add_argument("--t-end", dest="t_end", type=float, default=3e-6,
@@ -249,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(k + 1) * (record_every * tau), the last one at the "
                         "multiple of tau nearest t_end (default: from the "
                         "fastest rate)")
-    p.add_argument("--record-every", dest="record_every", type=int,
-                   default=None)
+    p.add_argument("--record-every", type=int)
     p.set_defaults(func=cmd_squeeze)
     return ap
 
@@ -258,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
-    return report(lambda: args.func(args, ["casimir-sense", *argv]), "")
+    return report(lambda: args.func(args, _resolve_scenario(args),
+                                    ["casimir-sense", *argv]), "")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 A scenario bundles the emitter, the graphene sheet, the mechanical mode, the
 drive/detection settings and the emitter-sheet distance.  Everything is
-immutable after construction.  Config files are flat INI-style key/value
-sections with the unit encoded in the key name::
+immutable after construction.  Config files are flat INI-style sections of
+plain numbers, with no ``%`` interpolation and the unit in the key name::
 
     [emitter]
     lambda0_m     = 2e-6        # free-space transition wavelength, m
@@ -234,26 +234,29 @@ def load_scenario(config_text: str) -> ScenarioParams:
     sections and keys, non-numeric values and invariant violations, and
     naming every section and key the format does not know.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(config_text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
-    (lambda0, gamma0, mu_frac, omega0_over_gamma_g, omega_m, mass, quality,
-     t_bath, epsilon, eta_det, distance) = [
-        _read(cp, section, key, default) for section, key, default, _ in _FORMAT]
+    v = {key: _read(cp, section, key, default)
+         for section, key, default, _ in _FORMAT}
     unknown = _unknown(cp)
     if unknown:
         raise ConfigError("unknown config section or key: "
                           + ", ".join(unknown))
-    emitter = EmitterParams.from_wavelength(lambda0, gamma0)
+    emitter = EmitterParams.from_wavelength(v["lambda0_m"], v["gamma0_rad_s"])
     return ScenarioParams(
         emitter=emitter,
-        graphene=GrapheneParams.from_fractions(mu_frac, emitter.omega0,
-                                               omega0_over_gamma_g),
-        mechanics=MechanicalParams(omega_m, mass, quality, t_bath),
-        drive=DriveParams(epsilon, eta_det),
-        distance=distance)
+        graphene=GrapheneParams.from_fractions(
+            v["mu_over_hbar_omega0"], emitter.omega0,
+            v["omega0_over_gamma_g"]),
+        mechanics=MechanicalParams(v["omega_m_rad_s"], v["mass_kg"],
+                                   v["quality_factor"],
+                                   v["bath_temperature_k"]),
+        drive=DriveParams(v["epsilon"], v["eta_det"]),
+        distance=v["distance_m"])
 
 
 def reference_scenario() -> ScenarioParams:

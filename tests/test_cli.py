@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -99,13 +101,99 @@ def test_invalid_config_value_is_usage_error(tmp_path, config_text):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, field", [("--distance", "distance"),
-                                         ("--mu", "graphene.mu")])
-def test_nan_override_is_usage_error(tmp_path, capsys, flag, field):
-    code, _ = run_cli(["interaction", "--d-min", "18e-9", "--d-max", "18e-9",
-                       "--d-count", "1", flag, "nan"], tmp_path)
+@pytest.mark.parametrize("command, flag, field", [
+    (["squeeze"], "--distance", "distance"),
+    (["interaction", "--d-min", "18e-9", "--d-max", "18e-9", "--d-count", "1"],
+     "--mu", "graphene.mu")], ids=["--distance-distance", "--mu-graphene.mu"])
+def test_nan_override_is_usage_error(tmp_path, capsys, command, flag, field):
+    code, _ = run_cli([*command, flag, "nan"], tmp_path)
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+#: a cheap run of each subcommand; TAKEN, the scenario overrides it takes
+CHEAP_RUNS = {
+    "conductivity": ["--mu-min", "0.8", "--mu-max", "0.8", "--mu-count", "1"],
+    "interaction": ["--d-min", "18e-9", "--d-max", "18e-9", "--d-count", "1"],
+    "sensitivity": ["--d-min", "18e-9", "--d-max", "18e-9", "--d-count", "1",
+                    "--mu-min", "0.8", "--mu-max", "0.8", "--mu-count", "1"],
+    "squeeze": ["--t-end", "1e-7"],
+}
+TAKEN = {"conductivity": (), "interaction": ("--mu",),
+         "sensitivity": ("--epsilon", "--eta-det"),
+         "squeeze": ("--distance", "--mu", "--epsilon", "--eta-det")}
+#: each override's value, and the scenario it resolves to
+OVERRIDES = {
+    "--distance": ("20e-9", lambda s: replace(s, distance=20e-9)),
+    "--mu": ("0.6", lambda s: cli.with_mu(s, 0.6)),
+    "--epsilon": ("0.2",
+                  lambda s: replace(s, drive=replace(s.drive, epsilon=0.2))),
+    "--eta-det": ("0.5",
+                  lambda s: replace(s, drive=replace(s.drive, eta_det=0.5))),
+}
+
+
+@pytest.fixture(scope="module")
+def plain_rows(tmp_path_factory):
+    """The data rows of each cheap run without an override."""
+    rows = {}
+    for command, args in CHEAP_RUNS.items():
+        _, text = run_cli([command, *args], tmp_path_factory.mktemp(command))
+        rows[command] = parse_rows(text)[1]
+    return rows
+
+
+@pytest.mark.parametrize("flag", OVERRIDES)
+@pytest.mark.parametrize("command", CHEAP_RUNS)
+def test_each_command_takes_only_the_overrides_its_rows_read(
+        tmp_path, capsys, plain_rows, command, flag):
+    # a flag that changed no row would only rewrite the header; --mu is
+    # refused as an ambiguous prefix of the --mu-* axis flags
+    args = [command, *CHEAP_RUNS[command], flag, OVERRIDES[flag][0]]
+    if flag not in TAKEN[command]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args, tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("casimir-sense")
+        assert f"error: unrecognized arguments: {flag} " in err \
+            or f"error: ambiguous option: {flag} could match" in err
+        assert not (tmp_path / "out.csv").exists()
+        return
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    assert parse_rows(text)[1] != plain_rows[command]
+
+
+@pytest.mark.parametrize("command", CHEAP_RUNS)
+def test_header_loads_back_to_the_resolved_scenario(tmp_path, config_text,
+                                                    command):
+    # README: the '#' header makes a file reproducible from itself
+    cfg = tmp_path / "q5e3.ini"
+    cfg.write_text(config_text.replace("quality_factor = 5e4",
+                                       "quality_factor = 5e3"))
+    expected = cs.load_scenario(cfg.read_text())
+    args = [command, *CHEAP_RUNS[command], "--config", str(cfg)]
+    for flag in TAKEN[command]:
+        args += [flag, OVERRIDES[flag][0]]
+        expected = OVERRIDES[flag][1](expected)
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    # the header's version and command lines, then the scenario block
+    block = list(takewhile(lambda l: l.startswith("#"), text.splitlines()))
+    assert block[2] == "# [emitter]"
+    assert cs.load_scenario("\n".join(l[2:] for l in block[2:])) == expected
+
+
+def test_percent_in_config_is_usage_error(tmp_path, capsys, config_text):
+    # a plain number is expected: no interpolation, no traceback
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(config_text.replace("epsilon = 0.3", "epsilon = 30%"))
+    code, text = run_cli(["conductivity", "--config", str(cfg)], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: non-numeric value for drive.epsilon")
+    assert "Traceback" not in err
 
 
 def test_env_var_config_is_honored(tmp_path, config_text, monkeypatch):

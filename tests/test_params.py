@@ -85,9 +85,22 @@ def test_load_reports_missing_key(config_text):
 
 
 def test_load_reports_non_numeric(config_text):
-    bad = config_text.replace("epsilon = 0.3", "epsilon = strong")
-    with pytest.raises(ConfigError, match="drive.epsilon"):
-        cs.load_scenario(bad)
+    # values are plain numbers: no % interpolation, so no raw
+    # InterpolationSyntaxError and no silent substitution
+    for value in ("strong", "30%", "%(eta_det)s"):
+        bad = config_text.replace("epsilon = 0.3", f"epsilon = {value}")
+        with pytest.raises(ConfigError,
+                           match="^non-numeric value for drive.epsilon"):
+            cs.load_scenario(bad)
+
+
+def test_load_reads_values_by_key(config_text, monkeypatch):
+    # not by their position in the format table
+    texts = (REFERENCE_CONFIG, config_text)
+    expected = [cs.load_scenario(text) for text in texts]
+    monkeypatch.setattr(cs.params, "_FORMAT", cs.params._FORMAT[::-1])
+    assert [cs.load_scenario(text) for text in texts] == expected
+    assert expected[0] == cs.reference_scenario()
 
 
 def test_thermal_occupation_at_one_kelvin():

@@ -97,3 +97,13 @@ def test_a_physicality_violation_exits_4(tmp_path, monkeypatch, capsys):
         f"physicality violation: {path}: covariance unphysical")
     header, rows = parse_rows(path.read_text())
     assert ",".join(header) == COLUMNS[path.name] and rows == []
+
+
+def test_an_outdir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    # exit 2 and a message, not a FileExistsError traceback
+    path = tmp_path / "survey"
+    path.write_text("")
+    assert survey.main(["--quick", "--outdir", str(path)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
+    assert "Traceback" not in err
