@@ -70,7 +70,6 @@ def run_tree(tree: Path, workdir: Path) -> tuple[dict, bool]:
     """Write every output of ``tree`` into ``workdir``; returns the wall
     times and whether every run exited 0."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    env.pop("CASIMIR_SENSE_CONFIG", None)
     times, ok = {}, True
     for name, args in CLI_EXAMPLES:
         start = time.perf_counter()
@@ -182,7 +181,8 @@ def compare_file(old: Path, new: Path, label: str) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     parser.add_argument("old_tree", type=Path)
     parser.add_argument("new_tree", type=Path)
     args = parser.parse_args(argv)

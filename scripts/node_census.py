@@ -136,7 +136,8 @@ def compare(old: dict, new: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     parser.add_argument("--points", type=int, default=None,
                         help="count only the first N grid points")
     parser.add_argument("--compare", nargs=2, type=Path,

@@ -78,7 +78,7 @@ def tables(s, quick):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--outdir", default="figures")
     ap.add_argument("--quick", action="store_true")
     args = ap.parse_args(argv)

@@ -7,18 +7,18 @@ Subcommands, with the scenario overrides each takes (those its rows read)
     squeeze        conditional variance under homodyne monitoring; all four:
                    --distance, --mu, --epsilon, --eta-det
 
-Each also takes --config and --out.  Scenario resolution precedence: flags >
-CASIMIR_SENSE_CONFIG environment variable > built-in reference operating
-point.  Every CSV starts with a '#' header echoing the resolved scenario, so
-an output file is reproducible from itself.  Exit codes: 0 ok, 2 usage or
-config, 3 numerical failure, 4 physicality violation; a sweep that fails at
-one point keeps the rows before it.
+Each also takes --config and --out, every flag by its full name only.  The
+scenario depends on the command line alone: flags > --config > reference
+point.  Every CSV starts with a '#' header echoing the command line, quoted
+for a shell, and the resolved scenario, so an output file is reproducible
+from itself.  Exit codes: 0 ok, 2 usage or config, 3 numerical failure, 4
+physicality violation; a sweep keeps the rows before a failed point.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import shlex
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -30,7 +30,7 @@ from .dynamics import PhysicalityError, simulate
 from .graphene import sigma_real_axis
 from .interaction import interaction_and_gradient
 from .measurement import evaluate_coupling
-from .params import (ConfigError, ENV_CONFIG, ScenarioParams, load_scenario,
+from .params import (ConfigError, ScenarioParams, load_scenario,
                      reference_scenario, scenario_to_config)
 from .quadrature import NumericsError
 
@@ -55,11 +55,9 @@ _OVERRIDES = {
 
 
 def _resolve_scenario(args) -> ScenarioParams:
-    path = args.config if args.config is not None \
-        else os.environ.get(ENV_CONFIG) or None
     s = reference_scenario()
-    if path is not None:
-        with open(path) as fh:
+    if args.config is not None:
+        with open(args.config) as fh:
             s = load_scenario(fh.read())
     for flag, (_, apply) in _OVERRIDES.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
@@ -105,7 +103,7 @@ def write_csv(out, s: ScenarioParams, argv: list[str], columns: list[str],
     that raises ends the file after the rows before it."""
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         fh.write(f"# casimir-sense {__version__}\n")
-        fh.write(f"# command: {' '.join(argv)}\n")
+        fh.write(f"# command: {shlex.join(argv)}\n")
         for line in scenario_to_config(s).splitlines():
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
@@ -248,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "fastest rate)")
     p.add_argument("--record-every", type=int)
     p.set_defaults(func=cmd_squeeze)
+    for parser in (ap, *sub.choices.values()):
+        parser.allow_abbrev = False     # no flag by a prefix of its name
     return ap
 
 

@@ -26,11 +26,11 @@ plain numbers, with no ``%`` interpolation and the unit in the key name::
     [geometry]
     distance_m = 18e-9
 
-Sections and keys outside this format are rejected, so that a misspelled
-optional key cannot silently take its default, and so is a value that is
-not finite: the ConfigError names the field.  The default config path may
-be set through the ``CASIMIR_SENSE_CONFIG`` environment variable; without
-it the reference operating point above is used.
+Each key has one spelling: lowercase, as above, followed by ``=``.
+Sections and keys outside this format are rejected, ``[DEFAULT]`` and
+upper-case spellings among them, so that a misspelled optional key cannot
+silently take its default, and so is a value that is not finite: the
+ConfigError names the field.  A ``key: value`` line does not parse.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .constants import CONSTANTS
-
-ENV_CONFIG = "CASIMIR_SENSE_CONFIG"
 
 
 class ConfigError(ValueError):
@@ -198,8 +196,6 @@ _FORMAT = (
 
 def _read(cp: configparser.ConfigParser, section: str, key: str, default):
     """One float value of the config, ``default`` if the key is absent."""
-    if not cp.has_section(section):
-        raise ConfigError(f"missing section [{section}]")
     if not cp.has_option(section, key):
         if default is None:
             raise ConfigError(f"missing key {section}.{key}")
@@ -213,39 +209,39 @@ def _read(cp: configparser.ConfigParser, section: str, key: str, default):
 
 
 def _unknown(cp: configparser.ConfigParser) -> list[str]:
-    """Sections and keys of the config that _FORMAT does not list; a
-    non-empty [DEFAULT] counts as one, since it adds keys to every section."""
+    """Sections, then keys of known sections, that _FORMAT does not list."""
     known = {(section, key) for section, key, _, _ in _FORMAT}
     sections = {section for section, _ in known}
-    names = ["[DEFAULT]"] if cp.defaults() else []
-    for section in cp.sections():
-        if section not in sections:
-            names.append(f"[{section}]")
-            continue
-        names += [f"{section}.{key}" for key in cp.options(section)
-                  if (section, key) not in known and key not in cp.defaults()]
-    return names
+    return ([f"[{s}]" for s in cp.sections() if s not in sections]
+            + [f"{s}.{key}" for s in cp.sections() if s in sections
+               for key in cp.options(s) if (s, key) not in known])
 
 
 def load_scenario(config_text: str) -> ScenarioParams:
     """Parse an INI-style scenario config into a validated ScenarioParams.
 
-    Raises ConfigError naming the offending section or key for missing
-    sections and keys, non-numeric values and invariant violations, and
-    naming every section and key the format does not know.
+    Raises ConfigError naming a missing section, else every section and key
+    the format does not know (``LAMBDA0_M``), else the missing key,
+    non-numeric value or invariant violation.
     """
-    cp = configparser.ConfigParser(interpolation=None,
-                                   inline_comment_prefixes=("#", ";"))
+    # '=' only, keys as written, and no section that every other inherits
+    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
+                                   inline_comment_prefixes=("#", ";"),
+                                   default_section="")
+    cp.optionxform = str
     try:
         cp.read_string(config_text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
-    v = {key: _read(cp, section, key, default)
-         for section, key, default, _ in _FORMAT}
+    for section, _, _, _ in _FORMAT:
+        if not cp.has_section(section):
+            raise ConfigError(f"missing section [{section}]")
     unknown = _unknown(cp)
     if unknown:
         raise ConfigError("unknown config section or key: "
                           + ", ".join(unknown))
+    v = {key: _read(cp, section, key, default)
+         for section, key, default, _ in _FORMAT}
     emitter = EmitterParams.from_wavelength(v["lambda0_m"], v["gamma0_rad_s"])
     return ScenarioParams(
         emitter=emitter,

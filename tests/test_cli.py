@@ -1,4 +1,6 @@
+import argparse
 import math
+import shlex
 from dataclasses import replace
 from itertools import takewhile
 
@@ -148,7 +150,7 @@ def plain_rows(tmp_path_factory):
 def test_each_command_takes_only_the_overrides_its_rows_read(
         tmp_path, capsys, plain_rows, command, flag):
     # a flag that changed no row would only rewrite the header; --mu is
-    # refused as an ambiguous prefix of the --mu-* axis flags
+    # unknown, not a prefix of the --mu-* axis flags
     args = [command, *CHEAP_RUNS[command], flag, OVERRIDES[flag][0]]
     if flag not in TAKEN[command]:
         with pytest.raises(SystemExit) as exc:
@@ -156,8 +158,7 @@ def test_each_command_takes_only_the_overrides_its_rows_read(
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("casimir-sense")
-        assert f"error: unrecognized arguments: {flag} " in err \
-            or f"error: ambiguous option: {flag} could match" in err
+        assert f"error: unrecognized arguments: {flag} " in err
         assert not (tmp_path / "out.csv").exists()
         return
     code, text = run_cli(args, tmp_path)
@@ -196,15 +197,99 @@ def test_percent_in_config_is_usage_error(tmp_path, capsys, config_text):
     assert "Traceback" not in err
 
 
-def test_env_var_config_is_honored(tmp_path, config_text, monkeypatch):
+def test_environment_config_variable_is_ignored(tmp_path, config_text,
+                                               monkeypatch):
+    # a run's scenario is what its command line names: a variable left in
+    # the shell by earlier versions changes no byte
     cfg = tmp_path / "env.ini"
-    cfg.write_text(config_text.replace("mu_over_hbar_omega0 = 0.8",
-                                       "mu_over_hbar_omega0 = 0.33"))
+    cfg.write_text(config_text.replace("quality_factor = 5e4",
+                                       "quality_factor = 5e3"))
+    args = ["squeeze", *CHEAP_RUNS["squeeze"], "--record-every", "100"]
+    _, plain = run_cli(args, tmp_path)
     monkeypatch.setenv("CASIMIR_SENSE_CONFIG", str(cfg))
-    code, text = run_cli(["conductivity", "--mu-min", "0", "--mu-max", "0",
-                          "--mu-count", "1"], tmp_path)
+    code, text = run_cli(args, tmp_path)
+    assert code == 0 and text == plain
+    assert "quality_factor = 50000.0" in text
+
+
+@pytest.mark.parametrize("command", CHEAP_RUNS)
+def test_header_command_reruns_to_the_same_rows(tmp_path, config_text,
+                                                command):
+    # the '#' header is a command line and a config: run together they
+    # give the file again
+    cfg = tmp_path / "q5e3.ini"
+    cfg.write_text(config_text.replace("quality_factor = 5e4",
+                                       "quality_factor = 5e3"))
+    args = [command, *CHEAP_RUNS[command], "--config", str(cfg)]
+    for flag in TAKEN[command]:
+        args += [flag, OVERRIDES[flag][0]]
+    code, text = run_cli(args, tmp_path)
     assert code == 0
-    assert "mu_over_hbar_omega0 = 0.33" in text
+    header = list(takewhile(lambda l: l.startswith("#"), text.splitlines()))
+    assert header[1].startswith("# command: casimir-sense ")
+    rerun = tmp_path / "rerun.ini"
+    rerun.write_text("\n".join(l[2:] for l in header[2:]))
+    argv = shlex.split(header[1][len("# command: "):])[1:]
+    code, again = run_cli([*argv, "--config", str(rerun)], tmp_path,
+                          "again.csv")
+    assert code == 0
+    data = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
+    assert len(data(text)) > 1 and data(again) == data(text)
+
+
+def test_header_command_quotes_a_path_with_a_space(tmp_path):
+    args = ["conductivity", *CHEAP_RUNS["conductivity"]]
+    code, text = run_cli(args, tmp_path, "my run.csv")
+    assert code == 0
+    line = text.splitlines()[1]
+    assert line.endswith(f" --out '{tmp_path / 'my run.csv'}'")
+    assert shlex.split(line[len("# command: "):]) == [
+        "casimir-sense", *args, "--out", str(tmp_path / "my run.csv")]
+
+
+def unique_prefixes(flags):
+    """(flag, prefix) for each strict prefix of each '--' flag of ``flags``
+    that starts no other of them: the spellings argparse would abbreviate."""
+    flags = [f for f in flags if f.startswith("--")]
+    return [(flag, flag[:n]) for flag in flags for n in range(3, len(flag))
+            if sum(f.startswith(flag[:n]) for f in flags) == 1]
+
+
+SUBCOMMANDS = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+PREFIXES = [(command, flag, prefix)
+            for command, parser in SUBCOMMANDS.items()
+            for flag, prefix in unique_prefixes(parser._option_string_actions)]
+#: a value for each flag that takes one and has no default
+NO_DEFAULT = {"--config": "none.ini", "--out": "prefix.csv", "--tau": "1e-9",
+              "--record-every": "1",
+              **{flag: value for flag, (value, _) in OVERRIDES.items()}}
+
+
+def test_every_subcommand_flag_is_covered_by_the_prefix_cases():
+    # 38 flags, --help among them, and 122 abbreviations: were the parsers
+    # not found, the test below would pass with no case at all
+    assert len({(c, f) for c, f, _ in PREFIXES}) == 38
+    assert len(PREFIXES) == 122
+
+
+@pytest.mark.parametrize("command, flag, prefix", PREFIXES,
+                         ids=[f"{c} {p}" for c, _, p in PREFIXES])
+def test_an_abbreviated_flag_is_unrecognized(tmp_path, monkeypatch, capsys,
+                                             command, flag, prefix):
+    # only a full name is taken, so the '# command:' line names the flag
+    # that set each value; a run's own flags follow, so that were the
+    # prefix taken, it would run cheaply
+    action = SUBCOMMANDS[command]._option_string_actions[flag]
+    value = [] if action.nargs == 0 else \
+        [NO_DEFAULT[flag] if action.default is None else str(action.default)]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, prefix, *value, *CHEAP_RUNS[command]], tmp_path)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {prefix}" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sigma_zero_flag_is_gone(capsys):

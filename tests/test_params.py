@@ -135,6 +135,12 @@ def test_load_rejects_unknown_sections_and_keys(config_text):
     with pytest.raises(ConfigError, match=r"\[DEFAULT\], \[drives\]$"):
         cs.load_scenario("[DEFAULT]\nepsilon = 0.3\n" + config_text
                          + "\n[drives]\neta_det = 0.5\n")
+    # one spelling per key: lowercase, then '='; an upper-case key is
+    # unknown, not a missing lambda0_m
+    with pytest.raises(ConfigError, match=r": emitter\.LAMBDA0_M$"):
+        cs.load_scenario(config_text.replace("lambda0_m =", "LAMBDA0_M ="))
+    with pytest.raises(ConfigError, match=r"^config does not parse"):
+        cs.load_scenario(config_text.replace("lambda0_m =", "lambda0_m:"))
 
 
 def test_config_round_trip(ref_scenario):

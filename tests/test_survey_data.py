@@ -9,7 +9,7 @@ import pytest
 import casimir_sense as cs
 from casimir_sense import cli
 
-from test_cli import _failing_at, parse_rows
+from test_cli import _failing_at, parse_rows, unique_prefixes
 
 SPEC = importlib.util.spec_from_file_location(
     "survey_data",
@@ -107,3 +107,22 @@ def test_an_outdir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "File exists" in err
     assert "Traceback" not in err
+
+
+#: every flag of the script
+FLAGS = ("--outdir", "--quick", "--help")
+
+
+@pytest.mark.parametrize("flag, prefix", unique_prefixes(FLAGS),
+                         ids=[p for _, p in unique_prefixes(FLAGS)])
+def test_an_abbreviated_flag_is_unrecognized(tmp_path, monkeypatch, capsys,
+                                             flag, prefix):
+    # '--out survey' would otherwise write into survey/ and echo '--out'
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        survey.main([prefix, *(["survey"] if flag == "--outdir" else []),
+                     "--quick"])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {prefix}" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
