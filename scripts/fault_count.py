@@ -9,14 +9,14 @@ so ``A/scripts/fault_count.py`` measures tree A.  The script first loads
 blocks of two benchmark workloads at seed 1 the way ``perfbench/run.py``'s
 timed loop does: one warm-up op, then every op through
 ``workloads.execute``, checked against the reference, its outcome kept.
-``coupling_grid`` calls ``evaluate_coupling`` (the gradient path) and
-``scattering_map`` ``decay_rates`` (the value-only path).  Faults depend on
-the heap an op runs on, and so on what the process holds and on the order
-of the ops: when glibc returns the top of the heap after a large op, the
-next op faults those pages back in.  One line per workload: ms per op,
-minor faults per op (``ru_minflt`` of getrusage over the timed ops) and the
-largest tracemalloc peak of one op (KiB), from one more pass under
-tracemalloc.
+``coupling_grid`` calls ``evaluate_coupling`` and ``scattering_map``
+``scattering_rate_map``; both run the one Casimir pass of
+``interaction_and_gradient``.  Faults depend on the heap an op runs on, and
+so on what the process holds and on the order of the ops: when glibc
+returns the top of the heap after a large op, the next op faults those
+pages back in.  One line per workload: ms per op, minor faults per op
+(``ru_minflt`` of getrusage over the timed ops) and the largest
+tracemalloc peak of one op (KiB), from one more pass under tracemalloc.
 """
 
 import json
@@ -67,9 +67,9 @@ def main() -> int:
     with open(ROOT / "perfbench" / "reference.json") as fh:
         reference = json.load(fh)
     for name, call in (("coupling_grid", "evaluate_coupling"),
-                       ("scattering_map", "decay_rates")):
+                       ("scattering_map", "scattering_rate_map")):
         n, ms, faults, peak = measure(name, reference["workloads"][name])
-        print(f"{name:14s} ({call:17s}) {n:4d} ops  {ms:7.3f} ms/op  "
+        print(f"{name:14s} ({call:19s}) {n:4d} ops  {ms:7.3f} ms/op  "
               f"{faults:7.2f} minor faults/op  peak {peak:7.1f} KiB")
     return 0
 

@@ -9,7 +9,7 @@ so ``A/scripts/node_census.py`` counts tree A.  The grid is w0/gamma_g in
 {1e3, 1e7} x 13 Fermi energies (undoped to heavily doped, as in the
 node-count tests of tests/test_interaction.py) x 16 distances from 1 nm to
 100 um, 416 points, at the reference emitter; each point runs
-``ground_shift`` with the gradient.  ``--points N`` keeps the first N
+``ground_shift`` (dw_g and slope).  ``--points N`` keeps the first N
 points.  Nodes are counted by wrapping the module bindings through which
 the library calls the quadrature: ``interaction.integrate_refined`` (the
 outer integral over frequency) and ``greens.integrate_rows`` (the inner
@@ -75,7 +75,7 @@ def census(points):
             before = dict(nodes)
             row = {"mu": mu, "q": q, "d": d}
             try:
-                value, _ = cs.ground_shift(d, emitter, g, gradient=True)
+                value, _ = cs.ground_shift(d, emitter, g)
                 row["value"] = [float(v) for v in value]
             except cs.QuadratureError as exc:
                 row["error"] = str(exc)

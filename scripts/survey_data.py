@@ -15,6 +15,9 @@ the command-line tool's writer, in its format: a '#' header echoing the
 command and the scenario, each row as it is computed, numbers to 13 digits
 and a non-finite value as an empty cell.  A failed point ends its file after
 the rows before it, and the script exits as the tool does, naming the file.
+A scattering map computes a whole row of detunings from one pass at its
+distance, so a failed pass ends the map after the rows of the distances
+before it, never in the middle of a row.
 """
 
 import argparse
@@ -29,10 +32,12 @@ from casimir_sense import cli
 
 
 def scattering_map(s, ds, detunings):
-    """Rows of f/f0 over d (m) x the laser detunings (rad/s), d outer."""
+    """Rows of f/f0 over d (m) x the laser detunings (rad/s), d outer; one
+    Casimir pass per distance serves its whole row."""
     w0, gamma0 = s.emitter.omega0, s.emitter.gamma0
-    return ((d, det / gamma0, cs.scattering_rate_map(d, w0 + det, s))
-            for d in ds for det in detunings)
+    for d in ds:
+        f = cs.scattering_rate_map(d, w0 + detunings, s)
+        yield from ((d, det / gamma0, f_d) for det, f_d in zip(detunings, f))
 
 
 def gradient(s, ds):

@@ -66,18 +66,20 @@ r_p = 1 and r_s = -1 have no poles, and T_evan = 1/(pi p^3) is real, so
 Gamma_nonrad is exactly 0 there.
 
 The height enters each kernel only through its exponential, so dT/dzb is the
-same integral with one more factor under it (-2 chi, i 2c, -2q): on the
-imaginary axis the kernel returns it from the same nodes, on the real axis
-it is the same closed form one power higher.
+same integral with one more factor under it (-2 chi, i 2c, -2q).  Every
+kernel returns it with T: on the imaginary axis from the same nodes, which
+refine until both converge, on the real axis as the same closed form one
+power higher.  There is no value-only kernel.
 
 The imaginary-axis kernel also takes arrays of (zb, s) of any one shape,
 each element one row, and refines the rows together
-(quadrature.integrate_rows), each on its own panel edges; the result has
-the shape of zb.  The ground shift hands over the (panels x nodes) array of
-each outer pass as it is, its first two levels in one array.  The rows
-stop at quadrature.RTOL, the tolerance of the outer frequency integral
-they feed: every row has one sign, so a tighter inner tolerance would not
-make the outer sum more accurate (quadrature module docstring).
+(quadrature.integrate_rows), each on its own panel edges; T and dT/dzb
+each have the shape of zb.  The ground shift hands over the
+(panels x nodes) array of each outer pass as it is, its first two levels
+in one array.  The rows stop at quadrature.RTOL, the tolerance of the
+outer frequency integral they feed: every row has one sign, so a tighter
+inner tolerance would not make the outer sum more accurate (quadrature
+module docstring).
 """
 
 from __future__ import annotations
@@ -102,24 +104,23 @@ _ASYMPTOTIC = 50.0
 _EULER_GAMMA = 0.5772156649015329
 
 
-def _trace_imag_scaled(zb, s, gradient: bool = False):
-    """Dimensionless imaginary-axis kernel T(zb, s); Tr G = (u/c) * T.
+def _trace_imag_scaled(zb, s):
+    """Dimensionless imaginary-axis kernel [T, dT/dzb]; Tr G = (u/c) * T.
 
     zb and s may be arrays of one shape, each element a row: all rows are
-    integrated together and the result has that shape.  With gradient,
-    returns [T, dT/dzb] stacked along a new first axis.
+    integrated together, and T and dT/dzb each have that shape, stacked
+    along a new first axis.
     """
     def integrand(chi, zb, s):
         # -e^{-2 (chi-1) zb} [r_s - (2 chi^2 - 1) r_p], and chi times it,
         # written straight into the stack: r_s = -chi s/(chi s + 2 chi^2)
-        out = np.empty((2, *chi.shape) if gradient else chi.shape)
-        f = out[0] if gradient else out
+        out = np.empty((2, *chi.shape))
+        f = out[0]
         two_chi2 = 2.0 * chi * chi
         cs = chi * s
         np.exp(2.0 * zb * (1.0 - chi), out=f)
         f *= cs / (cs + two_chi2) + (two_chi2 - 1.0) * (cs / (cs + 2.0))
-        if gradient:
-            np.multiply(chi, f, out=out[1])
+        np.multiply(chi, f, out=out[1])
         return out
 
     shape = np.shape(zb)
@@ -132,10 +133,9 @@ def _trace_imag_scaled(zb, s, gradient: bool = False):
     edges = np.sqrt(1.0 + np.sort(x_edges) ** 2)
     val, _ = integrate_rows(integrand, edges, zbs, np.ravel(s), rtol=RTOL)
     # d/dzb of e^{-2 chi zb} is -2 chi, and the integrand carries -1
-    scale = np.array([-1.0, 2.0])[:, None] if gradient else -1.0
+    scale = np.array([-1.0, 2.0])[:, None]
     out = scale * np.exp(-2.0 * zbs) * val / (4.0 * np.pi)
-    # [()] makes a 0-d result a scalar and leaves any other shape alone
-    return out.reshape(out.shape[:-1] + shape)[()]
+    return out.reshape((2, *shape))
 
 
 def _asymptotic_tails(z: complex, m: int):

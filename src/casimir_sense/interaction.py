@@ -40,7 +40,9 @@ nodes.
 The transition gradient g = d(delta_omega)/dd is analytic: d enters only
 through the exponentials of the Green's-function kernels, so each integrand
 carries its d-derivative as a second component and one pass gives the
-shifts, the rates and g (interaction_and_gradient).
+shifts, the rates and g (interaction_and_gradient).  Every caller runs that
+pass, decay_rates and scattering_rate_map too: there is no value-only path,
+so a shift reads the same whichever function returned it.
 """
 
 from __future__ import annotations
@@ -92,11 +94,10 @@ class CouplingGradient:
     error_estimate: float   # rad/s per m
 
 
-def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
-                 gradient: bool = False):
-    """Ground-state Casimir-Polder shift dw_g(d) in rad/s (negative).
+def ground_shift(d: float, e: EmitterParams, g: GrapheneParams):
+    """Ground-state Casimir-Polder shift dw_g(d) in rad/s (negative) and its
+    slope: (value, error estimate), each the array [dw_g, d dw_g/dd].
 
-    With gradient: (value, error estimate), each the array [dw_g, d dw_g/dd].
     A refinement that fails raises QuadratureError naming its integral and
     the point (d, mu/hbar w0, w0/gamma_g).
     """
@@ -112,10 +113,9 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
         u = w0 * t
         s = _sigma_ec(FrequencyAxis.IMAG, u, g)
         part = "inner imaginary-axis rows"
-        out = t * t * t * _trace_imag_scaled(d * u / c, s, gradient=gradient)
+        out = t * t * t * _trace_imag_scaled(d * u / c, s)
         part = "outer frequency integral"
-        if gradient:
-            out[1] *= u / c                           # d zb / dd = u / c
+        out[1] *= u / c                               # d zb / dd = u / c
         return out
 
     u_edges = [40.0 * c / d]
@@ -129,49 +129,36 @@ def ground_shift(d: float, e: EmitterParams, g: GrapheneParams,
             f"{exc.reason} in the {part} of the ground shift at d = {d:.6g} m,"
             f" mu = {g.mu / w0:.6g} hbar*omega0, omega0/gamma_g = "
             f"{w0 / g.gamma_g:.6g}", exc.residual) from exc
-    if gradient:
-        return e.gamma0 * val, e.gamma0 * err
-    return e.gamma0 * float(val)
-
-
-def _result(e: EmitterParams, dg: float, prop: complex,
-            evan: complex) -> InteractionResult:
-    """Shifts and rates from dw_g and the two real-axis trace parts, as
-    Python floats whichever scalar type the parts come in."""
-    dg, prop, evan = float(dg), complex(prop), complex(evan)
-    scale = 2.0 * e.gamma0 * math.pi * CONSTANTS.c / e.omega0
-    gamma_rad = e.gamma0 + scale * prop.imag
-    gamma_nonrad = scale * evan.imag
-    de = -dg - 0.5 * scale * (prop + evan).real
-    return InteractionResult(delta_g=dg, delta_e=de, gamma_rad=gamma_rad,
-                             gamma_nonrad=gamma_nonrad)
-
-
-def decay_rates(d: float, e: EmitterParams,
-                g: GrapheneParams) -> InteractionResult:
-    """Full interaction result at distance d (shifts and decay channels).
-
-    Gamma_rad keeps the free-space Gamma0 plus the propagating-sector
-    interference; Gamma_nonrad is the evanescent sector (plasmons and
-    absorption).  Gamma is their sum by construction.
-    """
-    dg = ground_shift(d, e, g)              # first: it checks d by name
-    prop, evan = trace_green_real_parts(d, e.omega0, g)
-    return _result(e, dg, prop[0], evan[0])
+    return e.gamma0 * val, e.gamma0 * err
 
 
 def interaction_and_gradient(d: float, e: EmitterParams, g: GrapheneParams):
     """(InteractionResult, CouplingGradient) at distance d from one pass.
 
-    The error estimate is the ground-shift quadrature's for the derivative;
-    the real-axis parts are closed forms.
+    Gamma_rad keeps the free-space Gamma0 plus the propagating-sector
+    interference; Gamma_nonrad is the evanescent sector (plasmons and
+    absorption), and Gamma is their sum by construction.  Every field is a
+    Python float.  The error estimate is the ground-shift quadrature's for
+    the derivative; the real-axis parts are closed forms.
     """
-    (dg, dg_slope), (_, err) = ground_shift(d, e, g, gradient=True)
+    (dg, dg_slope), (_, err) = ground_shift(d, e, g)  # first: checks d
     prop, evan = trace_green_real_parts(d, e.omega0, g)
     resonant = e.gamma0 * math.pi * CONSTANTS.c / e.omega0
+    dg, prop0, evan0 = float(dg), complex(prop[0]), complex(evan[0])
+    ir = InteractionResult(
+        delta_g=dg, delta_e=-dg - resonant * (prop0 + evan0).real,
+        gamma_rad=e.gamma0 + 2.0 * resonant * prop0.imag,
+        gamma_nonrad=2.0 * resonant * evan0.imag)
     slope = float(-2.0 * dg_slope - resonant * (prop[1] + evan[1]).real)
-    return (_result(e, dg, prop[0], evan[0]),
-            CouplingGradient(g_value=slope, error_estimate=2.0 * float(err)))
+    return ir, CouplingGradient(g_value=slope,
+                                error_estimate=2.0 * float(err))
+
+
+def decay_rates(d: float, e: EmitterParams,
+                g: GrapheneParams) -> InteractionResult:
+    """Shifts and decay channels at distance d: the InteractionResult of
+    interaction_and_gradient."""
+    return interaction_and_gradient(d, e, g)[0]
 
 
 def excited_shift(d: float, e: EmitterParams, g: GrapheneParams) -> float:
@@ -190,17 +177,21 @@ def transition_gradient(d: float, e: EmitterParams,
     return interaction_and_gradient(d, e, g)[1]
 
 
-def scattering_rate_map(d: float, omega_l: float, s: ScenarioParams) -> float:
+def scattering_rate_map(d: float, omega_l, s: ScenarioParams):
     """Radiative scattering rate f(d, omega_L)/f0 for weak excitation.
 
     f = Gamma_rad (Omega/2)^2 / ((Gamma/2)^2 + (w0 + dw - omega_L)^2),
     normalized by the free-space resonant rate f0 = Omega^2/Gamma0; the Rabi
     frequency cancels.  Shifts and rates are evaluated at the emitter
-    resonance.
+    resonance, once for all laser frequencies: omega_l may be a float,
+    giving a float, or an array (a map row at one distance), giving an
+    array of its shape.
     """
-    if not 0.0 < omega_l < math.inf:
+    omega_l = np.asarray(omega_l, dtype=float)
+    if not np.all((0.0 < omega_l) & (omega_l < math.inf)):
         raise ValueError("omega_l must be positive and finite")
     ir = decay_rates(d, s.emitter, s.graphene)
     detune = s.emitter.omega0 + ir.delta_omega - omega_l
-    return (ir.gamma_rad * s.emitter.gamma0 / 4.0) \
+    f = (ir.gamma_rad * s.emitter.gamma0 / 4.0) \
         / ((ir.gamma / 2.0) ** 2 + detune**2)
+    return f if f.ndim else float(f)

@@ -177,7 +177,7 @@ def trace_imag(z, u, g):
     """Reflected Tr G(z, z, iu) from the pipeline's imaginary-axis kernel."""
     s = _sigma_ec(FrequencyAxis.IMAG, u, g)
     q0 = u / C.c
-    return q0 * _trace_imag_scaled(z * q0, s)
+    return q0 * _trace_imag_scaled(z * q0, s)[0]
 
 
 def fixed_panels(f, edges):

@@ -4,8 +4,9 @@ analytic one-pass gradient.
 
 The step starts at d * rel_step and is halved until the extrapolation
 correction drops below 1% of the gradient.  Every stencil point is a full
-value-only transition_shift, so the oracle shares no derivative code with
-the library.
+transition_shift, and only its value enters the difference: the pass that
+computes it also computes a slope, but the oracle never reads it, so its
+gradient is independent of the library's slope formula.
 """
 
 from casimir_sense import interaction

@@ -298,11 +298,10 @@ def test_trace_rejects_bad_arguments():
 @pytest.mark.parametrize("zb", [0.05, 0.5, 5.0])
 @pytest.mark.parametrize("s", [0.01, 1.0])
 def test_imag_kernel_gradient_matches_central_difference(zb, s):
-    value, slope = _trace_imag_scaled(zb, s, gradient=True)
+    _, slope = _trace_imag_scaled(zb, s)
     h = 1e-4 * zb
-    diff = (_trace_imag_scaled(zb + h, s) - _trace_imag_scaled(zb - h, s)) \
-        / (2.0 * h)
-    assert value == pytest.approx(_trace_imag_scaled(zb, s), rel=1e-12)
+    diff = (_trace_imag_scaled(zb + h, s)[0]
+            - _trace_imag_scaled(zb - h, s)[0]) / (2.0 * h)
     assert slope == pytest.approx(diff, rel=1e-6)
 
 
@@ -331,25 +330,15 @@ def test_imag_kernel_rows_match_one_row_calls(q_factor):
                             cs.GrapheneParams.from_fractions(m, W0, q_factor))
                   for ui, m in zip(u, mu)])
     zb = np.geomspace(1e-4, 40.0, 48)
-    rows = _trace_imag_scaled(zb, s, gradient=True)
-    values = _trace_imag_scaled(zb, s)
-    assert rows.shape == (2, 48) and values.shape == (48,)
+    rows = _trace_imag_scaled(zb, s)
+    assert rows.shape == (2, 48)
     # the (panels x nodes) layout of an outer call: the same rows, reshaped
-    grid = _trace_imag_scaled(zb.reshape(2, 24), s.reshape(2, 24),
-                              gradient=True)
+    grid = _trace_imag_scaled(zb.reshape(2, 24), s.reshape(2, 24))
     assert np.array_equal(grid, rows.reshape(2, 2, 24))
-    assert np.array_equal(_trace_imag_scaled(zb.reshape(2, 24),
-                                             s.reshape(2, 24)),
-                          values.reshape(2, 24))
-    # a scalar gives a scalar, the value of its one-row call
+    # a scalar gives the one [T, dT/dzb] pair of its one-row call
     scalar = _trace_imag_scaled(zb[0], s[0])
-    assert np.ndim(scalar) == 0
-    assert scalar == _trace_imag_scaled(zb[:1], s[:1])[0]
-    one_row = _trace_imag_scaled(zb[:1], s[:1], gradient=True)
-    assert np.array_equal(_trace_imag_scaled(zb[0], s[0], gradient=True),
-                          one_row[:, 0])
+    assert scalar.shape == (2,)
+    assert np.array_equal(scalar, _trace_imag_scaled(zb[:1], s[:1])[:, 0])
     for i in range(48):
-        one = _trace_imag_scaled(zb[i], s[i], gradient=True)
+        one = _trace_imag_scaled(zb[i], s[i])
         np.testing.assert_allclose(rows[:, i], one, rtol=1e-14, atol=0.0)
-        assert values[i] == pytest.approx(_trace_imag_scaled(zb[i], s[i]),
-                                          rel=1e-14, abs=0.0)

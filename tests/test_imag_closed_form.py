@@ -54,12 +54,12 @@ def _grid():
 def test_imag_kernel_matches_closed_form():
     zb, s = _grid()
     ref = np.array([closed_form(a, b) for a, b in zip(zb, s)]).T
-    got = _trace_imag_scaled(zb, s, gradient=True)
+    got = _trace_imag_scaled(zb, s)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
 def test_imag_kernel_has_one_sign():
     # the inner rows may stop at the outer tolerance because no two of them
     # cancel: T < 0 and dT/dzb > 0 wherever s > 0 (quadrature docstring)
-    value, slope = _trace_imag_scaled(*_grid(), gradient=True)
+    value, slope = _trace_imag_scaled(*_grid())
     assert np.all(value < 0.0) and np.all(slope > 0.0)

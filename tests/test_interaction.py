@@ -26,14 +26,15 @@ def graphene(mu_frac):
 
 @pytest.mark.parametrize("mu_frac", [0.0, 0.8])
 def test_ground_shift_is_attractive(mu_frac):
-    assert cs.ground_shift(18e-9, EMITTER, graphene(mu_frac)) < 0
+    (value, _), _ = cs.ground_shift(18e-9, EMITTER, graphene(mu_frac))
+    assert value < 0
 
 
 @pytest.mark.parametrize("mu_frac", [0.0, 0.8])
 def test_ground_shift_monotone_in_distance(mu_frac):
     g = graphene(mu_frac)
     ds = np.geomspace(5e-9, 100e-9, 7)
-    vals = np.array([cs.ground_shift(d, EMITTER, g) for d in ds])
+    vals = np.array([cs.ground_shift(d, EMITTER, g)[0][0] for d in ds])
     assert np.all(vals < 0)
     assert np.all(np.diff(np.abs(vals)) < 0)
 
@@ -42,7 +43,7 @@ def test_excited_shift_identity():
     # dw_e + dw_g = -(Gamma0 pi c / w0) Re Tr G by definition
     g = graphene(0.8)
     d = 18e-9
-    dg = cs.ground_shift(d, EMITTER, g)
+    (dg, _), _ = cs.ground_shift(d, EMITTER, g)
     de = interaction.excited_shift(d, EMITTER, g)
     trace = sum(cs.trace_green_real_parts(d, W0, g))[0]
     rhs = -GAMMA0 * math.pi * cs.CONSTANTS.c / W0 * trace.real
@@ -143,10 +144,7 @@ def test_one_pass_shifts_match_decay_rates(mu_frac, d):
     g = graphene(mu_frac)
     ir, cg = cs.interaction_and_gradient(d, EMITTER, g)
     ref = cs.decay_rates(d, EMITTER, g)
-    for field in ("delta_g", "delta_e", "delta_omega", "gamma", "gamma_rad",
-                  "gamma_nonrad"):
-        assert getattr(ir, field) == pytest.approx(getattr(ref, field),
-                                                   rel=1e-9)
+    assert ir == ref
     assert cg == interaction.transition_gradient(d, EMITTER, g)
 
 
@@ -154,9 +152,8 @@ def test_one_pass_shifts_match_decay_rates(mu_frac, d):
 @pytest.mark.parametrize("q_factor", [1e3, 1e7])
 @pytest.mark.parametrize("mu_frac", [0.0, 0.8])
 def test_both_paths_return_the_same_record(mu_frac, q_factor, d):
-    # plain floats on both paths; the rates are the same closed forms, and
-    # delta_g differs only by where each refinement stops (<= 5.5e-11 at
-    # mu = 0.8, 10 um)
+    # plain floats, and one pass: decay_rates is the first record of
+    # interaction_and_gradient bit for bit, out to 10 um and w0/gamma_g 1e7
     g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
     ir, cg = cs.interaction_and_gradient(d, EMITTER, g)
     ref = cs.decay_rates(d, EMITTER, g)
@@ -164,9 +161,7 @@ def test_both_paths_return_the_same_record(mu_frac, q_factor, d):
     for record in (ir, cg, ref, cr):
         for field in fields(record):
             assert type(getattr(record, field.name)) is float, field.name
-    assert (ir.gamma_rad, ir.gamma_nonrad) \
-        == (ref.gamma_rad, ref.gamma_nonrad)
-    assert abs(ir.delta_g / ref.delta_g - 1.0) <= 1e-10
+    assert ir == ref
 
 
 def test_gradient_rejects_bad_distance():
@@ -186,13 +181,13 @@ def make_scenario(mu_frac, d):
 # (name in the message, call with the argument under test)
 _FREE_ARGUMENTS = [
     ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.8))),
-    ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.8),
-                                    gradient=True)),
+    ("d", lambda x: cs.scattering_rate_map(x, np.array([W0, 1.01 * W0]),
+                                           make_scenario(0.8, 18e-9))),
     ("d", lambda x: cs.ground_shift(x, EMITTER, graphene(0.0))),
     ("d", lambda x: cs.decay_rates(x, EMITTER, graphene(0.8))),
     ("d", lambda x: cs.interaction_and_gradient(x, EMITTER, graphene(0.8))),
     ("d", lambda x: cs.scattering_rate_map(x, W0, make_scenario(0.8, 18e-9))),
-    ("omega_l", lambda x: cs.scattering_rate_map(18e-9, x,
+    ("omega_l", lambda x: cs.scattering_rate_map(18e-9, np.array([W0, x]),
                                                  make_scenario(0.8, 18e-9))),
     ("z", lambda x: cs.trace_green_real_parts(x, W0, graphene(0.8))),
     ("omega", lambda x: cs.trace_green_real_parts(18e-9, x, graphene(0.8))),
@@ -262,6 +257,23 @@ def test_scattering_map_line_center_identity():
     assert val == pytest.approx(ir.gamma_rad * GAMMA0 / ir.gamma**2, rel=1e-9)
 
 
+@pytest.mark.parametrize("d", [8e-9, 60e-9])
+@pytest.mark.parametrize("mu_frac", [0.0, 0.8])
+def test_scattering_map_row_matches_its_cells(mu_frac, d):
+    # one pass serves a map row, and each cell of it is the bits of its own
+    # scalar call, which gives a float; a zero in a row fails by name
+    s = make_scenario(mu_frac, d)
+    omega_l = W0 + np.linspace(-4000, 1000, 6) * GAMMA0
+    row = cs.scattering_rate_map(d, omega_l, s)
+    cells = [cs.scattering_rate_map(d, w, s) for w in omega_l]
+    assert all(type(f) is float for f in cells)
+    assert row.shape == omega_l.shape
+    assert np.array_equal(row, cells)
+    with pytest.raises(ValueError,
+                       match=r"^omega_l must be positive and finite$"):
+        cs.scattering_rate_map(d, np.array([W0, 0.0]), s)
+
+
 def test_scattering_map_contrast_drops_at_short_distance():
     # mu = 0, laser fixed on the bare resonance: approaching the sheet kills
     # the detected rate (shift moves the line, quenching eats the photons)
@@ -296,8 +308,9 @@ def _count_outer_nodes(monkeypatch):
 def test_ground_shift_outer_node_count_is_bounded(monkeypatch):
     # the edges name no scale of the sheet, so a knee of sigma or r_p may
     # fall anywhere inside a panel; refining each panel on its own keeps
-    # the cost of a knee to its panel (90,576 nodes, at most 696 at one
-    # point; whole-level refinement of the same edges takes 113,616)
+    # the cost of a knee to its panel (90,960 nodes with the slope, at most
+    # 696 at one point; whole-level refinement of the same edges took
+    # 113,616 for the value alone)
     nodes = _count_outer_nodes(monkeypatch)
     total = 0
     for mu_frac in KNEE_MU:
@@ -322,7 +335,7 @@ def test_ground_shift_outer_node_count_at_pinned_points(monkeypatch, mu_frac,
     # d* = alpha lambda0/4 = 3.65 nm, where the r_p knee pi alpha c/(2d)
     # crosses w0: four panels, one bisection each
     count = _count_outer_nodes(monkeypatch)
-    cs.ground_shift(d, EMITTER, graphene(mu_frac), gradient=True)
+    cs.ground_shift(d, EMITTER, graphene(mu_frac))
     assert count[0] == nodes
 
 
@@ -342,9 +355,10 @@ _TOLERANCE_POINTS = [
 def test_ground_shift_meets_a_tighter_outer_tolerance(monkeypatch, mu_frac,
                                                       q_factor, d):
     g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
-    value = cs.ground_shift(d, EMITTER, g)
+    (value, _), _ = cs.ground_shift(d, EMITTER, g)
     monkeypatch.setattr(interaction, "RTOL", 1e-11)
-    assert value == pytest.approx(cs.ground_shift(d, EMITTER, g), rel=1e-8)
+    (tight, _), _ = cs.ground_shift(d, EMITTER, g)
+    assert value == pytest.approx(tight, rel=1e-8)
 
 
 @pytest.mark.parametrize("mu_frac, q_factor, d", _TOLERANCE_POINTS)
@@ -354,9 +368,9 @@ def test_imag_kernel_meets_a_tighter_inner_tolerance(monkeypatch, mu_frac,
     # positive weights cannot cancel, so a tighter inner tolerance moves
     # [value, slope] by far less than it (quadrature module docstring)
     g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
-    value, _ = cs.ground_shift(d, EMITTER, g, gradient=True)
+    value, _ = cs.ground_shift(d, EMITTER, g)
     monkeypatch.setattr(greens, "RTOL", 1e-12)
-    tight, _ = cs.ground_shift(d, EMITTER, g, gradient=True)
+    tight, _ = cs.ground_shift(d, EMITTER, g)
     np.testing.assert_allclose(value, tight, rtol=2e-12, atol=0.0)
 
 
@@ -369,7 +383,7 @@ def test_ground_shift_matches_the_mu0_closed_form(d):
     # an undoped sheet has s = pi alpha at every frequency, so the oracle
     # takes the frequency integral first, in closed form, and checks the
     # outer sum over frequency panels as a whole
-    value, _ = cs.ground_shift(d, EMITTER, graphene(0.0), gradient=True)
+    value, _ = cs.ground_shift(d, EMITTER, graphene(0.0))
     pi_alpha = math.pi * cs.CONSTANTS.alpha
     np.testing.assert_allclose(value,
                                ground_shift_constant_s(d, EMITTER, pi_alpha),
@@ -381,8 +395,9 @@ def test_mu0_ground_shift_steepens_to_the_retarded_law():
     # 1-2 nm to the retarded d^-4 law far out: no power law holds over the
     # 5-20 nm window of acceptance criterion 4
     g = graphene(0.0)
-    slopes = [math.log(cs.ground_shift(b, EMITTER, g)
-                       / cs.ground_shift(a, EMITTER, g)) / math.log(b / a)
+    slopes = [math.log(cs.ground_shift(b, EMITTER, g)[0][0]
+                       / cs.ground_shift(a, EMITTER, g)[0][0])
+              / math.log(b / a)
               for a, b in ((1e-9, 2e-9), (5e-9, 20e-9), (0.3e-6, 1e-6),
                            (30e-6, 100e-6))]
     assert np.all(np.diff(slopes) < 0)
@@ -401,7 +416,7 @@ def test_ground_shift_matches_the_constant_s_closed_form(monkeypatch, s, d):
     # a sheet ten times as conductive as an undoped one, and a near-perfect
     # mirror: the swapped-integral oracle holds for any s constant in u
     _constant_sheet(monkeypatch, s)
-    value, _ = cs.ground_shift(d, EMITTER, graphene(0.8), gradient=True)
+    value, _ = cs.ground_shift(d, EMITTER, graphene(0.8))
     np.testing.assert_allclose(value, ground_shift_constant_s(d, EMITTER, s),
                                rtol=1e-9, atol=0.0)
 
@@ -412,14 +427,14 @@ def test_near_perfect_mirror_gives_the_mirror_law(monkeypatch):
     _constant_sheet(monkeypatch, 1e15)
     d = 1e-9
     k0d = W0 * d / cs.CONSTANTS.c
-    ratio = cs.ground_shift(d, EMITTER, graphene(0.8)) \
-        / (-GAMMA0 / 16.0 * k0d ** -3)
+    (value, _), _ = cs.ground_shift(d, EMITTER, graphene(0.8))
+    ratio = value / (-GAMMA0 / 16.0 * k0d ** -3)
     assert abs(ratio - 1.0) <= k0d
 
 
 @pytest.mark.parametrize("zb", np.geomspace(1e-4, 10.0, 6))
 def test_near_perfect_mirror_trace_matches_its_closed_form(zb):
-    value, slope = greens._trace_imag_scaled(zb, 1e15, gradient=True)
+    value, slope = greens._trace_imag_scaled(zb, 1e15)
     want = mirror_trace(zb)
     assert abs(value / want[0] - 1.0) <= 1e-12
     assert abs(slope / want[1] - 1.0) <= 1e-12
@@ -434,12 +449,12 @@ def test_ground_shift_matches_the_level_by_level_oracle(monkeypatch, mu_frac,
     # both levels of the nested integral, with level 0 and its bisection
     # in one integrand pass, give the bits of one pass per level
     g = cs.GrapheneParams.from_fractions(mu_frac, W0, q_factor)
-    got = cs.ground_shift(d, EMITTER, g, gradient=True)
+    got = cs.ground_shift(d, EMITTER, g)
     monkeypatch.setattr(quadrature, "integrate_rows",
                         integrate_rows_level_by_level)
     monkeypatch.setattr(greens, "integrate_rows",
                         integrate_rows_level_by_level)
-    want = cs.ground_shift(d, EMITTER, g, gradient=True)
+    want = cs.ground_shift(d, EMITTER, g)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -450,13 +465,13 @@ def test_ground_shift_calls_the_kernel_once_at_the_operating_point(
     sizes = []
     kernel = interaction._trace_imag_scaled
 
-    def counted(zb, s, **kwargs):
+    def counted(zb, s):
         sizes.append(np.size(zb))
-        return kernel(zb, s, **kwargs)
+        return kernel(zb, s)
 
     monkeypatch.setattr(interaction, "_trace_imag_scaled", counted)
     s = ref_scenario
-    cs.ground_shift(s.distance, s.emitter, s.graphene, gradient=True)
+    cs.ground_shift(s.distance, s.emitter, s.graphene)
     assert sizes == [288]
 
 

@@ -246,8 +246,7 @@ def test_chunk_size_moves_no_number(monkeypatch):
     for chunk in (24, 240, 4096, 1 << 22):
         monkeypatch.setattr(quadrature, "_CHUNK_NODES", chunk)
         results.append((*integrate_rows(_waves, edges, ks, rtol=1e-12),
-                        *cs.ground_shift(12e-9, s.emitter, s.graphene,
-                                         gradient=True)))
+                        *cs.ground_shift(12e-9, s.emitter, s.graphene)))
     for other in results[1:]:
         for got, want in zip(other, results[0]):
             assert np.array_equal(got, want)

@@ -72,7 +72,7 @@ def test_full_conductivity_grid_leaves_the_interband_edge_empty(tmp_path):
 def test_a_failed_point_keeps_the_rows_before_it(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setattr(cs, "scattering_rate_map",
-                        _failing_at(8, cs.scattering_rate_map))
+                        _failing_at(3, cs.scattering_rate_map))
     code = survey.main(["--quick", "--outdir", str(tmp_path)])
     path = tmp_path / "scattering_map_mu0.csv"
     assert code == cli.NUMERICAL_ERROR
@@ -81,7 +81,9 @@ def test_a_failed_point_keeps_the_rows_before_it(tmp_path, monkeypatch,
     assert "Traceback" not in err
     header, rows = parse_rows(path.read_text())
     assert ",".join(header) == COLUMNS[path.name]
-    assert len(rows) == 7
+    # one call per distance: the whole rows of the first two distances of
+    # the quick grid, each of its six detunings
+    assert len(rows) == 2 * 6
     assert not (tmp_path / "scattering_map_mu08.csv").exists()
 
 
