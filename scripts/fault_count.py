@@ -6,12 +6,13 @@
 The package is imported from the ``src/`` of the tree this script lives in,
 so ``A/scripts/fault_count.py`` measures tree A.  The script first loads
 ``perfbench/reference.json`` (read only), then runs the first BLOCKS
-blocks of two benchmark workloads at seed 1 the way ``perfbench/run.py``'s
-timed loop does: one warm-up op, then every op through
-``workloads.execute``, checked against the reference, its outcome kept.
-``coupling_grid`` calls ``evaluate_coupling`` and ``scattering_map``
-``scattering_rate_map``; both run the one Casimir pass of
-``interaction_and_gradient``.  Faults depend on the heap an op runs on, and
+blocks of the three benchmark workloads at seed 1 the way
+``perfbench/run.py``'s timed loop does: one warm-up op, then every op
+through ``workloads.execute``, checked against the reference, its outcome
+kept.  ``coupling_grid`` calls ``evaluate_coupling``, ``scattering_map``
+``scattering_rate_map`` and ``squeeze`` ``simulate``; all three run the one
+Casimir pass of ``interaction_and_gradient``, ``squeeze`` then the
+conditional covariance.  Faults depend on the heap an op runs on, and
 so on what the process holds and on the order of the ops: when glibc
 returns the top of the heap after a large op, the next op faults those
 pages back in.  One line per workload: ms per op, minor faults per op
@@ -33,7 +34,8 @@ import workloads  # noqa: E402
 
 #: the seed whose outputs perfbench/reference.json holds
 SEED = 1
-#: blocks of each workload: 9 ops of coupling_grid, 6 of scattering_map
+#: blocks of each workload: 9 ops of coupling_grid, 6 of scattering_map,
+#: 6 of squeeze
 BLOCKS = 60
 
 
@@ -67,7 +69,8 @@ def main() -> int:
     with open(ROOT / "perfbench" / "reference.json") as fh:
         reference = json.load(fh)
     for name, call in (("coupling_grid", "evaluate_coupling"),
-                       ("scattering_map", "scattering_rate_map")):
+                       ("scattering_map", "scattering_rate_map"),
+                       ("squeeze", "simulate")):
         n, ms, faults, peak = measure(name, reference["workloads"][name])
         print(f"{name:14s} ({call:19s}) {n:4d} ops  {ms:7.3f} ms/op  "
               f"{faults:7.2f} minor faults/op  peak {peak:7.1f} KiB")

@@ -74,7 +74,12 @@ power higher.  There is no value-only kernel.
 The imaginary-axis kernel also takes arrays of (zb, s) of any one shape,
 each element one row, and refines the rows together
 (quadrature.integrate_rows), each on its own panel edges; T and dT/dzb
-each have the shape of zb.  The ground shift hands over the
+each have the shape of zb.  Its integrand writes the value and the slope
+straight into one (2, panels, nodes) stack, using three node-sized
+scratch arrays and no other temporaries, so that a pass keeps a small
+working set.  Every element sees the operations of the plain expression
+in the same order, so the values are bit for bit those of the expression
+form (kept in tests/integrand_oracle.py).  The ground shift hands over the
 (panels x nodes) array of each outer pass as it is, its first two levels
 in one array.  The rows stop at quadrature.RTOL, the tolerance of the
 outer frequency integral they feed: every row has one sign, so a tighter
@@ -112,15 +117,27 @@ def _trace_imag_scaled(zb, s):
     along a new first axis.
     """
     def integrand(chi, zb, s):
-        # -e^{-2 (chi-1) zb} [r_s - (2 chi^2 - 1) r_p], and chi times it,
-        # written straight into the stack: r_s = -chi s/(chi s + 2 chi^2)
+        # -e^{-2 (chi-1) zb} [r_s - (2 chi^2 - 1) r_p] into f and chi times
+        # it into g, r_s = -chi s/(chi s + 2 chi^2), formed in place in the
+        # stack and the scratch arrays a, b, c (module docstring); products
+        # only commute, and (chi chi) 2 rounds as (2 chi) chi does
         out = np.empty((2, *chi.shape))
-        f = out[0]
-        two_chi2 = 2.0 * chi * chi
-        cs = chi * s
-        np.exp(2.0 * zb * (1.0 - chi), out=f)
-        f *= cs / (cs + two_chi2) + (two_chi2 - 1.0) * (cs / (cs + 2.0))
-        np.multiply(chi, f, out=out[1])
+        f, g = out
+        a = 1.0 - chi
+        a *= 2.0 * zb
+        np.exp(a, out=f)
+        np.multiply(chi, chi, out=a)
+        a *= 2.0                                    # 2 chi^2
+        np.multiply(chi, s, out=g)                  # chi s
+        b = g + a
+        np.divide(g, b, out=b)                      # -r_s
+        a -= 1.0                                    # 2 chi^2 - 1
+        c = g + 2.0
+        np.divide(g, c, out=c)                      # r_p
+        c *= a
+        b += c
+        f *= b
+        np.multiply(chi, f, out=g)
         return out
 
     shape = np.shape(zb)

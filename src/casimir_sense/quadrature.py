@@ -147,11 +147,12 @@ def integrate_rows(f, edges, *columns, rtol: float = RTOL):
     # every row's first test needs level 0 and its bisection: one pass
     prev, cur = _level(f, [edges[:, ::2], edges], columns, x, w)
     value, error = np.empty_like(prev), np.empty(prev.shape)
+    err = abs(cur - prev)
     for doubling in range(_MAX_DOUBLINGS):
         if doubling:
             edges = _bisected(edges)
             (cur,) = _level(f, [edges], columns, x, w)
-        err = abs(cur - prev)
+            err = abs(cur - prev)
         n = active.size
         done = (err - rtol * abs(cur)).reshape(-1, n).max(axis=0) <= 0.0
         if not (np.isfinite(prev).reshape(-1, n).all(axis=0)

@@ -14,7 +14,8 @@ def test_fault_count_measures_one_block(monkeypatch):
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "BLOCKS", 1)
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    for name, block in (("coupling_grid", 9), ("scattering_map", 6)):
+    for name, block in (("coupling_grid", 9), ("scattering_map", 6),
+                        ("squeeze", 6)):
         n, ms, faults, peak = script.measure(name,
                                              reference["workloads"][name])
         assert n == block

@@ -19,7 +19,10 @@ from 30-digit mpmath here.
 import mpmath
 import numpy as np
 
+import casimir_sense as cs
 from casimir_sense.greens import _trace_imag_scaled
+
+import integrand_oracle
 
 
 def _f(m, x):
@@ -63,3 +66,30 @@ def test_imag_kernel_has_one_sign():
     # cancel: T < 0 and dT/dzb > 0 wherever s > 0 (quadrature docstring)
     value, slope = _trace_imag_scaled(*_grid())
     assert np.all(value < 0.0) and np.all(slope > 0.0)
+
+
+#: (mu / hbar w0, w0/gamma_g, d in m): six points of scripts/node_census.py's
+#: grid, undoped to heavily doped, both losses, 1 nm to 100 um
+_CENSUS_POINTS = [(mu, q, float(np.geomspace(1e-9, 1e-4, 16)[k]))
+                  for mu, q, k in [(0.0, 1e3, 0), (1e-3, 1e7, 4),
+                                   (0.05, 1e3, 7), (0.3, 1e7, 12),
+                                   (0.8, 1e3, 6), (1.0, 1e7, 15)]]
+
+
+def test_in_place_integrand_matches_the_expression_form_bit_for_bit(
+        monkeypatch):
+    # the kernel forms its integrand in place; the oracle is the expression
+    # it replaced, so kernel and ground shift must not move by one bit
+    zb, s = _grid()
+    emitter = cs.reference_scenario().emitter
+    sheets = [cs.GrapheneParams.from_fractions(mu, emitter.omega0, q)
+              for mu, q, _ in _CENSUS_POINTS]
+    kernel = _trace_imag_scaled(zb, s)
+    shifts = [cs.ground_shift(d, emitter, g)
+              for (_, _, d), g in zip(_CENSUS_POINTS, sheets)]
+    integrand_oracle.patch_in(monkeypatch)
+    assert np.array_equal(_trace_imag_scaled(zb, s), kernel)
+    for (_, _, d), g, (value, error) in zip(_CENSUS_POINTS, sheets, shifts):
+        oracle_value, oracle_error = cs.ground_shift(d, emitter, g)
+        assert np.array_equal(oracle_value, value)
+        assert np.array_equal(oracle_error, error)

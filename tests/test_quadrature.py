@@ -51,6 +51,19 @@ def test_nonconvergence_raises_with_residual(monkeypatch):
     assert exc.value.residual > 0
 
 
+def test_zero_doublings_raise_with_the_first_pass_residual(monkeypatch):
+    # no doubling allowed: the first pass (level 0 and its bisection) is
+    # never tested, and its residual is the one reported
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 0)
+    f = lambda x: np.sin(40.0 * x) ** 2
+    residual = abs(fixed_panels(f, [0.0, 0.5, 1.0])
+                   - fixed_panels(f, [0.0, 1.0]))
+    assert residual > 0.0
+    with pytest.raises(QuadratureError, match="did not converge") as exc:
+        integrate_rows(f, [[0.0, 1.0]])
+    assert exc.value.residual == residual
+
+
 def test_clip_edges():
     edges = clip_edges([5.0, -1.0, 0.5, 12.0, 0.5], 0.0, 10.0)
     assert edges.tolist() == [0.0, 0.5, 5.0, 10.0]
