@@ -21,7 +21,19 @@ workload: the order of each pair, each run's attempted and failed ops, and
 per end-to-end metric each side's runs, median and quartiles (inclusive
 method), the ratio of the medians and in how many pairs NEW read better
 (ties count for neither), the direction that is better also from NEW's
-``BENCHMARK.json``.
+``BENCHMARK.json``.  One line per metric (medians, their ratio, wins) goes
+to standard error.
+
+A run's ``peak_rss_mb`` (MiB) grows with the ops it completes, since the
+harness keeps each op's outcome until the run ends.  So per workload the
+JSON also holds ``rss_fit``: one slope of ``peak_rss_mb`` against
+``attempted`` in common to all 2N runs, fitted by least squares with each
+side's own mean removed (so a change of footprint between the sides does
+not tilt it), in KiB per op; the intercept of the line at that slope
+through the mean of all runs; and per side the median over its runs of
+``peak_rss_mb - slope * attempted``, the program's memory at zero retained
+ops.  The fit is null when the runs report no ``peak_rss_mb`` or no side's
+runs differ in ``attempted``.
 """
 
 import argparse
@@ -74,6 +86,23 @@ def _wins(old: list[float], new: list[float], better: str) -> str:
     return f"{won}/{len(old)}"
 
 
+def rss_fit(attempted: dict, rss: dict) -> dict | None:
+    """Common slope of RSS (MiB) against ops, intercept and each side's
+    median intercept at that slope (module docstring)."""
+    ops = {side: np.asarray(attempted[side], dtype=float) for side in SIDES}
+    mib = {side: np.asarray(rss[side], dtype=float) for side in SIDES}
+    spread = sum(((ops[s] - ops[s].mean()) ** 2).sum() for s in SIDES)
+    if spread == 0.0:
+        return None
+    slope = sum(((ops[s] - ops[s].mean()) * (mib[s] - mib[s].mean())).sum()
+                for s in SIDES) / spread
+    everything = np.concatenate([mib[s] - slope * ops[s] for s in SIDES])
+    return {"slope_kib_per_op": float(slope * 1024.0),
+            "intercept_mb": float(everything.mean()),
+            "median_intercept_mb": {
+                s: float(np.median(mib[s] - slope * ops[s])) for s in SIDES}}
+
+
 def pairs(trees: dict, workload: str, n: int, seed: int, seconds: float,
           better: dict) -> dict:
     """Run ``n`` alternating pairs of one workload and summarise them."""
@@ -99,20 +128,27 @@ def pairs(trees: dict, workload: str, n: int, seed: int, seconds: float,
         runs = {side: [r["metrics"][name]["value"] for r in results[side]]
                 for side in SIDES}
         old, new = summary(runs["old"]), summary(runs["new"])
-        metrics[name] = {
+        m = metrics[name] = {
             "unit": entry["unit"], "better": better[name],
             "old": old, "new": new,
             "new_over_old": (new["median"] / old["median"]
                              if old["median"] else None),
             "new_wins": _wins(runs["old"], runs["new"], better[name]),
         }
+        print(f"# {workload} {name}: median old {old['median']:.6g}, new "
+              f"{new['median']:.6g}, new/old {m['new_over_old']}, new wins "
+              f"{m['new_wins']}", file=sys.stderr)
+    attempted = {s: [r["attempted"] for r in results[s]] for s in SIDES}
+    rss = metrics.get("peak_rss_mb")
     return {
         "seed": seed, "seconds": seconds, "pairs": n, "first": first,
         "correct": True,
-        "attempted": {s: [r["attempted"] for r in results[s]] for s in SIDES},
+        "attempted": attempted,
         "failed": {s: [r["failed"] for r in results[s]] for s in SIDES},
         "env": {s: results[s][0].get("env") for s in SIDES},
         "metrics": metrics,
+        "rss_fit": (rss_fit(attempted, {s: rss[s]["runs"] for s in SIDES})
+                    if rss else None),
     }
 
 

@@ -47,13 +47,13 @@ import numpy as np
 _ORDER = 24
 #: elements (panels x nodes) per integrand call; it sets the speed only,
 #: since no sum depends on it.  The heap, not a cache, bounds it: at 8,192
-#: an op's temporaries reach further up the heap (traced peak 975 against
-#: 629 KiB), glibc returns the free top after each op once it exceeds the
-#: trim threshold, and the next op faults it back in.  evaluate_coupling
-#: then took 785 against 100 minor faults and 2.17 against 1.76-1.79 ms an
-#: op, decay_rates 260 against 0 and 1.58 against 1.44 ms; with the trim
-#: threshold raised neither faulted, at 1.54 and 1.29 ms
-#: (scripts/fault_count.py; 2-vCPU Xeon, glibc 2.36)
+#: an op's temporaries reach further up the heap (traced one-op peak 781
+#: against 532 KiB), glibc returns the free top after each op once it
+#: exceeds the trim threshold, and the next op faults it back in: 96
+#: against 0.08 minor faults an op on coupling_grid, 135 and 141 against
+#: 0.01 and 0.00 on scattering_map and squeeze, for no time gained
+#: (medians of three runs 1.99 against 1.98, 2.05 against 1.98 and 2.40
+#: against 2.47 ms an op; scripts/fault_count.py, 2-vCPU Xeon, glibc 2.36)
 _CHUNK_NODES = 1 << 12
 #: relative tolerance of every refinement, both levels of the nested
 #: Casimir integral included (module docstring)
@@ -95,29 +95,38 @@ def _level(f, layouts, columns, x, w):
     """Gauss-Legendre sums of f over each row's panels, one (..., rows)
     array per layout of edges (each rows x m_k, the same rows).
 
-    Each panel's node sum is weighted by its half-width, sum_p h_p sum_n
-    w_n f; the panels of all layouts and rows go in order, whole panels a
-    call, and a row's panels are summed only once all of them are in.
+    The panels of all layouts and rows go in order, whole panels a call,
+    as one (panels x 2) map [half-width h_p, midpoint m_p]; a chunk's nodes
+    are its rows of the map times the (2 x nodes) basis [x; 1], that is
+    h_p x_n + m_p, rounded after the product and after the sum as the
+    expression is.  Each panel's node sum is weighted by its half-width,
+    sum_p h_p sum_n w_n f, and a row's panels are summed only once all of
+    them are in.
     """
     rows, counts = len(layouts[0]), [e.shape[1] - 1 for e in layouts]
-    half = np.concatenate([0.5 * (e[:, 1:] - e[:, :-1]).ravel()
-                           for e in layouts])
-    mid = np.concatenate([0.5 * (e[:, :-1] + e[:, 1:]).ravel()
-                          for e in layouts])
+    panel_map = np.concatenate([
+        np.stack((0.5 * (e[:, 1:] - e[:, :-1]), 0.5 * (e[:, :-1] + e[:, 1:])),
+                 axis=-1).reshape(-1, 2) for e in layouts])
+    basis = np.stack((x, np.ones_like(x)))
     columns = [np.concatenate([np.repeat(c, n) for n in counts])[:, None]
                for c in columns]
     step = max(1, _CHUNK_NODES // x.size)
     sums = []
-    for i in range(0, half.size, step):
-        nodes = half[i:i + step, None] * x + mid[i:i + step, None]
-        vals = f(nodes, *(c[i:i + step] for c in columns))
-        # einsum, not a matmul: no node-sized weight array, and no BLAS
+    for i in range(0, len(panel_map), step):
+        # einsum, not a matmul: numpy sends a one-panel product to BLAS
+        # gemv, which rounds h x + m differently in the last bit
+        nodes = np.einsum("pk,kn->pn", panel_map[i:i + step], basis)
+        vals = f(nodes, *[c[i:i + step] for c in columns])
+        # einsum again: no node-sized weight array, and no BLAS
         sums.append(np.einsum("...n,n->...", vals, w))
-    sums = np.concatenate(sums, axis=-1) * half
-    parts = np.split(sums, np.cumsum([rows * n for n in counts[:-1]]),
-                     axis=-1)
-    return [p.reshape(p.shape[:-1] + (rows, n)).sum(axis=-1)
-            for p, n in zip(parts, counts)]
+    sums = np.concatenate(sums, axis=-1)
+    sums *= panel_map[:, 0]
+    out, start = [], 0
+    for n in counts:
+        part = sums[..., start:start + rows * n]
+        out.append(part.reshape(part.shape[:-1] + (rows, n)).sum(axis=-1))
+        start += rows * n
+    return out
 
 
 def _bisected(edges):

@@ -29,6 +29,14 @@ def level(f, edges, columns, x, w):
     return sums.reshape(sums.shape[:-1] + (rows, panels)).sum(axis=-1)
 
 
+def bisected(edges):
+    """Each row of edges with the midpoint of each of its panels added."""
+    halved = np.empty((len(edges), 2 * edges.shape[1] - 1))
+    halved[:, ::2] = edges
+    halved[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    return halved
+
+
 def integrate_rows_level_by_level(f, edges, *columns, rtol: float = RTOL):
     """integrate_rows with one integrand pass per level."""
     x, w = quadrature._gauss_nodes(quadrature._ORDER)
@@ -36,14 +44,15 @@ def integrate_rows_level_by_level(f, edges, *columns, rtol: float = RTOL):
     columns = [np.asarray(c) for c in columns]
     active = np.arange(len(edges))
     prev = level(f, edges, columns, x, w)
+    edges = bisected(edges)
+    cur = level(f, edges, columns, x, w)
     value, error = np.empty_like(prev), np.empty(prev.shape)
-    for _ in range(quadrature._MAX_DOUBLINGS):
-        halved = np.empty((len(edges), 2 * edges.shape[1] - 1))
-        halved[:, ::2] = edges
-        halved[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        edges = halved
-        cur = level(f, edges, columns, x, w)
-        err = abs(cur - prev)
+    err = abs(cur - prev)
+    for doubling in range(quadrature._MAX_DOUBLINGS):
+        if doubling:
+            edges = bisected(edges)
+            cur = level(f, edges, columns, x, w)
+            err = abs(cur - prev)
         n = active.size
         done = (err - rtol * abs(cur)).reshape(-1, n).max(axis=0) <= 0.0
         if not (np.isfinite(prev).reshape(-1, n).all(axis=0)

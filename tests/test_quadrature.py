@@ -64,6 +64,17 @@ def test_zero_doublings_raise_with_the_first_pass_residual(monkeypatch):
     assert exc.value.residual == residual
 
 
+def test_both_engines_raise_alike_at_zero_doublings(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 0)
+    f = lambda x: np.sin(40.0 * x) ** 2
+    residuals = []
+    for engine in (integrate_rows, integrate_rows_level_by_level):
+        with pytest.raises(QuadratureError, match="did not converge") as exc:
+            engine(f, [[0.0, 1.0]])
+        residuals.append(exc.value.residual)
+    assert residuals[0] == residuals[1] > 0.0
+
+
 def test_clip_edges():
     edges = clip_edges([5.0, -1.0, 0.5, 12.0, 0.5], 0.0, 10.0)
     assert edges.tolist() == [0.0, 0.5, 5.0, 10.0]
@@ -236,6 +247,34 @@ def test_joint_first_pass_matches_the_level_by_level_oracle():
             want = integrate_rows_level_by_level(f, edges, ks, rtol=1e-12)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("panels", [1, 2, 169, 170, 171])
+def test_nodes_are_the_affine_map_of_each_panel(monkeypatch, panels):
+    # 585 panels in chunks of `panels`; half-widths and midpoints from 1e-6
+    # to 1e3, midpoints of both signs.  A matmul would send a one-panel
+    # chunk to BLAS gemv, whose rounding differs in the last bit
+    monkeypatch.setattr(quadrature, "_CHUNK_NODES", 24 * panels)
+    rng = np.random.default_rng(panels)
+    widths = 10.0 ** rng.uniform(-6.0, 3.0, (5, 39))
+    starts = rng.choice([-1.0, 1.0], 5) * 10.0 ** rng.uniform(-6.0, 3.0, 5)
+    edges = np.cumsum(np.column_stack((starts, widths)), axis=1)
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.zeros_like(x)                 # converged at the first test
+
+    integrate_rows(f, edges)
+    x, _ = _gauss_nodes(24)
+    want = []
+    for e in (edges, np.sort(np.hstack((edges, 0.5 * (edges[:, :-1]
+                                                      + edges[:, 1:]))))):
+        half = 0.5 * (e[:, 1:] - e[:, :-1]).ravel()
+        mid = 0.5 * (e[:, :-1] + e[:, 1:]).ravel()
+        want.append(half[:, None] * x + mid[:, None])
+    assert len(seen[0]) == panels
+    assert np.array_equal(np.concatenate(seen), np.concatenate(want))
 
 
 def test_row_converged_at_its_first_test_takes_one_integrand_call():
